@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, config precedence, output layout."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +202,69 @@ class TestOutputs:
         lines = (tmp_path / "ch" / "report.csv").read_text().splitlines()
         header_at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         assert lines[header_at] == "particles,distance,stderr"
+
+
+# Every artifact of one small run per command, recorded byte for byte.  The
+# runs use a relative --outdir, so the paths in config.echo and in the
+# printed summary line are the same in any working directory.  report.json
+# is compared without its volatile wall_time_seconds.  To re-record, run
+# the arguments below from an empty directory (with GOLDEN_CONFIG written to
+# run.cfg) and copy _artifacts() of each run into tests/golden/<command>/.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CONFIG = """# convergence run read from a file
+command = convergence
+model = mean-reverting
+hurst = 0.3
+particles = 12
+replications = 3
+deltas = 2^-3, 2^-4, 2^-5
+reference-delta = 2^-6
+seed = 11
+emit-plot = true
+"""
+GOLDEN_RUNS = {
+    "simulate": [
+        "--command", "simulate", "--model", "mean-reverting", "--hurst", "0.5",
+        "--particles", "4", "--steps", "8", "--snapshots", "full", "--seed", "3",
+    ],
+    "convergence": ["--config", "run.cfg"],
+    "chaos": [
+        "--command", "chaos", "--model", "mean-reverting", "--hurst", "0.7",
+        "--particle-counts", "8,16", "--replications", "3", "--steps", "16", "--emit-plot",
+    ],
+    "moments": [
+        "--command", "moments", "--model", "mean-reverting", "--hurst", "0.3",
+        "--deltas", "2^-3,2^-4,2^-5", "--particles", "16", "--order", "2",
+    ],
+    "fbm-check": [
+        "--command", "fbm-check", "--hurst", "0.7", "--paths", "300", "--steps", "8",
+        "--sampler", "cholesky", "--seed", "5",
+    ],
+}
+
+
+def _artifacts(run_dir, printed):
+    """File name -> bytes of one run, plus the printed summary line."""
+    got = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+    payload = json.loads(got["report.json"])
+    payload.pop("wall_time_seconds", None)
+    got["report.json"] = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    got["summary.txt"] = printed.encode()
+    return got
+
+
+def _golden_run(name, workdir, capsys):
+    (workdir / "run.cfg").write_text(GOLDEN_CONFIG)
+    code = main(GOLDEN_RUNS[name] + ["--outdir", "out", "--label", name])
+    assert code == 0
+    return _artifacts(workdir / "out" / name, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_golden_artifacts(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    got = _golden_run(name, tmp_path, capsys)
+    expected = {path.name: path.read_bytes() for path in (GOLDEN / name).iterdir()}
+    assert sorted(got) == sorted(expected)
+    for file_name, content in expected.items():
+        assert got[file_name] == content, f"{name}/{file_name} differs from the recorded bytes"
