@@ -46,7 +46,7 @@ from .model import (
     preset_unstable_cubic,
     validate,
 )
-from .reports import ChaosReport, ConvergenceReport, CovarianceCheckReport, MomentReport
+from .reports import ChaosReport, ConvergenceReport, CovarianceCheckReport, MomentReport, SimulateReport
 from .simulator import (
     NumericalBlowup,
     ParticleEnsemble,

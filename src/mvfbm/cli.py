@@ -8,10 +8,12 @@ One executable, five commands selected with ``--command``:
 * ``moments``     -- moment stability across a mesh ladder
 * ``fbm-check``   -- empirical covariance audit of the driver sampler
 
-Options may come from a flat ``key = value`` config file (``--config``);
-explicit flags override file values and unknown keys are rejected.  Each
-run writes ``report.csv``, ``report.json``, ``config.echo`` and optionally
-``plot.svg`` into its own directory under ``--outdir``.
+Every option is one ``RunConfig`` field, set by a flag or by a line of a
+flat ``key = value`` config file (``--config``); both are parsed and
+checked alike, explicit flags override file values and unknown keys are
+rejected.  A run that succeeds writes ``report.csv``, ``report.json``,
+``config.echo`` and optionally ``plot.svg`` into its own directory under
+``--outdir``; a run that fails creates no directory.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration failure.
 """
@@ -19,110 +21,223 @@ Exit codes: 0 success, 1 numerical failure, 2 configuration failure.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .fbm import CirculantEmbeddingError, CovarianceFactorizationError, UniformMesh
-from .model import PRESET_NAMES, RegimeViolation, preset_by_name
-from .reports import render_loglog_svg
-from .simulator import NumericalBlowup, SimulationConfig, run, write_trajectory_csv
+from .fbm import SAMPLERS, CirculantEmbeddingError, CovarianceFactorizationError, UniformMesh
+from .model import PRESET_NAMES, preset_by_name
+from .reports import Report, SimulateReport, render_loglog_svg
+from .simulator import (
+    SNAPSHOT_POLICIES,
+    NumericalBlowup,
+    SimulationConfig,
+    run,
+    write_trajectory_csv,
+)
 from .study import chaos_study, covariance_check, moment_bound_check, strong_error_study
 
 __all__ = ["main", "parse_config", "dispatch", "ConfigError", "RunConfig"]
-
-COMMANDS = ("simulate", "convergence", "chaos", "moments", "fbm-check")
-PROFILES = ("desk", "paper-fig1")
-
-_DEFAULT_DELTAS = "2^-5,2^-6,2^-7,2^-8"
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration; names the offending key."""
 
 
+# --------------------------------------------------------------------------
+# Commands: each runs its study and returns the report and an optional plot.
+# --------------------------------------------------------------------------
+
+
+def _simulate(config: RunConfig) -> tuple[Report, str | None]:
+    started = time.perf_counter()
+    model, mesh = _model_for(config), UniformMesh(config.horizon, config.steps)
+    sim = SimulationConfig(model, config.hurst, mesh, config.particles, config.seed, config.sampler)
+    record = run(sim, snapshots=config.snapshots)
+    trajectory = io.StringIO()
+    write_trajectory_csv(record, trajectory, terminal_only=(config.snapshots == "terminal"))
+    report = SimulateReport(
+        model=config.model, hurst=config.hurst, particles=config.particles, steps=config.steps,
+        terminal_mean=float(record.terminal.mean()), terminal_std=float(record.terminal.std()),
+        trajectory_csv=trajectory.getvalue(), wall_time=time.perf_counter() - started,
+    )
+    return report, None
+
+
+def _convergence(config: RunConfig) -> tuple[Report, str | None]:
+    report = strong_error_study(
+        _model_for(config), config.hurst, config.particles, config.replications, config.deltas,
+        config.reference_delta, config.seed, config.horizon, config.sampler, config.workers,
+    )
+    if not config.emit_plot or report.exact_scheme:
+        return report, None
+    deltas, errors = zip(*report.points)
+    title = f"Terminal RMS error vs step size (H={config.hurst})"
+    return report, render_loglog_svg(deltas, errors, report.slope, config.hurst, title)
+
+
+def _chaos(config: RunConfig) -> tuple[Report, str | None]:
+    report = chaos_study(
+        _model_for(config), config.hurst, UniformMesh(config.horizon, config.steps),
+        config.particle_counts, config.replications, config.theta, config.seed,
+        sampler=config.sampler, workers=config.workers,
+    )
+    positive = [(float(n), d) for n, d, _ in report.points if d > 0]
+    if not config.emit_plot or len(positive) < 2:
+        return report, None
+    counts, distances = zip(*positive)
+    title = f"Distance to reference vs particle count (H={config.hurst})"
+    svg = render_loglog_svg(counts, distances, None, -0.5, title, "log2(N)", "log2(distance)")
+    return report, svg
+
+
+def _moments(config: RunConfig) -> tuple[Report, str | None]:
+    report = moment_bound_check(
+        _model_for(config), config.hurst, config.deltas, config.particles, config.order,
+        config.seed, config.horizon, config.sampler,
+    )
+    return report, None
+
+
+def _fbm_check(config: RunConfig) -> tuple[Report, str | None]:
+    report = covariance_check(
+        config.hurst, config.steps, config.paths, config.seed, config.sampler, config.horizon
+    )
+    return report, None
+
+
+_COMMAND_RUNNERS = {
+    "simulate": _simulate,
+    "convergence": _convergence,
+    "chaos": _chaos,
+    "moments": _moments,
+    "fbm-check": _fbm_check,
+}
+COMMANDS = tuple(_COMMAND_RUNNERS)
+
+_DESK_DELTAS = (2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8)
+
+# Defaults each profile puts under the flags and file values.
+_PROFILE_SETTINGS = {
+    "desk": {"deltas": _DESK_DELTAS},
+    # Full-scale profile: finer reference mesh and the larger ensemble.
+    "paper-fig1": {
+        "particles": 1000,
+        "replications": 100,
+        "deltas": _DESK_DELTAS,
+        "reference_delta": 2.0**-12,
+    },
+}
+
+# --------------------------------------------------------------------------
+# Options: value parsers, and one RunConfig field per option.
+# --------------------------------------------------------------------------
+
+
+def _number(text: str) -> float:
+    """A float, or ``base^exponent`` such as ``2^-10``."""
+    base, caret, exponent = text.strip().partition("^")
+    return float(base) ** float(exponent) if caret else float(base)
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    values = tuple(_number(t) for t in text.split(",") if t.strip())
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+def _integers(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(",") if t.strip())
+
+
+def _boolean(text: str) -> bool:
+    lowered = text.lower()
+    if lowered not in ("true", "false", "1", "0", "yes", "no"):
+        raise ValueError("not a boolean")
+    return lowered in ("true", "1", "yes")
+
+
+# Range checks: (predicate on the parsed value, what it requires).
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_AT_LEAST_1 = (lambda x: x >= 1, "must be >= 1")
+_AT_LEAST_2 = (lambda x: x >= 2, "must be >= 2")
+
+
+def _option(default, parse, help: str, choices=None, valid=None):
+    return field(default=default, metadata=dict(parse=parse, help=help, choices=choices, valid=valid))
+
+
 @dataclass
 class RunConfig:
-    command: str
-    model: str = "mean-deviation"
-    xi: float = 1.0
-    rate: float = 1.0
-    initial: float = 1.0
-    initial_spread: float = 0.0
-    hurst: float = 0.7
-    horizon: float = 1.0
-    steps: int = 128
-    deltas: tuple[float, ...] = ()
-    reference_delta: float = 2.0**-10
-    particles: int = 200
-    replications: int = 50
-    particle_counts: tuple[int, ...] = (50, 100, 200, 400)
-    theta: float = 2.0
-    order: float = 4.0
-    paths: int = 10_000
-    seed: int = 2024
-    sampler: str = "circulant"
-    snapshots: str = "terminal"
-    workers: int = 1
-    outdir: str = "runs"
-    label: str = ""
-    emit_plot: bool = False
-    profile: str = "desk"
+    """One run's resolved options.
+
+    Each field is one option: its flag and config-file key are the field
+    name with dashes, and its metadata holds the value parser, the help
+    text, the allowed choices and the range check.
+    """
+
+    command: str = _option(MISSING, str, "what to run", COMMANDS)
+    model: str = _option("mean-deviation", str, "model preset (default mean-deviation)", PRESET_NAMES)
+    xi: float = _option(1.0, _number, "constant diffusion scale (mean-reverting preset)")
+    rate: float = _option(1.0, _number, "mean-reversion rate (mean-reverting preset)")
+    initial: float = _option(1.0, _number, "initial state value (default 1)")
+    initial_spread: float = _option(0.0, _number, "stddev of Gaussian initial data (default 0)")
+    hurst: float = _option(
+        0.7, _number, "Hurst index in (0, 1)",
+        valid=(lambda h: 0.0 < h < 1.0, "must be in the open interval (0, 1)"),
+    )
+    horizon: float = _option(1.0, _number, "time horizon T (default 1)", valid=_POSITIVE)
+    steps: int = _option(128, int, "mesh steps for simulate/chaos/fbm-check", valid=_AT_LEAST_1)
+    deltas: tuple[float, ...] = _option(
+        (), _numbers, "comma list of step sizes, e.g. 2^-5,2^-6 (convergence/moments)",
+        valid=(lambda ds: all(d > 0 for d in ds), "must be positive"),
+    )
+    reference_delta: float = _option(
+        2.0**-10, _number, "reference step size, e.g. 2^-10 (convergence)", valid=_POSITIVE
+    )
+    particles: int = _option(200, int, "particles per ensemble", valid=_AT_LEAST_1)
+    replications: int = _option(50, int, "Monte Carlo replications", valid=_AT_LEAST_1)
+    particle_counts: tuple[int, ...] = _option(
+        (50, 100, 200, 400), _integers, "comma list of ensemble sizes (chaos)",
+        valid=(lambda ns: len(ns) >= 1 and all(n >= 1 for n in ns), "must be >= 1 each"),
+    )
+    theta: float = _option(2.0, _number, "transport cost exponent >= 2 (chaos)", valid=_AT_LEAST_2)
+    order: float = _option(4.0, _number, "moment order q >= 2 (moments)", valid=_AT_LEAST_2)
+    paths: int = _option(10_000, int, "sample paths (fbm-check)", valid=_AT_LEAST_2)
+    seed: int = _option(2024, int, "master seed")
+    sampler: str = _option("circulant", str, "driver sampler", tuple(SAMPLERS))
+    snapshots: str = _option("terminal", str, "trajectory retention (simulate)", SNAPSHOT_POLICIES)
+    workers: int = _option(1, int, "parallel workers for replications", valid=_AT_LEAST_1)
+    outdir: str = _option("runs", str, "output directory root (default runs/)")
+    label: str = _option("", str, "run directory name (default <command>-<timestamp>)")
+    emit_plot: bool = _option(False, _boolean, "write plot.svg")
+    profile: str = _option("desk", str, "parameter profile (default desk)", tuple(_PROFILE_SETTINGS))
 
 
-def _parse_float_token(token: str, key: str) -> float:
-    token = token.strip()
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+# The flag and config-file key of each field: its name with dashes.
+_FIELD_FOR_KEY = {name.replace("_", "-"): name for name in _FIELDS}
+
+
+def _convert(name: str, text: str) -> object:
+    """A flag or file value, parsed by its field's parser."""
     try:
-        if "^" in token:
-            base, exponent = token.split("^", 1)
-            return float(base) ** float(exponent)
-        return float(token)
-    except ValueError:
-        raise ConfigError(f"invalid value for {key}: {token!r} (not a number)") from None
+        return _FIELDS[name].metadata["parse"](text)
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for {name.replace('_', '-')}: {text!r} ({exc})") from None
 
 
-def _parse_float_list(text: str, key: str) -> tuple[float, ...]:
-    items = [t for t in text.split(",") if t.strip()]
-    if not items:
-        raise ConfigError(f"invalid value for {key}: empty list")
-    return tuple(_parse_float_token(t, key) for t in items)
-
-
-def _parse_int_list(text: str, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise ConfigError(f"invalid value for {key}: {text!r} (not integers)") from None
-
-
-_FILE_KEYS = {
-    "command": str,
-    "model": str,
-    "xi": float,
-    "rate": float,
-    "initial": float,
-    "initial-spread": float,
-    "hurst": float,
-    "horizon": float,
-    "steps": int,
-    "deltas": "float-list",
-    "reference-delta": "float-token",
-    "particles": int,
-    "replications": int,
-    "particle-counts": "int-list",
-    "theta": float,
-    "order": float,
-    "paths": int,
-    "seed": int,
-    "sampler": str,
-    "snapshots": str,
-    "workers": int,
-    "outdir": str,
-    "label": str,
-    "emit-plot": "bool",
-    "profile": str,
-}
+def _check(name: str, value: object) -> None:
+    """Reject a value outside its field's choices or range."""
+    key, meta = name.replace("_", "-"), _FIELDS[name].metadata
+    if meta["choices"] is not None and value not in meta["choices"]:
+        choices = ", ".join(meta["choices"])
+        raise ConfigError(f"invalid value for {key}: {value!r} (choose from {choices})")
+    if meta["valid"] is not None and not meta["valid"][0](value):
+        raise ConfigError(f"invalid value for {key}: {value} ({meta['valid'][1]})")
 
 
 def _read_config_file(path: str) -> dict[str, object]:
@@ -139,29 +254,9 @@ def _read_config_file(path: str) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FILE_KEYS:
+        if key not in _FIELD_FOR_KEY:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        kind = _FILE_KEYS[key]
-        if kind is str:
-            values[key] = value
-        elif kind is int:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"invalid value for {key}: {value!r} (not an integer)") from None
-        elif kind is float:
-            values[key] = _parse_float_token(value, key)
-        elif kind == "float-token":
-            values[key] = _parse_float_token(value, key)
-        elif kind == "float-list":
-            values[key] = _parse_float_list(value, key)
-        elif kind == "int-list":
-            values[key] = _parse_int_list(value, key)
-        elif kind == "bool":
-            lowered = value.lower()
-            if lowered not in ("true", "false", "1", "0", "yes", "no"):
-                raise ConfigError(f"invalid value for {key}: {value!r} (not a boolean)")
-            values[key] = lowered in ("true", "1", "yes")
+        values[_FIELD_FOR_KEY[key]] = _convert(_FIELD_FOR_KEY[key], value)
     return values
 
 
@@ -170,115 +265,31 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mvfbm",
         description="Interacting-particle Euler simulation driven by fractional Brownian motion.",
     )
-    add = parser.add_argument
-    add("--command", choices=COMMANDS, help="what to run")
-    add("--config", metavar="FILE", help="flat key = value config file; flags override it")
-    add("--model", choices=PRESET_NAMES, help="model preset (default mean-deviation)")
-    add("--xi", type=float, help="constant diffusion scale (mean-reverting preset)")
-    add("--rate", type=float, help="mean-reversion rate (mean-reverting preset)")
-    add("--initial", type=float, help="initial state value (default 1)")
-    add("--initial-spread", type=float, help="stddev of Gaussian initial data (default 0)")
-    add("--hurst", type=float, help="Hurst index in (0, 1)")
-    add("--horizon", type=float, help="time horizon T (default 1)")
-    add("--steps", type=int, help="mesh steps for simulate/chaos/fbm-check")
-    add("--deltas", help="comma list of step sizes, e.g. 2^-5,2^-6 (convergence/moments)")
-    add("--reference-delta", help="reference step size, e.g. 2^-10 (convergence)")
-    add("--particles", type=int, help="particles per ensemble")
-    add("--replications", type=int, help="Monte Carlo replications")
-    add("--particle-counts", help="comma list of ensemble sizes (chaos)")
-    add("--theta", type=float, help="transport cost exponent >= 2 (chaos)")
-    add("--order", type=float, help="moment order q >= 2 (moments)")
-    add("--paths", type=int, help="sample paths (fbm-check)")
-    add("--seed", type=int, help="master seed")
-    add("--sampler", choices=("circulant", "cholesky"), help="driver sampler")
-    add("--snapshots", choices=("terminal", "thin", "full"), help="trajectory retention (simulate)")
-    add("--workers", type=int, help="parallel workers for replications")
-    add("--outdir", help="output directory root (default runs/)")
-    add("--label", help="run directory name (default <command>-<timestamp>)")
-    add("--emit-plot", action="store_true", default=None, help="write plot.svg")
-    add("--profile", choices=PROFILES, help="parameter profile (default desk)")
+    parser.add_argument("--config", metavar="FILE", help="flat key = value config file; flags override it")
+    for key, name in _FIELD_FOR_KEY.items():
+        meta = _FIELDS[name].metadata
+        if meta["parse"] is _boolean:  # a bare switch
+            parser.add_argument(f"--{key}", action="store_const", const="true", help=meta["help"])
+        else:
+            parser.add_argument(f"--{key}", choices=meta["choices"], help=meta["help"])
     return parser
 
 
-_PROFILE_SETTINGS = {
-    "desk": {},
-    # Full-scale profile: finer reference mesh and the larger ensemble.
-    "paper-fig1": {
-        "particles": 1000,
-        "replications": 100,
-        "deltas": _parse_float_list(_DEFAULT_DELTAS, "deltas"),
-        "reference_delta": 2.0**-12,
-    },
-}
-
-
 def parse_config(argv: list[str]) -> RunConfig:
-    parser = _build_parser()
-    namespace = parser.parse_args(argv)
-    flag_values = {
-        key: value for key, value in vars(namespace).items() if key != "config" and value is not None
-    }
-    if "deltas" in flag_values:
-        flag_values["deltas"] = _parse_float_list(flag_values["deltas"], "deltas")
-    if "reference_delta" in flag_values:
-        flag_values["reference_delta"] = _parse_float_token(
-            str(flag_values["reference_delta"]), "reference-delta"
-        )
-    if "particle_counts" in flag_values:
-        flag_values["particle_counts"] = _parse_int_list(
-            str(flag_values["particle_counts"]), "particle-counts"
-        )
-
-    merged: dict[str, object] = {}
-    if namespace.config:
-        for key, value in _read_config_file(namespace.config).items():
-            merged[key.replace("-", "_")] = value
-    merged.update(flag_values)  # explicit flags win
-
-    profile = str(merged.get("profile", "desk"))
-    if profile not in PROFILES:
-        raise ConfigError(f"invalid value for profile: {profile!r} (choose from {PROFILES})")
-    for key, value in _PROFILE_SETTINGS[profile].items():
-        merged.setdefault(key, value)
-    merged.setdefault("deltas", _parse_float_list(_DEFAULT_DELTAS, "deltas"))
-
+    namespace = _build_parser().parse_args(argv)
+    merged = _read_config_file(namespace.config) if namespace.config else {}
+    merged.update(  # explicit flags win
+        (name, _convert(name, text))
+        for name, text in vars(namespace).items()
+        if name != "config" and text is not None
+    )
+    for name, value in merged.items():
+        _check(name, value)
+    for name, value in _PROFILE_SETTINGS[merged.get("profile", _FIELDS["profile"].default)].items():
+        merged.setdefault(name, value)
     if "command" not in merged:
         raise ConfigError("missing required field: command")
-    known = {f.name for f in fields(RunConfig)}
-    for key in merged:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-    config = RunConfig(**merged)  # type: ignore[arg-type]
-    _validate(config)
-    return config
-
-
-def _require(condition: bool, key: str, message: str) -> None:
-    if not condition:
-        raise ConfigError(f"invalid value for {key}: {message}")
-
-
-def _validate(config: RunConfig) -> None:
-    _require(config.command in COMMANDS, "command", f"{config.command!r} (choose from {COMMANDS})")
-    _require(0.0 < config.hurst < 1.0, "hurst", f"{config.hurst} (must be in the open interval (0, 1))")
-    _require(config.horizon > 0.0, "horizon", f"{config.horizon} (must be positive)")
-    _require(config.steps >= 1, "steps", f"{config.steps} (must be >= 1)")
-    _require(config.particles >= 1, "particles", f"{config.particles} (must be >= 1)")
-    _require(config.replications >= 1, "replications", f"{config.replications} (must be >= 1)")
-    _require(config.theta >= 2.0, "theta", f"{config.theta} (must be >= 2)")
-    _require(config.order >= 2.0, "order", f"{config.order} (must be >= 2)")
-    _require(config.paths >= 2, "paths", f"{config.paths} (must be >= 2)")
-    _require(config.workers >= 1, "workers", f"{config.workers} (must be >= 1)")
-    _require(bool(config.deltas), "deltas", "at least one step size required")
-    _require(all(d > 0 for d in config.deltas), "deltas", f"{config.deltas} (must be positive)")
-    _require(config.reference_delta > 0, "reference-delta", f"{config.reference_delta} (must be positive)")
-    _require(
-        all(n >= 1 for n in config.particle_counts) and len(config.particle_counts) >= 1,
-        "particle-counts",
-        f"{config.particle_counts} (must be >= 1 each)",
-    )
-    _require(config.sampler in ("circulant", "cholesky"), "sampler", f"{config.sampler!r}")
-    _require(config.snapshots in ("terminal", "thin", "full"), "snapshots", f"{config.snapshots!r}")
+    return RunConfig(**merged)  # type: ignore[arg-type]
 
 
 def _echo_config(config: RunConfig) -> str:
@@ -292,10 +303,20 @@ def _echo_config(config: RunConfig) -> str:
 
 
 def _run_directory(config: RunConfig) -> Path:
-    label = config.label or f"{config.command}-{time.strftime('%Y%m%d-%H%M%S')}"
-    directory = Path(config.outdir) / label
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
+    """``<outdir>/<label>``, or a new ``<command>-<timestamp>[-n]`` when no label is set."""
+    if config.label:
+        directory = Path(config.outdir) / config.label
+        directory.mkdir(parents=True, exist_ok=True)
+        return directory
+    stamp = f"{config.command}-{time.strftime('%Y%m%d-%H%M%S')}"
+    directory, n = Path(config.outdir) / stamp, 1
+    while True:
+        try:
+            directory.mkdir(parents=True)
+            return directory
+        except FileExistsError:  # an earlier run in the same second
+            n += 1
+            directory = Path(config.outdir) / f"{stamp}-{n}"
 
 
 def _model_for(config: RunConfig):
@@ -309,130 +330,20 @@ def _model_for(config: RunConfig):
 
 
 def dispatch(config: RunConfig) -> int:
-    """Run the configured command and write its artifacts; returns exit code 0."""
+    """Run the configured command, then write its artifacts; returns exit code 0.
+
+    The run directory is created only once the command has returned, so a
+    run that fails leaves no directory behind.
+    """
+    report, plot = _COMMAND_RUNNERS[config.command](config)
+    artifacts = {"report.csv": report.to_csv(), "report.json": report.to_json()}
+    if plot is not None:
+        artifacts["plot.svg"] = plot
     directory = _run_directory(config)
     (directory / "config.echo").write_text(_echo_config(config))
-    outputs = [directory / "report.csv", directory / "report.json"]
-
-    if config.command == "simulate":
-        sim = SimulationConfig(
-            _model_for(config),
-            config.hurst,
-            UniformMesh(config.horizon, config.steps),
-            config.particles,
-            config.seed,
-            config.sampler,
-        )
-        record = run(sim, snapshots=config.snapshots)
-        with open(directory / "report.csv", "w") as out:
-            write_trajectory_csv(record, out, terminal_only=(config.snapshots == "terminal"))
-        terminal_mean = float(record.terminal.mean())
-        payload = {
-            "report": "simulate",
-            "model": config.model,
-            "hurst": config.hurst,
-            "particles": config.particles,
-            "steps": config.steps,
-            "terminal_mean": terminal_mean,
-            "terminal_std": float(record.terminal.std()),
-        }
-        from .reports import render_json
-
-        (directory / "report.json").write_text(render_json(payload))
-        summary = (
-            f"simulate model={config.model} H={config.hurst} N={config.particles} "
-            f"steps={config.steps}: terminal mean {terminal_mean:.6f}"
-        )
-
-    elif config.command == "convergence":
-        report = strong_error_study(
-            _model_for(config),
-            config.hurst,
-            particles=config.particles,
-            replications=config.replications,
-            deltas=config.deltas,
-            reference_delta=config.reference_delta,
-            seed=config.seed,
-            horizon=config.horizon,
-            sampler=config.sampler,
-            workers=config.workers,
-        )
-        (directory / "report.csv").write_text(report.to_csv())
-        (directory / "report.json").write_text(report.to_json())
-        if config.emit_plot and not report.exact_scheme:
-            svg = render_loglog_svg(
-                [d for d, _ in report.points],
-                [e for _, e in report.points],
-                fitted_slope=report.slope,
-                reference_slope=config.hurst,
-                title=f"Terminal RMS error vs step size (H={config.hurst})",
-            )
-            (directory / "plot.svg").write_text(svg)
-            outputs.append(directory / "plot.svg")
-        summary = report.summary()
-
-    elif config.command == "chaos":
-        report = chaos_study(
-            _model_for(config),
-            config.hurst,
-            UniformMesh(config.horizon, config.steps),
-            config.particle_counts,
-            config.replications,
-            config.theta,
-            config.seed,
-            sampler=config.sampler,
-            workers=config.workers,
-        )
-        (directory / "report.csv").write_text(report.to_csv())
-        (directory / "report.json").write_text(report.to_json())
-        if config.emit_plot:
-            positive = [(n, d) for n, d, _ in report.points if d > 0]
-            if len(positive) >= 2:
-                svg = render_loglog_svg(
-                    [float(n) for n, _ in positive],
-                    [d for _, d in positive],
-                    fitted_slope=None,
-                    reference_slope=-0.5,
-                    title=f"Distance to reference vs particle count (H={config.hurst})",
-                    x_label="log2(N)",
-                    y_label="log2(distance)",
-                )
-                (directory / "plot.svg").write_text(svg)
-                outputs.append(directory / "plot.svg")
-        summary = report.summary()
-
-    elif config.command == "moments":
-        report = moment_bound_check(
-            _model_for(config),
-            config.hurst,
-            config.deltas,
-            config.particles,
-            config.order,
-            config.seed,
-            horizon=config.horizon,
-            sampler=config.sampler,
-        )
-        (directory / "report.csv").write_text(report.to_csv())
-        (directory / "report.json").write_text(report.to_json())
-        summary = report.summary()
-
-    elif config.command == "fbm-check":
-        report = covariance_check(
-            config.hurst,
-            steps=config.steps,
-            paths=config.paths,
-            seed=config.seed,
-            sampler=config.sampler,
-            horizon=config.horizon,
-        )
-        (directory / "report.csv").write_text(report.to_csv())
-        (directory / "report.json").write_text(report.to_json())
-        summary = report.summary()
-
-    else:  # pragma: no cover - _validate guards this
-        raise ConfigError(f"invalid value for command: {config.command!r}")
-
-    print(f"{summary} -> {', '.join(str(p) for p in outputs)}")
+    for name, text in artifacts.items():
+        (directory / name).write_text(text)
+    print(f"{report.summary()} -> {', '.join(str(directory / name) for name in artifacts)}")
     return 0
 
 
@@ -442,12 +353,8 @@ def main(argv: "list[str] | None" = None) -> int:
         _build_parser().print_usage(sys.stderr)
         return 2
     try:
-        config = parse_config(argv)
-        return dispatch(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RegimeViolation, ValueError) as exc:
+        return dispatch(parse_config(argv))
+    except ValueError as exc:  # ConfigError, RegimeViolation and rejected study arguments
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalBlowup, CirculantEmbeddingError, CovarianceFactorizationError) as exc:

@@ -43,6 +43,7 @@ __all__ = [
     "CirculantEmbeddingError",
     "generate_path_cholesky",
     "generate_path_circulant",
+    "SAMPLERS",
     "make_sampler",
     "restrict_to_coarse",
     "write_path_csv",
@@ -305,14 +306,14 @@ def generate_path_circulant(
     return CirculantSampler(hurst, mesh).sample(dimension, stream)
 
 
-_SAMPLERS = {"cholesky": CholeskySampler, "circulant": CirculantSampler}
+SAMPLERS = {"circulant": CirculantSampler, "cholesky": CholeskySampler}
 
 
 def make_sampler(name: str, hurst: "float | HurstParameter", mesh: UniformMesh):
     try:
-        factory = _SAMPLERS[name]
+        factory = SAMPLERS[name]
     except KeyError:
-        raise ValueError(f"unknown sampler {name!r}; choose from {sorted(_SAMPLERS)}") from None
+        raise ValueError(f"unknown sampler {name!r}; choose from {sorted(SAMPLERS)}") from None
     return factory(hurst, mesh)
 
 

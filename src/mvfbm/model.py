@@ -59,6 +59,10 @@ class ConstantDiffusion:
             raise ValueError(f"constant diffusion must be square, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
 
+    def evaluate(self, states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
+        """sigma as a (d, d) matrix."""
+        return self.matrix
+
 
 @dataclass(frozen=True)
 class MeasureDiffusion:
@@ -66,12 +70,21 @@ class MeasureDiffusion:
 
     fn: Callable[[EmpiricalMeasure], np.ndarray]
 
+    def evaluate(self, states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
+        """sigma(mu) as a (d, d) matrix."""
+        return np.atleast_2d(np.asarray(self.fn(mu), dtype=float))
+
 
 @dataclass(frozen=True)
 class StateMeasureDiffusion:
     """sigma(states, mu) -> (m, d, d); per-particle state dependence."""
 
     fn: Callable[[np.ndarray, EmpiricalMeasure], np.ndarray]
+
+    def evaluate(self, states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
+        """sigma(states, mu) as one (d, d) matrix per particle, shape (m, d, d)."""
+        m, d = states.shape
+        return np.asarray(self.fn(states, mu), dtype=float).reshape(m, d, d)
 
 
 Diffusion = Union[ConstantDiffusion, MeasureDiffusion, StateMeasureDiffusion]
@@ -139,16 +152,6 @@ def validate(model: ModelSpec, hurst: "float | HurstParameter") -> str:
     return RegimeTag.STANDARD_BROWNIAN
 
 
-def _diffusion_value(model: ModelSpec, states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-    """Evaluate sigma as a flat matrix (or stacked matrices) for the probe."""
-    diff = model.diffusion
-    if isinstance(diff, ConstantDiffusion):
-        return diff.matrix
-    if isinstance(diff, MeasureDiffusion):
-        return np.atleast_2d(np.asarray(diff.fn(mu), dtype=float))
-    return np.asarray(diff.fn(states, mu), dtype=float)
-
-
 @dataclass(frozen=True)
 class LipschitzProbeReport:
     declared: float
@@ -201,7 +204,7 @@ def lipschitz_probe(
         max_growth_b = max(
             max_growth_b, float(np.linalg.norm(bx)) / (1.0 + float(np.linalg.norm(x)) + w0)
         )
-        sigma = _diffusion_value(model, x, mu)
+        sigma = model.diffusion.evaluate(x, mu)
         sigma_denominator = 1.0 + w0
         if isinstance(model.diffusion, StateMeasureDiffusion):
             sigma_denominator += float(np.linalg.norm(x))

@@ -10,14 +10,16 @@ in the JSON mirror.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Iterable, Sequence
 
 __all__ = [
+    "Report",
     "ConvergenceReport",
     "ChaosReport",
     "MomentReport",
     "CovarianceCheckReport",
+    "SimulateReport",
     "SCHEMA_VERSION",
     "render_csv",
     "render_json",
@@ -50,10 +52,55 @@ def render_json(payload: dict) -> str:
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class Report:
+    """Base of every report: CSV and JSON are rendered from the dataclass fields.
+
+    The CSV metadata block and the JSON mirror hold ``report`` (the class's
+    ``KIND``) and every field but ``points`` and ``wall_time``, in field
+    order; tuples are ``;``-joined in the CSV and lists in the JSON.  The
+    ``points`` rows become the CSV data rows under ``COLUMNS`` and a list
+    of objects in the JSON, which alone carries ``wall_time_seconds``.
+    """
+
+    KIND: ClassVar[str] = ""
+    COLUMNS: ClassVar[tuple[str, ...]] = ()
+    NOT_METADATA: ClassVar[tuple[str, ...]] = ("points", "wall_time")
+
+    wall_time: float = field(compare=False, default=0.0, kw_only=True)
+
+    def _named_values(self) -> dict:
+        """``report`` and every field not in ``NOT_METADATA``, in field order."""
+        named = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in self.NOT_METADATA}
+        return {"report": self.KIND, **named}
+
+    def metadata(self) -> dict:
+        return {
+            name: ";".join(repr(v) for v in value) if isinstance(value, tuple) else value
+            for name, value in self._named_values().items()
+        }
+
+    def to_csv(self) -> str:
+        return render_csv(self.metadata(), self.COLUMNS, self.points)
+
+    def to_json(self) -> str:
+        payload = {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in self._named_values().items()
+        }
+        if self.COLUMNS:
+            payload["points"] = [dict(zip(self.COLUMNS, row)) for row in self.points]
+        payload["wall_time_seconds"] = self.wall_time
+        return render_json(payload)
+
+
+@dataclass(frozen=True)
+class ConvergenceReport(Report):
     """Strong-error ladder: per-step-size RMS terminal error plus fitted slope."""
 
-    model_name: str
+    KIND = "convergence"
+    COLUMNS = ("delta", "rms_error")
+
+    model: str
     hurst: float
     horizon: float
     particles: int
@@ -65,52 +112,33 @@ class ConvergenceReport:
     slope: float | None
     slope_stderr: float | None
     exact_scheme: bool
-    wall_time: float = field(compare=False, default=0.0)
 
     def metadata(self) -> dict:
-        return {
-            "report": "convergence",
-            "model": self.model_name,
-            "hurst": self.hurst,
-            "horizon": self.horizon,
-            "particles": self.particles,
-            "replications": self.replications,
-            "reference_delta": self.reference_delta,
-            "sampler": self.sampler,
-            "seed": self.seed,
-            "slope": "exact" if self.exact_scheme else repr(self.slope),
-            "slope_stderr": "exact" if self.exact_scheme else repr(self.slope_stderr),
-            "exact_scheme": self.exact_scheme,
-        }
-
-    def to_csv(self) -> str:
-        return render_csv(self.metadata(), ("delta", "rms_error"), self.points)
-
-    def to_json(self) -> str:
-        payload = self.metadata()
-        payload["points"] = [{"delta": d, "rms_error": e} for d, e in self.points]
-        payload["slope"] = self.slope
-        payload["slope_stderr"] = self.slope_stderr
-        payload["wall_time_seconds"] = self.wall_time
-        return render_json(payload)
+        meta = super().metadata()
+        if self.exact_scheme:  # the JSON keeps the null slope
+            meta["slope"] = meta["slope_stderr"] = "exact"
+        return meta
 
     def summary(self) -> str:
         if self.exact_scheme:
             return (
-                f"convergence model={self.model_name} H={self.hurst}: scheme exact; "
+                f"convergence model={self.model} H={self.hurst}: scheme exact; "
                 "slope undefined"
             )
         return (
-            f"convergence model={self.model_name} H={self.hurst} N={self.particles} "
+            f"convergence model={self.model} H={self.hurst} N={self.particles} "
             f"M={self.replications}: slope={self.slope:.4f} (stderr {self.slope_stderr:.4f})"
         )
 
 
 @dataclass(frozen=True)
-class ChaosReport:
+class ChaosReport(Report):
     """Distance-to-reference trend as the particle count grows."""
 
-    model_name: str
+    KIND = "chaos"
+    COLUMNS = ("particles", "distance", "stderr")
+
+    model: str
     hurst: float
     horizon: float
     steps: int
@@ -121,47 +149,23 @@ class ChaosReport:
     seed: int
     points: tuple[tuple[int, float, float], ...]  # (N, distance, stderr), N increasing
     non_increasing: bool
-    wall_time: float = field(compare=False, default=0.0)
-
-    def metadata(self) -> dict:
-        return {
-            "report": "chaos",
-            "model": self.model_name,
-            "hurst": self.hurst,
-            "horizon": self.horizon,
-            "steps": self.steps,
-            "replications": self.replications,
-            "theta": self.theta,
-            "estimator": self.estimator,
-            "reference_particles": self.reference_particles,
-            "seed": self.seed,
-            "non_increasing": self.non_increasing,
-        }
-
-    def to_csv(self) -> str:
-        return render_csv(self.metadata(), ("particles", "distance", "stderr"), self.points)
-
-    def to_json(self) -> str:
-        payload = self.metadata()
-        payload["points"] = [
-            {"particles": n, "distance": d, "stderr": s} for n, d, s in self.points
-        ]
-        payload["wall_time_seconds"] = self.wall_time
-        return render_json(payload)
 
     def summary(self) -> str:
         trend = "non-increasing" if self.non_increasing else "NOT non-increasing"
         return (
-            f"chaos model={self.model_name} H={self.hurst} Ns={[n for n, _, _ in self.points]}: "
+            f"chaos model={self.model} H={self.hurst} Ns={[n for n, _, _ in self.points]}: "
             f"distance trend {trend}"
         )
 
 
 @dataclass(frozen=True)
-class MomentReport:
+class MomentReport(Report):
     """Empirical moment stability across a refining mesh ladder."""
 
-    model_name: str
+    KIND = "moments"
+    COLUMNS = ("delta", "max_moment", "terminal_moment")
+
+    model: str
     hurst: float
     horizon: float
     particles: int
@@ -170,46 +174,21 @@ class MomentReport:
     points: tuple[tuple[float, float, float], ...]  # (delta, max_moment, terminal_moment)
     ratios: tuple[float, ...]  # successive refinement ratios of max moments
     passed: bool
-    wall_time: float = field(compare=False, default=0.0)
-
-    def metadata(self) -> dict:
-        return {
-            "report": "moments",
-            "model": self.model_name,
-            "hurst": self.hurst,
-            "horizon": self.horizon,
-            "particles": self.particles,
-            "order": self.order,
-            "seed": self.seed,
-            "ratios": ";".join(repr(r) for r in self.ratios),
-            "passed": self.passed,
-        }
-
-    def to_csv(self) -> str:
-        return render_csv(
-            self.metadata(), ("delta", "max_moment", "terminal_moment"), self.points
-        )
-
-    def to_json(self) -> str:
-        payload = self.metadata()
-        payload["ratios"] = list(self.ratios)
-        payload["points"] = [
-            {"delta": d, "max_moment": m, "terminal_moment": t} for d, m, t in self.points
-        ]
-        payload["wall_time_seconds"] = self.wall_time
-        return render_json(payload)
 
     def summary(self) -> str:
         verdict = "stable" if self.passed else "UNSTABLE"
         return (
-            f"moments model={self.model_name} H={self.hurst} q={self.order}: "
+            f"moments model={self.model} H={self.hurst} q={self.order}: "
             f"refinement ratios {verdict}"
         )
 
 
 @dataclass(frozen=True)
-class CovarianceCheckReport:
+class CovarianceCheckReport(Report):
     """Entrywise z-scores of the empirical increment covariance, per lag."""
+
+    KIND = "fbm-check"
+    COLUMNS = ("lag", "expected_cov", "empirical_cov", "max_abs_z")
 
     hurst: float
     steps: int
@@ -218,40 +197,37 @@ class CovarianceCheckReport:
     seed: int
     points: tuple[tuple[int, float, float, float], ...]  # (lag, expected, empirical, max|z|)
     max_abs_z: float
-    wall_time: float = field(compare=False, default=0.0)
-
-    def metadata(self) -> dict:
-        return {
-            "report": "fbm-check",
-            "hurst": self.hurst,
-            "steps": self.steps,
-            "paths": self.paths,
-            "sampler": self.sampler,
-            "seed": self.seed,
-            "max_abs_z": self.max_abs_z,
-        }
-
-    def to_csv(self) -> str:
-        return render_csv(
-            self.metadata(),
-            ("lag", "expected_cov", "empirical_cov", "max_abs_z"),
-            self.points,
-        )
-
-    def to_json(self) -> str:
-        payload = self.metadata()
-        payload["points"] = [
-            {"lag": lag, "expected_cov": c, "empirical_cov": e, "max_abs_z": z}
-            for lag, c, e, z in self.points
-        ]
-        payload["wall_time_seconds"] = self.wall_time
-        return render_json(payload)
 
     def summary(self) -> str:
         return (
             f"fbm-check H={self.hurst} n={self.steps} paths={self.paths} "
             f"sampler={self.sampler}: max covariance deviation {self.max_abs_z:.2f} "
             "standard errors"
+        )
+
+
+@dataclass(frozen=True)
+class SimulateReport(Report):
+    """Terminal statistics of one ensemble run; its CSV is the trajectory export."""
+
+    KIND = "simulate"
+    NOT_METADATA = ("trajectory_csv", "wall_time")
+
+    model: str
+    hurst: float
+    particles: int
+    steps: int
+    terminal_mean: float
+    terminal_std: float
+    trajectory_csv: str = field(repr=False)
+
+    def to_csv(self) -> str:
+        return self.trajectory_csv
+
+    def summary(self) -> str:
+        return (
+            f"simulate model={self.model} H={self.hurst} N={self.particles} "
+            f"steps={self.steps}: terminal mean {self.terminal_mean:.6f}"
         )
 
 

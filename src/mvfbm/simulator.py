@@ -24,7 +24,7 @@ import numpy as np
 
 from .fbm import HurstParameter, UniformMesh, make_sampler
 from .measure import EmpiricalMeasure
-from .model import ConstantDiffusion, MeasureDiffusion, ModelSpec, StateMeasureDiffusion, validate
+from .model import ModelSpec, validate
 from .streams import StreamKey
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "SimulationConfig",
     "TrajectoryRecord",
     "NumericalBlowup",
+    "SNAPSHOT_POLICIES",
     "em_step",
     "run",
     "run_coupled_meshes",
@@ -43,6 +44,9 @@ __all__ = [
 # sampler, child(1, i) seeds particle i's driver path.
 _NS_INITIAL = 0
 _NS_NOISE = 1
+
+# Which ensemble snapshots a run keeps; see _snapshot_plan.
+SNAPSHOT_POLICIES = ("terminal", "thin", "full")
 
 
 class NumericalBlowup(RuntimeError):
@@ -117,22 +121,6 @@ class TrajectoryRecord:
         return self.snapshots[pos]
 
 
-def _diffusion_term(model: ModelSpec, states: np.ndarray, mu: EmpiricalMeasure,
-                    increments: np.ndarray) -> np.ndarray:
-    diff = model.diffusion
-    if isinstance(diff, ConstantDiffusion):
-        return increments @ diff.matrix.T
-    if isinstance(diff, MeasureDiffusion):
-        matrix = np.atleast_2d(np.asarray(diff.fn(mu), dtype=float))
-        return increments @ matrix.T
-    if isinstance(diff, StateMeasureDiffusion):
-        stacked = np.asarray(diff.fn(states, mu), dtype=float)
-        d = states.shape[1]
-        stacked = stacked.reshape(states.shape[0], d, d)
-        return np.einsum("nij,nj->ni", stacked, increments)
-    raise TypeError(f"unsupported diffusion kind {type(diff).__name__}")
-
-
 def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: float,
             increments: np.ndarray) -> ParticleEnsemble:
     """Advance all particles one step against the frozen current measure.
@@ -145,7 +133,9 @@ def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: float,
     mu = EmpiricalMeasure(states)
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up surfaces as an error below
         drift = np.asarray(model.drift(states, mu), dtype=float).reshape(states.shape)
-        new_states = states + delta * drift + _diffusion_term(model, states, mu, increments)
+        sigma = model.diffusion.evaluate(states, mu)  # (d, d), or (N, d, d) per particle
+        noise = np.einsum("nij,nj->ni", sigma, increments) if sigma.ndim == 3 else increments @ sigma.T
+        new_states = states + delta * drift + noise
     if not np.all(np.isfinite(new_states)):
         bad = int(np.argwhere(~np.isfinite(new_states))[0, 0])
         raise NumericalBlowup(ensemble.step_index + 1, bad, model.name)
@@ -162,7 +152,7 @@ def _snapshot_plan(steps: int, policy: str) -> set[int]:
         kept = set(range(0, steps + 1, stride))
         kept.add(steps)
         return kept
-    raise ValueError(f"unknown snapshot policy {policy!r}; use 'full', 'thin' or 'terminal'")
+    raise ValueError(f"unknown snapshot policy {policy!r}; choose from {SNAPSHOT_POLICIES}")
 
 
 def _drivers(config: SimulationConfig, root: StreamKey) -> np.ndarray:

@@ -150,7 +150,7 @@ def strong_error_study(
     if not exact:
         slope, stderr = fit_loglog_slope(points)
     return ConvergenceReport(
-        model_name=model.name,
+        model=model.name,
         hurst=hurst.value,
         horizon=horizon,
         particles=particles,
@@ -235,7 +235,7 @@ def chaos_study(
         for (_, mean, se), (_, nxt_mean, nxt_se) in zip(points, points[1:])
     )
     return ChaosReport(
-        model_name=model.name,
+        model=model.name,
         hurst=hurst.value,
         horizon=mesh.horizon,
         steps=mesh.steps,
@@ -291,7 +291,7 @@ def moment_bound_check(
     )
     passed = all(0.8 <= r <= 1.25 for r in ratios)
     return MomentReport(
-        model_name=model.name,
+        model=model.name,
         hurst=hurst.value,
         horizon=horizon,
         particles=particles,

@@ -243,10 +243,16 @@ def test_criterion_5_drift_free_exactness():
 
 def test_criterion_6_chaos_trend():
     """Distance to a 4x reference ensemble is non-increasing in N within one
-    combined standard error at each consecutive pair."""
+    combined standard error at each consecutive pair.
+
+    Runs the measure-noise model of criterion 3, whose fBm noise is non-zero
+    from the first step, so every distance is positive and the distance at
+    N = 400 must sit below the one at N = 50 by more than their combined
+    standard error (measured 1.658 -> 0.635 at seed 424242).
+    """
     started = time.perf_counter()
     report = chaos_study(
-        preset_mean_deviation(initial=1.0),
+        _measure_noise_model(),
         0.7,
         UniformMesh(1.0, 128),
         particle_counts=[50, 100, 200, 400],
@@ -255,19 +261,29 @@ def test_criterion_6_chaos_trend():
         seed=424242,
     )
     elapsed = time.perf_counter() - started
-    detail = ", ".join(f"N={n}: {d:.2e}±{s:.1e}" for n, d, s in report.points)
+    detail = ", ".join(f"N={n}: {d:.3f}±{s:.3f}" for n, d, s in report.points)
+    (_, first, first_se), (_, last, last_se) = report.points[0], report.points[-1]
+    positive = all(d > 0.0 for _, d, _ in report.points)
+    decreasing = first - last > math.hypot(first_se, last_se)
     assert _verdict(
-        "6 (chaos trend)", report.non_increasing, f"{detail}; {elapsed:.0f}s"
+        "6 (chaos trend)",
+        report.non_increasing and positive and decreasing,
+        f"{detail}; {elapsed:.0f}s",
     )
+    assert report.non_increasing
+    assert positive, f"a zero distance means the noise never entered: {detail}"
+    assert decreasing, f"N=400 not below N=50 by more than the combined stderr: {detail}"
     assert elapsed < 600.0
 
 
 def test_criterion_7_moment_bounds():
-    """Moment stability across refinement for both presets, plus the exact
-    Gaussian terminal moment of the drift-free model."""
+    """Moment stability across refinement for the measure-noise model of
+    criterion 3 at q = 4 (H = 0.7) and the mean-reverting preset at q = 2
+    (H = 0.3), plus the exact Gaussian terminal moment of the drift-free
+    model."""
     ladder = (2.0**-6, 2.0**-7, 2.0**-8)
     smooth = moment_bound_check(
-        preset_mean_deviation(initial=1.0), 0.7, ladder, particles=200, order=4.0, seed=5150
+        _measure_noise_model(), 0.7, ladder, particles=200, order=4.0, seed=5150
     )
     rough = moment_bound_check(
         preset_mean_reverting(xi=1.0, rate=1.0), 0.3, ladder, particles=200, order=2.0, seed=5151

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, config precedence, output layout."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,46 @@ class TestMainExitCodes:
         )
         assert code == 2
         assert "constant diffusion" in err
+
+    @pytest.mark.parametrize(
+        "config_text,flags,expected_code",
+        [
+            ("command = simulate\nmodel = bogus\n", [], 2),
+            (None, ["--command", "convergence", "--deltas", "2^-5,0.03"], 2),
+            (None, ["--command", "chaos", "--particle-counts", "100,50"], 2),
+            (
+                None,
+                [
+                    "--command", "simulate", "--model", "unstable-cubic", "--initial", "2.0",
+                    "--horizon", "4.0", "--steps", "16", "--particles", "2", "--hurst", "0.5",
+                ],
+                1,
+            ),
+        ],
+        ids=["unknown-model-in-file", "delta-off-reference-mesh", "decreasing-counts", "blow-up"],
+    )
+    def test_failed_run_leaves_no_directory(self, tmp_path, capsys, config_text, flags, expected_code):
+        outdir = tmp_path / "runs"
+        if config_text is not None:
+            (tmp_path / "run.cfg").write_text(config_text)
+            flags = ["--config", str(tmp_path / "run.cfg"), *flags]
+        code, _, err = run_cli([*flags, "--outdir", str(outdir), "--label", "failed"], capsys)
+        assert code == expected_code, err
+        assert list(outdir.glob("**/*")) == []
+
+    def test_default_run_directories_never_overwrite(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(time, "strftime", lambda *_: "20260101-000000")
+        args = [
+            "--command", "fbm-check", "--hurst", "0.5", "--steps", "4", "--paths", "10",
+            "--outdir", str(tmp_path),
+        ]
+        for seed in ("1", "2", "3"):
+            assert run_cli([*args, "--seed", seed], capsys)[0] == 0
+        stamp = "fbm-check-20260101-000000"
+        directories = [stamp, f"{stamp}-2", f"{stamp}-3"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == directories
+        for seed, name in zip(("1", "2", "3"), directories):
+            assert f"# seed={seed}\n" in (tmp_path / name / "report.csv").read_text()
 
 
 def _small_convergence_args(outdir, label, extra=()):

@@ -14,7 +14,7 @@ from mvfbm.reports import (
 
 def _report(**overrides):
     base = dict(
-        model_name="mean-reverting",
+        model="mean-reverting",
         hurst=0.3,
         horizon=1.0,
         particles=20,
