@@ -329,17 +329,24 @@ def _model_for(config: RunConfig):
     )
 
 
+# Every file a run may write into its directory.
+_ARTIFACT_NAMES = ("config.echo", "report.csv", "report.json", "plot.svg")
+
+
 def dispatch(config: RunConfig) -> int:
     """Run the configured command, then write its artifacts; returns exit code 0.
 
     The run directory is created only once the command has returned, so a
-    run that fails leaves no directory behind.
+    run that fails leaves no directory behind.  A run that reuses a
+    directory first removes every artifact an earlier run left there.
     """
     report, plot = _COMMAND_RUNNERS[config.command](config)
     artifacts = {"report.csv": report.to_csv(), "report.json": report.to_json()}
     if plot is not None:
         artifacts["plot.svg"] = plot
     directory = _run_directory(config)
+    for name in _ARTIFACT_NAMES:  # a reused --label directory may hold an earlier run's files
+        (directory / name).unlink(missing_ok=True)
     (directory / "config.echo").write_text(_echo_config(config))
     for name, text in artifacts.items():
         (directory / name).write_text(text)

@@ -56,6 +56,11 @@ _EIGENVALUE_ROUNDOFF = 1e-10
 
 _MAX_EMBEDDING_DOUBLINGS = 3
 
+# Paths one Davies-Harte FFT transforms at a time.  Bounds the normal and
+# complex work arrays at this many rows of 2m entries however many paths a
+# call draws; row r's variates do not depend on which rows share its block.
+_FFT_BLOCK_ROWS = 64
+
 
 class Regime:
     """Roughness regime of a Hurst index."""
@@ -212,14 +217,23 @@ class CholeskySampler:
             increments[:, j] = self._factor @ z
         return FbmPath(self.mesh, increments)
 
-    def sample_ensemble(self, dimension: int, streams: Sequence[StreamKey]) -> np.ndarray:
-        """Increments for many paths at once, shape (len(streams), n, d)."""
+    def sample_ensemble(self, dimension: int, streams: Sequence[StreamKey],
+                        *, out: "np.ndarray | None" = None) -> np.ndarray:
+        """Increments for many paths at once, shape (len(streams), n, d).
+
+        ``out``, if given, is a (len(streams), n, d) array, possibly a
+        strided view, that receives the increments and is returned.
+        """
         n = self.mesh.steps
         z = np.empty((len(streams), dimension, n))
         for p, stream in enumerate(streams):
             for j in range(dimension):
                 z[p, j] = stream.child(j).generator().standard_normal(n)
-        return np.einsum("kn,pjn->pkj", self._factor, z)
+        increments = np.einsum("kn,pjn->pkj", self._factor, z)
+        if out is None:
+            return increments
+        out[...] = increments
+        return out
 
 
 class CirculantSampler:
@@ -262,15 +276,23 @@ class CirculantSampler:
             increments[:, j] = self._fgn_from_normals(z[None, :])[0]
         return FbmPath(self.mesh, increments)
 
-    def sample_ensemble(self, dimension: int, streams: Sequence[StreamKey]) -> np.ndarray:
-        """Increments for many paths at once, shape (len(streams), n, d)."""
-        n = self.mesh.steps
-        out = np.empty((len(streams), n, dimension))
-        z = np.empty((len(streams), 2 * self._half_size))
-        for j in range(dimension):
-            for p, stream in enumerate(streams):
-                z[p] = stream.child(j).generator().standard_normal(2 * self._half_size)
-            out[:, :, j] = self._fgn_from_normals(z)
+    def sample_ensemble(self, dimension: int, streams: Sequence[StreamKey],
+                        *, out: "np.ndarray | None" = None) -> np.ndarray:
+        """Increments for many paths at once, shape (len(streams), n, d).
+
+        ``out`` is as for CholeskySampler.  The FFT runs over blocks of
+        rows, so its work arrays stay small however many paths are drawn.
+        """
+        size = 2 * self._half_size
+        if out is None:
+            out = np.empty((len(streams), self.mesh.steps, dimension))
+        for start in range(0, len(streams), _FFT_BLOCK_ROWS):
+            block = streams[start : start + _FFT_BLOCK_ROWS]
+            z = np.empty((len(block), size))
+            for j in range(dimension):
+                for p, stream in enumerate(block):
+                    z[p] = stream.child(j).generator().standard_normal(size)
+                out[start : start + len(block), :, j] = self._fgn_from_normals(z)
         return out
 
     def _fgn_from_normals(self, z: np.ndarray) -> np.ndarray:

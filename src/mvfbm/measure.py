@@ -42,9 +42,11 @@ class WassersteinOrder:
 
 
 class EmpiricalMeasure:
-    """N equally weighted atoms in R^d at a fixed time.
+    """N equally weighted atoms in R^d at a fixed time, or a batch of R such measures.
 
-    Wraps an (N, d) position array without copying; treat atoms as read-only.
+    Wraps an (N, d) position array, or an (R, N, d) array holding R
+    independent measures of N atoms each, without copying; treat atoms as
+    read-only.  The distances below take single (N, d) measures.
     """
 
     __slots__ = ("atoms",)
@@ -53,8 +55,8 @@ class EmpiricalMeasure:
         atoms = np.asarray(atoms, dtype=float)
         if atoms.ndim == 1:
             atoms = atoms[:, None]
-        if atoms.ndim != 2 or atoms.shape[0] < 1:
-            raise ValueError("atoms must be a nonempty (N, d) array")
+        if atoms.ndim not in (2, 3) or atoms.shape[-2] < 1:
+            raise ValueError("atoms must be a nonempty (N, d) or (R, N, d) array")
         object.__setattr__(self, "atoms", atoms)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -62,18 +64,30 @@ class EmpiricalMeasure:
 
     @property
     def size(self) -> int:
-        return self.atoms.shape[0]
+        return self.atoms.shape[-2]
 
     @property
     def dimension(self) -> int:
-        return self.atoms.shape[1]
+        return self.atoms.shape[-1]
 
     def mean(self) -> np.ndarray:
-        """Barycenter, reduced in fixed index order (reproducible)."""
-        return self.atoms.mean(axis=0)
+        """Barycenter over the atom axis, shape (1, d) or (R, 1, d).
+
+        Reduced in fixed index order, so each measure of a batch gets the
+        same bits as it would alone.
+        """
+        return self.atoms.mean(axis=-2, keepdims=True)
+
+
+def _single(mu: EmpiricalMeasure) -> np.ndarray:
+    if mu.atoms.ndim != 2:
+        raise ValueError("distances take one (N, d) measure, not a batch")
+    return mu.atoms
 
 
 def _check_aligned(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
+    _single(mu)
+    _single(nu)
     if mu.size != nu.size:
         raise ValueError(f"atom counts differ: {mu.size} vs {nu.size}")
     if mu.dimension != nu.dimension:
@@ -89,7 +103,7 @@ def moment_distance_to_dirac0(
     the theta-th root of the theta-th moment: ((1/N) sum_j |x_j|^theta)^(1/theta).
     """
     theta = WassersteinOrder.coerce(order).theta
-    norms = np.linalg.norm(mu.atoms, axis=1)
+    norms = np.linalg.norm(_single(mu), axis=1)
     return float(np.mean(norms**theta) ** (1.0 / theta))
 
 

@@ -2,16 +2,25 @@
 
 A model couples a drift b(x, mu), a diffusion coefficient, an initial
 condition, and the declared Lipschitz constant used by the diagnostic
-probe.  Coefficients are vectorized over particles: the drift receives an
-(m, d) block of states plus the frozen empirical measure and returns an
-(m, d) block.  Diffusions come in three kinds:
+probe.  Coefficients are vectorized over particles and over independent
+replications: the simulator advances R replications of N particles at
+once and passes an (R, N, d) block of states plus an
+:class:`~mvfbm.measure.EmpiricalMeasure` holding the R frozen empirical
+measures, whose ``mean()`` has shape (R, 1, d).  A drift returns an
+(R, N, d) block; written with numpy broadcasting against ``mu.mean()``,
+as the presets are, it works for any R, including the single-ensemble
+(1, N, d) case.  Diffusions come in three kinds:
 
 * ``ConstantDiffusion`` -- fixed (d, d) matrix (required when H < 1/2);
-* ``MeasureDiffusion``  -- sigma(mu) -> (d, d), the baseline form;
-* ``StateMeasureDiffusion`` -- sigma(states, mu) -> (m, d, d) extension for
-  coefficients that read the particle's own state; models using it sit
+* ``MeasureDiffusion``  -- sigma(mu) -> (d, d) or one (d, d) per
+  replication, (R, d, d); the baseline form;
+* ``StateMeasureDiffusion`` -- sigma(states, mu) -> (R, N, d, d) extension
+  for coefficients that read the particle's own state; models using it sit
   outside the strict well-posedness hypotheses but are runnable.
 
+How many replications share one call is an internal memory budget, never
+a model property: a coefficient must treat the replications of a block
+independently, and then output bytes do not depend on the batch size.
 Coefficient callables must be pure and reentrant: the simulator evaluates
 them concurrently and relies on them for bitwise reproducibility.
 """
@@ -71,20 +80,21 @@ class MeasureDiffusion:
     fn: Callable[[EmpiricalMeasure], np.ndarray]
 
     def evaluate(self, states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-        """sigma(mu) as a (d, d) matrix."""
-        return np.atleast_2d(np.asarray(self.fn(mu), dtype=float))
+        """sigma(mu) as a stack of (d, d) matrices, one per replication or one for all."""
+        d = states.shape[-1]
+        return np.asarray(self.fn(mu), dtype=float).reshape(-1, d, d)
 
 
 @dataclass(frozen=True)
 class StateMeasureDiffusion:
-    """sigma(states, mu) -> (m, d, d); per-particle state dependence."""
+    """sigma(states, mu) -> one (d, d) matrix per particle; per-particle state dependence."""
 
     fn: Callable[[np.ndarray, EmpiricalMeasure], np.ndarray]
 
     def evaluate(self, states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-        """sigma(states, mu) as one (d, d) matrix per particle, shape (m, d, d)."""
-        m, d = states.shape
-        return np.asarray(self.fn(states, mu), dtype=float).reshape(m, d, d)
+        """sigma(states, mu) as one (d, d) matrix per particle, shape states.shape + (d,)."""
+        d = states.shape[-1]
+        return np.asarray(self.fn(states, mu), dtype=float).reshape(states.shape + (d,))
 
 
 Diffusion = Union[ConstantDiffusion, MeasureDiffusion, StateMeasureDiffusion]

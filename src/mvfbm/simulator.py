@@ -5,10 +5,14 @@ of the empirical measure:
 
     Y_{k+1}^i = Y_k^i + b(Y_k^i, mu_k) * delta + sigma(.) * dB^{H,i}_k,
 
-with one independent d-dimensional driver per particle.  Runs are pure
-functions of (model, H, mesh, N, stream): drivers come from counter-based
-streams and every reduction happens in fixed index order, so results are
-bitwise identical for any worker count or schedule.
+with one independent d-dimensional driver per particle.  A run advances a
+batch of R independent replications of that system at once: one drift
+call, one diffusion call and one finiteness check per step for the whole
+batch, each replication interacting only through its own measure.  Runs
+are pure functions of (model, H, mesh, N, stream): drivers come from
+counter-based streams and every reduction happens in fixed index order
+within one replication, so results are bitwise identical for any batch
+size, worker count or schedule.
 
 Coupled multi-mesh execution generates each driver once on the finest mesh
 and restricts it to the coarse meshes, so terminal differences between
@@ -17,7 +21,7 @@ resolutions estimate the strong discretization error directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -50,34 +54,62 @@ SNAPSHOT_POLICIES = ("terminal", "thin", "full")
 
 
 class NumericalBlowup(RuntimeError):
-    """A particle state left the finite range; carries step and particle."""
+    """A particle state left the finite range; carries step, replication and particle.
 
-    def __init__(self, step: int, particle: int, model_name: str) -> None:
+    ``particle`` counts within its replication; ``replication`` is the
+    replication index the run was given (0 for a single ensemble).  A batch
+    stops at the first step where any of its replications blows up, so when
+    several would, which one is named can depend on the batch.
+    """
+
+    def __init__(self, step: int, particle: int, model_name: str, replication: int = 0) -> None:
         self.step = step
         self.particle = particle
+        self.model_name = model_name
+        self.replication = replication
         super().__init__(
-            f"non-finite state at step {step}, particle {particle} (model {model_name!r}); "
-            "refine the mesh or check the coefficients"
+            f"non-finite state at step {step}, replication {replication}, particle {particle} "
+            f"(model {model_name!r}); refine the mesh or check the coefficients"
         )
+
+    def __reduce__(self):  # a pool worker's blow-up reaches the caller as itself
+        return type(self), (self.step, self.particle, self.model_name, self.replication)
 
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Positions of all particles at one mesh node."""
+    """Positions of R independent ensembles of N particles at one mesh node.
 
-    states: np.ndarray  # (N, d)
+    ``states`` is (R*N, d), replication-major: rows r*N .. r*N + N - 1 hold
+    replication r.
+    """
+
+    states: np.ndarray  # (R*N, d)
     step_index: int
+    replications: int = 1
+
+    def __post_init__(self) -> None:
+        if self.replications < 1 or self.states.shape[0] % self.replications:
+            raise ValueError(
+                f"{self.states.shape[0]} rows do not split into {self.replications} replications"
+            )
 
     @property
     def size(self) -> int:
-        return self.states.shape[0]
+        """Particles per replication."""
+        return self.states.shape[0] // self.replications
 
     @property
     def dimension(self) -> int:
         return self.states.shape[1]
 
+    def blocks(self) -> np.ndarray:
+        """The states as an (R, N, d) view."""
+        return self.states.reshape(self.replications, self.size, self.dimension)
+
     def measure(self) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.states)
+        """The R empirical measures, as one batch."""
+        return EmpiricalMeasure(self.blocks())
 
 
 @dataclass(frozen=True)
@@ -88,20 +120,35 @@ class SimulationConfig:
     particles: int
     seed: "int | StreamKey"
     sampler: str = "circulant"
+    # Replication indices of a batch: replication m is rooted at
+    # stream().child(m).  None runs one ensemble rooted at stream() itself.
+    replications: "range | None" = None
 
     def __post_init__(self) -> None:
         if self.particles < 1:
             raise ValueError(f"particle count must be >= 1, got {self.particles}")
+        if self.replications is not None and len(self.replications) < 1:
+            raise ValueError("a batch needs at least one replication")
         object.__setattr__(self, "hurst", HurstParameter.coerce(self.hurst))
         validate(self.model, self.hurst)
 
     def stream(self) -> StreamKey:
         return StreamKey.coerce(self.seed)
 
+    def roots(self) -> list[StreamKey]:
+        """The stream root of each ensemble in the batch."""
+        root = self.stream()
+        if self.replications is None:
+            return [root]
+        return [root.child(m) for m in self.replications]
+
 
 @dataclass
 class TrajectoryRecord:
-    """Retained ensemble snapshots of one run; the terminal one is always kept."""
+    """Retained ensemble snapshots of one run; the terminal one is always kept.
+
+    Each snapshot is (R*N, d), replication-major as in ParticleEnsemble.
+    """
 
     mesh: UniformMesh
     snapshot_indices: list[int]
@@ -123,23 +170,33 @@ class TrajectoryRecord:
 
 def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: float,
             increments: np.ndarray) -> ParticleEnsemble:
-    """Advance all particles one step against the frozen current measure.
+    """Advance every particle of every replication one step against the frozen measures.
 
-    Row i of ``increments`` is particle i's driver increment for this step.
+    Row i of ``increments`` is the driver increment of the particle in row i
+    of ``ensemble.states``.  The coefficients see the (R, N, d) view and the
+    batch of R measures; the noise product runs per replication, so each
+    replication gets the bits it would get alone.
     """
     states = ensemble.states
     if increments.shape != states.shape:
         raise ValueError(f"increment shape {increments.shape} != state shape {states.shape}")
-    mu = EmpiricalMeasure(states)
+    blocks = ensemble.blocks()
+    mu = EmpiricalMeasure(blocks)
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up surfaces as an error below
-        drift = np.asarray(model.drift(states, mu), dtype=float).reshape(states.shape)
-        sigma = model.diffusion.evaluate(states, mu)  # (d, d), or (N, d, d) per particle
-        noise = np.einsum("nij,nj->ni", sigma, increments) if sigma.ndim == 3 else increments @ sigma.T
+        drift = np.asarray(model.drift(blocks, mu), dtype=float).reshape(states.shape)
+        # (d, d); (R or 1, d, d) per replication; or (R, N, d, d) per particle
+        sigma = model.diffusion.evaluate(blocks, mu)
+        if sigma.ndim == 4:
+            d = ensemble.dimension
+            noise = np.einsum("nij,nj->ni", sigma.reshape(-1, d, d), increments)
+        else:
+            noise = (increments.reshape(blocks.shape) @ np.swapaxes(sigma, -1, -2)).reshape(states.shape)
         new_states = states + delta * drift + noise
     if not np.all(np.isfinite(new_states)):
         bad = int(np.argwhere(~np.isfinite(new_states))[0, 0])
-        raise NumericalBlowup(ensemble.step_index + 1, bad, model.name)
-    return ParticleEnsemble(new_states, ensemble.step_index + 1)
+        replication, particle = divmod(bad, ensemble.size)
+        raise NumericalBlowup(ensemble.step_index + 1, particle, model.name, replication)
+    return ParticleEnsemble(new_states, ensemble.step_index + 1, ensemble.replications)
 
 
 def _snapshot_plan(steps: int, policy: str) -> set[int]:
@@ -155,26 +212,47 @@ def _snapshot_plan(steps: int, policy: str) -> set[int]:
     raise ValueError(f"unknown snapshot policy {policy!r}; choose from {SNAPSHOT_POLICIES}")
 
 
-def _drivers(config: SimulationConfig, root: StreamKey) -> np.ndarray:
-    """Per-particle exact fBm increments, shape (steps, N, d)."""
+def _drivers(config: SimulationConfig) -> np.ndarray:
+    """Per-particle exact fBm increments of the whole batch, shape (steps, R*N, d).
+
+    One sampler serves the batch; particle i of replication m draws from
+    child(1, i) of the replication's root.
+    """
     sampler = make_sampler(config.sampler, config.hurst, config.mesh)
-    streams = [root.child(_NS_NOISE, i) for i in range(config.particles)]
-    ensemble = sampler.sample_ensemble(config.model.dimension, streams)  # (N, steps, d)
-    return np.ascontiguousarray(np.swapaxes(ensemble, 0, 1))
+    streams = [root.child(_NS_NOISE, i) for root in config.roots() for i in range(config.particles)]
+    drivers = np.empty((config.mesh.steps, len(streams), config.model.dimension))
+    # the sampler writes its (R*N, steps, d) rows straight into the step-major array,
+    # so the batch never holds a second, transposed copy of its drivers
+    sampler.sample_ensemble(config.model.dimension, streams, out=np.swapaxes(drivers, 0, 1))
+    return drivers
+
+
+def _initial_states(config: SimulationConfig) -> np.ndarray:
+    """Initial ensembles of the batch stacked replication-major, (R*N, d)."""
+    return np.concatenate([
+        config.model.initial_states(config.particles, root.child(_NS_INITIAL).generator())
+        for root in config.roots()
+    ])
 
 
 def _evolve(config: SimulationConfig, initial: np.ndarray, drivers: np.ndarray,
             snapshots: str) -> TrajectoryRecord:
     mesh = config.mesh
+    labels = range(1) if config.replications is None else config.replications
     keep = _snapshot_plan(mesh.steps, snapshots)
-    ensemble = ParticleEnsemble(initial, 0)
+    ensemble = ParticleEnsemble(initial, 0, len(labels))
     indices: list[int] = []
     kept: list[np.ndarray] = []
     if 0 in keep:
         indices.append(0)
         kept.append(ensemble.states.copy())
     for k in range(mesh.steps):
-        ensemble = em_step(ensemble, config.model, mesh.delta, drivers[k])
+        try:
+            ensemble = em_step(ensemble, config.model, mesh.delta, drivers[k])
+        except NumericalBlowup as exc:  # name the replication index, not the slot in the batch
+            raise NumericalBlowup(
+                exc.step, exc.particle, config.model.name, labels[exc.replication]
+            ) from None
         if ensemble.step_index in keep:
             indices.append(ensemble.step_index)
             kept.append(ensemble.states)
@@ -182,15 +260,13 @@ def _evolve(config: SimulationConfig, initial: np.ndarray, drivers: np.ndarray,
 
 
 def run(config: SimulationConfig, snapshots: str = "thin") -> TrajectoryRecord:
-    """Simulate one interacting ensemble over the configured mesh.
+    """Simulate the configured ensemble, or batch of ensembles, over the mesh.
 
     Deterministic given the seed: particle i's driver comes from the stream
-    at child(1, i) of the run root, independent of evaluation order.
+    at child(1, i) of its replication's root, independent of evaluation
+    order and of which replications share the batch.
     """
-    root = config.stream()
-    initial = config.model.initial_states(config.particles, root.child(_NS_INITIAL).generator())
-    drivers = _drivers(config, root)
-    return _evolve(config, initial, drivers, snapshots)
+    return run_coupled_meshes(config, (1,), snapshots)[1]
 
 
 def run_coupled_meshes(
@@ -207,9 +283,8 @@ def run_coupled_meshes(
     for f in factors:
         if f < 1 or config.mesh.steps % f != 0:
             raise ValueError(f"factor {f} does not divide {config.mesh.steps} fine steps")
-    root = config.stream()
-    initial = config.model.initial_states(config.particles, root.child(_NS_INITIAL).generator())
-    fine_drivers = _drivers(config, root)  # (steps, N, d)
+    initial = _initial_states(config)
+    fine_drivers = _drivers(config)  # (steps, R*N, d)
     results: dict[int, TrajectoryRecord] = {}
     for f in factors:
         if f == 1:
@@ -217,10 +292,7 @@ def run_coupled_meshes(
         else:
             cuts = np.arange(0, config.mesh.steps, f)
             drivers = np.add.reduceat(fine_drivers, cuts, axis=0)
-        coarse = SimulationConfig(
-            config.model, config.hurst, config.mesh.coarsen(f), config.particles,
-            config.seed, config.sampler,
-        )
+        coarse = replace(config, mesh=config.mesh.coarsen(f))
         results[f] = _evolve(coarse, initial, drivers, snapshots)
     return results
 

@@ -1,8 +1,10 @@
 """Experiment harness: convergence, chaos, moment, and sampler studies.
 
-Replications fan out over processes when ``workers > 1`` and are always
-aggregated in replication order, so a report is a pure function of its
-seed and parameters, independent of worker count or scheduling.
+Replications run in batches: one simulator run advances every replication
+of a batch together.  Batches fan out over processes when ``workers > 1``
+and results are always aggregated in replication order, so a report is a
+pure function of its seed and parameters, independent of batch size,
+worker count or scheduling.
 
 Study-level stream layout under the master key: ``child(m)`` roots
 replication m of a convergence study; chaos studies use ``child(0, 0)``
@@ -42,6 +44,11 @@ EXACT_SCHEME_ATOL = 1e-12
 # Absolute floor when comparing chaos distances: differences below this are
 # floating-point hash, not signal.
 _TREND_ATOL = 1e-12
+
+# Bytes of fine drivers one batch of replications may hold (desk convergence:
+# 10 replications of 200 particles x 1024 steps; paper-fig1: 1).  Sets speed
+# and memory only: reports do not depend on it.
+_BATCH_BYTES = 16 * 2**20
 
 
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -93,17 +100,25 @@ def _map_in_order(task: Callable, args: Sequence, workers: int) -> list:
         return list(pool.map(task, args))  # input order == output order
 
 
-def _convergence_replication(args) -> list[float]:
-    """Sum over particles of squared terminal gaps, one entry per factor."""
-    model, hurst, fine_mesh, particles, sampler, root, rep, factors = args
-    config = SimulationConfig(model, hurst, fine_mesh, particles, root.child(rep), sampler)
+def _batches(replications: int, particles: int, steps: int, dimension: int,
+             workers: int) -> list[range]:
+    """Consecutive replication ranges within the driver budget, at least one per worker."""
+    fit = _BATCH_BYTES // (particles * steps * dimension * 8)
+    size = max(1, min(fit, -(-replications // workers)))
+    return [range(lo, min(lo + size, replications)) for lo in range(0, replications, size)]
+
+
+def _convergence_batch(args) -> list[tuple[float, ...]]:
+    """Per replication of the batch: sum over particles of squared terminal gaps, per factor."""
+    model, hurst, fine_mesh, particles, sampler, root, reps, factors = args
+    config = SimulationConfig(model, hurst, fine_mesh, particles, root, sampler, replications=reps)
     records = run_coupled_meshes(config, factors, snapshots="terminal")
     reference = records[1].terminal
-    out = []
+    sums = []
     for f in factors:
         gaps = np.linalg.norm(records[f].terminal - reference, axis=1)
-        out.append(float(gaps @ gaps))
-    return out
+        sums.append([float(g @ g) for g in gaps.reshape(len(reps), particles)])
+    return list(zip(*sums))
 
 
 def strong_error_study(
@@ -138,10 +153,10 @@ def strong_error_study(
     root = StreamKey.coerce(seed)
     started = time.perf_counter()
     tasks = [
-        (model, hurst, fine_mesh, particles, sampler, root, rep, factors)
-        for rep in range(replications)
+        (model, hurst, fine_mesh, particles, sampler, root, reps, factors)
+        for reps in _batches(replications, particles, fine_mesh.steps, model.dimension, workers)
     ]
-    per_rep = _map_in_order(_convergence_replication, tasks, workers)
+    per_rep = [rep for batch in _map_in_order(_convergence_batch, tasks, workers) for rep in batch]
     total = particles * replications
     rms = [math.sqrt(sum(rep_sums[i] for rep_sums in per_rep) / total) for i in range(len(factors))]
     points = tuple(zip(deltas, rms))
@@ -166,21 +181,21 @@ def strong_error_study(
     )
 
 
-def _chaos_run(args) -> float:
-    """Distance from one run's terminal law to a fresh reference subsample."""
-    model, hurst, mesh, sampler, root, size_index, rep, count, reference, theta, estimator = args
+def _chaos_batch(args) -> list[float]:
+    """Per replication of the batch: distance from its terminal law to a fresh reference subsample."""
+    model, hurst, mesh, sampler, root, size_index, reps, count, reference, theta, estimator = args
     config = SimulationConfig(
-        model, hurst, mesh, count, root.child(1, size_index, rep), sampler
+        model, hurst, mesh, count, root.child(1, size_index), sampler, replications=reps
     )
     terminal = run(config, snapshots="terminal").terminal
-    pick = root.child(2, size_index, rep).generator().choice(
-        reference.shape[0], size=count, replace=False
-    )
-    mu = EmpiricalMeasure(terminal)
-    nu = EmpiricalMeasure(reference[pick])
-    if estimator == "1d-exact":
-        return wasserstein_1d_exact(mu, nu, theta)
-    return coupled_upper_bound(mu, nu, theta)
+    distance = wasserstein_1d_exact if estimator == "1d-exact" else coupled_upper_bound
+    out = []
+    for rep, states in zip(reps, terminal.reshape(len(reps), count, -1)):
+        pick = root.child(2, size_index, rep).generator().choice(
+            reference.shape[0], size=count, replace=False
+        )
+        out.append(distance(EmpiricalMeasure(states), EmpiricalMeasure(reference[pick]), theta))
+    return out
 
 
 def chaos_study(
@@ -220,11 +235,11 @@ def chaos_study(
     )
     reference = run(reference_config, snapshots="terminal").terminal
     tasks = [
-        (model, hurst, mesh, sampler, root, a, rep, count, reference, theta, estimator)
+        (model, hurst, mesh, sampler, root, a, reps, count, reference, theta, estimator)
         for a, count in enumerate(counts)
-        for rep in range(replications)
+        for reps in _batches(replications, count, mesh.steps, model.dimension, workers)
     ]
-    distances = _map_in_order(_chaos_run, tasks, workers)
+    distances = [d for batch in _map_in_order(_chaos_batch, tasks, workers) for d in batch]
     points = []
     for a, count in enumerate(counts):
         block = np.array(distances[a * replications : (a + 1) * replications])
@@ -329,15 +344,21 @@ def covariance_check(
     diag = np.diag(expected)
     stderr = np.sqrt((np.outer(diag, diag) + expected**2) / paths)
     z = np.abs(empirical - expected) / stderr
+    # Group the flat entries by lag |i - j|; the stable sort keeps each lag's
+    # entries in row-major order, so each mean sums them in that order.
+    index = np.arange(steps)
+    by_lag = np.argsort(np.abs(index[:, None] - index[None, :]).ravel(), kind="stable")
+    empirical_by_lag, z_by_lag = empirical.ravel()[by_lag], z.ravel()[by_lag]
+    counts = np.concatenate([[steps], 2 * (steps - index[1:])])  # n entries at lag 0, 2(n - k) at lag k
+    ends = np.cumsum(counts)
     points = []
-    for lag in range(steps):
-        mask = np.abs(np.subtract.outer(np.arange(steps), np.arange(steps))) == lag
+    for lag, (start, end) in enumerate(zip(ends - counts, ends)):
         points.append(
             (
                 lag,
                 float(expected[0, lag]),
-                float(empirical[mask].mean()),
-                float(z[mask].max()),
+                float(empirical_by_lag[start:end].mean()),
+                float(z_by_lag[start:end].max()),
             )
         )
     return CovarianceCheckReport(

@@ -127,8 +127,20 @@ class TestMainExitCodes:
                 ],
                 1,
             ),
+            (
+                None,
+                [
+                    "--command", "convergence", "--model", "unstable-cubic", "--initial", "2.0",
+                    "--particles", "4", "--replications", "4", "--deltas", "2^-3,2^-4",
+                    "--reference-delta", "2^-6", "--hurst", "0.5", "--workers", "2",
+                ],
+                1,
+            ),
         ],
-        ids=["unknown-model-in-file", "delta-off-reference-mesh", "decreasing-counts", "blow-up"],
+        ids=[
+            "unknown-model-in-file", "delta-off-reference-mesh", "decreasing-counts", "blow-up",
+            "blow-up-in-worker",
+        ],
     )
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys, config_text, flags, expected_code):
         outdir = tmp_path / "runs"
@@ -181,6 +193,19 @@ class TestOutputs:
         assert payload["report"] == "convergence"
         echo = (run_dir / "config.echo").read_text()
         assert "hurst = 0.3" in echo
+
+    def test_rerun_with_same_label_leaves_no_stale_artifacts(self, tmp_path, capsys):
+        run_dir = tmp_path / "same"
+        assert run_cli(_small_convergence_args(tmp_path, "same", ["--emit-plot"]), capsys)[0] == 0
+        assert (run_dir / "plot.svg").exists()
+        (run_dir / "notes.txt").write_text("kept\n")
+        assert run_cli(_small_convergence_args(tmp_path, "same", ["--seed", "7"]), capsys)[0] == 0
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "config.echo", "notes.txt", "report.csv", "report.json"
+        ]
+        assert "# seed=7\n" in (run_dir / "report.csv").read_text()
+        assert json.loads((run_dir / "report.json").read_text())["seed"] == 7
+        assert "seed = 7\n" in (run_dir / "config.echo").read_text()
 
     def test_byte_identical_reports_across_invocations_and_workers(self, tmp_path, capsys):
         run_cli(_small_convergence_args(tmp_path, "a"), capsys)

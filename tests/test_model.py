@@ -148,11 +148,11 @@ class TestLipschitzProbe:
 
 
 def _measure_only_sigma(mu):
-    return np.array([[float(mu.mean()[0])]])
+    return mu.mean().reshape(-1, 1, 1)  # one 1 x 1 sigma per measure of the batch
 
 
 def _state_wrapped_sigma(states, mu):
-    return np.repeat(_measure_only_sigma(mu)[None, :, :], states.shape[0], axis=0)
+    return np.broadcast_to(_measure_only_sigma(mu)[:, None], states.shape + (1,))
 
 
 def test_state_measure_reduces_to_measure_only():

@@ -71,7 +71,7 @@ class TestEmStep:
         seen = []
 
         def recording_drift(states, mu):
-            seen.append(float(mu.mean()[0]))
+            seen.extend(mu.mean().ravel().tolist())
             return np.zeros_like(states)
 
         model = ModelSpec(

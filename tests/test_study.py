@@ -1,12 +1,24 @@
 """Experiment harness: slope fitting, studies, determinism, parallelism."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+import mvfbm.fbm
+import mvfbm.simulator
+import mvfbm.study
 from mvfbm.fbm import UniformMesh
-from mvfbm.model import preset_mean_deviation, preset_mean_reverting
+from mvfbm.model import (
+    ConstantDiffusion,
+    MeasureDiffusion,
+    ModelSpec,
+    preset_mean_deviation,
+    preset_mean_reverting,
+)
+from mvfbm.simulator import NumericalBlowup, SimulationConfig, run
+from mvfbm.streams import StreamKey
 from mvfbm.study import (
     EXACT_SCHEME_ATOL,
     chaos_study,
@@ -271,3 +283,175 @@ class TestCovarianceCheck:
         a = covariance_check(0.7, steps=8, paths=500, seed=5)
         b = covariance_check(0.7, steps=8, paths=500, seed=5)
         assert a.to_csv() == b.to_csv()
+
+
+# --------------------------------------------------------------------------
+# Batching: replications share simulator runs without changing a byte.
+# --------------------------------------------------------------------------
+
+
+def _reverting_drift(states, mu):
+    return mu.mean() - states
+
+
+def _mean_scaled_sigma(mu):
+    return 1.0 + 0.5 * mu.mean()  # (R, 1, 1): one 1 x 1 sigma per replication
+
+
+def _measure_noise_model():
+    return ModelSpec(
+        name="measure-noise", dimension=1, drift=_reverting_drift,
+        diffusion=MeasureDiffusion(_mean_scaled_sigma), initial=1.0, lipschitz_constant=1.0,
+    )
+
+
+def _planar_model():
+    return ModelSpec(
+        name="planar", dimension=2, drift=_reverting_drift,
+        diffusion=ConstantDiffusion(np.array([[1.0, 0.3], [-0.2, 0.7]])),
+        initial=partial(_spread_initial, dimension=2), lipschitz_constant=1.5,
+    )
+
+
+def _spread_initial(rng, count, dimension=1, mean=0.0, spread=0.4):
+    return mean + spread * rng.standard_normal((count, dimension))
+
+
+def _cubic_drift(states, mu):
+    return states**3
+
+
+BATCH_PARTICLES = 12
+BATCH_REPLICATIONS = 16
+BATCH_STEPS = 128  # reference mesh of the convergence runs, mesh of the chaos runs
+
+
+# (replications per batch, FFT rows, workers); the first is the unbatched run.
+# The batch sizes hold at the largest particle count of a run.
+BATCH_VARIANTS = {
+    "batch-1": (1, 64, 1),
+    "batch-R": (BATCH_REPLICATIONS, 64, 1),
+    "batch-7": (7, 64, 1),
+    "fft-1": (BATCH_REPLICATIONS, 1, 1),
+    "fft-3": (7, 3, 1),
+    "fft-all": (BATCH_REPLICATIONS, 10**6, 1),
+    "workers-2": (7, 64, 2),
+}
+
+
+def _batch_budget(replications, particles=BATCH_PARTICLES, dimension=1):
+    """The batch budget that holds ``replications`` runs of BATCH_STEPS driver steps."""
+    return replications * particles * BATCH_STEPS * dimension * 8
+
+
+def _csv_per_variant(monkeypatch, particles, dimension, study_call):
+    out = {}
+    for name, (replications, fft_rows, workers) in BATCH_VARIANTS.items():
+        budget = _batch_budget(replications, particles, dimension)
+        monkeypatch.setattr(mvfbm.study, "_BATCH_BYTES", budget)
+        monkeypatch.setattr(mvfbm.fbm, "_FFT_BLOCK_ROWS", fft_rows)
+        out[name] = study_call(workers).to_csv()
+    return out
+
+
+class TestBatching:
+    @pytest.mark.parametrize(
+        "model, hurst, particles",
+        [
+            (preset_mean_deviation(initial_spread=0.5), 0.7, BATCH_PARTICLES),  # per-particle sigma
+            (preset_mean_reverting(xi=1.0, rate=1.0), 0.3, BATCH_PARTICLES),  # constant sigma
+            (_measure_noise_model(), 0.7, BATCH_PARTICLES),  # one sigma per replication
+            (_planar_model(), 0.6, BATCH_PARTICLES),  # d = 2: a matrix product per replication
+            # One particle per replication: a product over all rows at once
+            # would round differently here than replication by replication.
+            (_planar_model(), 0.6, 1),
+        ],
+        ids=["state-measure", "constant", "measure", "planar", "planar-one-particle"],
+    )
+    def test_convergence_bytes_independent_of_batching(self, monkeypatch, model, hurst, particles):
+        def call(workers):
+            return strong_error_study(
+                model, hurst, particles, BATCH_REPLICATIONS, DELTAS,
+                1.0 / BATCH_STEPS, seed=606, workers=workers,
+            )
+
+        reports = _csv_per_variant(monkeypatch, particles, model.dimension, call)
+        assert all(text == reports["batch-1"] for text in reports.values()), [
+            name for name, text in reports.items() if text != reports["batch-1"]
+        ]
+
+    @pytest.mark.parametrize(
+        "model, estimator",
+        [
+            (preset_mean_deviation(initial_spread=0.5), "1d-exact"),
+            (_planar_model(), "coupling-bound"),
+        ],
+        ids=["state-measure", "planar"],
+    )
+    def test_chaos_bytes_independent_of_batching(self, monkeypatch, model, estimator):
+        def call(workers):
+            return chaos_study(
+                model, 0.7, UniformMesh(1.0, BATCH_STEPS), [BATCH_PARTICLES // 2, BATCH_PARTICLES],
+                BATCH_REPLICATIONS, 2.0, seed=707, estimator=estimator, workers=workers,
+            )
+
+        reports = _csv_per_variant(monkeypatch, BATCH_PARTICLES, model.dimension, call)
+        assert all(text == reports["batch-1"] for text in reports.values()), [
+            name for name, text in reports.items() if text != reports["batch-1"]
+        ]
+
+    def test_one_em_step_per_mesh_step_per_batch(self, monkeypatch):
+        monkeypatch.setattr(mvfbm.study, "_BATCH_BYTES", _batch_budget(7))
+        rows, builds = [], []
+        step, make_sampler = mvfbm.simulator.em_step, mvfbm.simulator.make_sampler
+
+        def counting_step(ensemble, *args):
+            rows.append(ensemble.states.shape[0])
+            return step(ensemble, *args)
+
+        def counting_build(*args):
+            builds.append(args)
+            return make_sampler(*args)
+
+        monkeypatch.setattr(mvfbm.simulator, "em_step", counting_step)
+        monkeypatch.setattr(mvfbm.simulator, "make_sampler", counting_build)
+        strong_error_study(
+            preset_mean_reverting(), 0.3, BATCH_PARTICLES, BATCH_REPLICATIONS, DELTAS,
+            1.0 / BATCH_STEPS, seed=1,
+        )
+        steps_per_batch = BATCH_STEPS + sum(BATCH_STEPS // round(d * BATCH_STEPS) for d in DELTAS)
+        assert steps_per_batch == 128 + 8 + 16 + 32
+        batch_sizes = [7, 7, 2]  # 16 replications under a 7-replication budget
+        assert rows == [n * BATCH_PARTICLES for n in batch_sizes for _ in range(steps_per_batch)]
+        assert len(builds) == len(batch_sizes)  # one sampler per batch
+
+    @pytest.mark.parametrize("workers", [1, 2])  # a worker's blow-up must reach the caller
+    def test_blowup_in_a_batched_run_names_the_replication(self, monkeypatch, workers):
+        monkeypatch.setattr(mvfbm.study, "_BATCH_BYTES", _batch_budget(4))
+        model = ModelSpec(
+            name="cubic-spread", dimension=1, drift=_cubic_drift,
+            diffusion=ConstantDiffusion(np.array([[0.1]])), initial=_spread_initial,
+            lipschitz_constant=1.0,
+        )
+        with pytest.raises(NumericalBlowup) as excinfo:
+            strong_error_study(
+                model, 0.7, BATCH_PARTICLES, 12, (2.0**-3, 2.0**-4), 1.0 / BATCH_STEPS, seed=31,
+                workers=workers,
+            )
+        error = excinfo.value
+        # Batches hold replications 0-3, 4-7 and 8-11; the first batch survives,
+        # and replication 5 (the second slot of the second batch) blows up first.
+        assert error.replication == 5
+        assert f"step {error.step}, replication 5, particle {error.particle} " in str(error)
+        solo = {}
+        for m in range(4, 8):  # each replication of that batch, run alone
+            config = SimulationConfig(
+                model, 0.7, UniformMesh(1.0, BATCH_STEPS), BATCH_PARTICLES, StreamKey(31).child(m)
+            )
+            try:
+                run(config, snapshots="terminal")
+            except NumericalBlowup as alone:
+                assert alone.replication == 0
+                solo[m] = (alone.step, alone.particle)
+        first = min(solo, key=lambda m: (solo[m][0], m))
+        assert (error.replication, error.step, error.particle) == (first, *solo[first])
