@@ -15,9 +15,8 @@ from .fbm import (
     HurstParameter,
     Regime,
     UniformMesh,
+    block_sums,
     fbm_covariance,
-    generate_path_cholesky,
-    generate_path_circulant,
     increment_covariance_matrix,
     make_sampler,
     restrict_to_coarse,

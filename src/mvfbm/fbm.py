@@ -23,6 +23,7 @@ stream per path component, and are deterministic given (H, mesh, d, stream).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -41,24 +42,23 @@ __all__ = [
     "CirculantSampler",
     "CovarianceFactorizationError",
     "CirculantEmbeddingError",
-    "generate_path_cholesky",
-    "generate_path_circulant",
     "SAMPLERS",
     "make_sampler",
+    "block_sums",
     "restrict_to_coarse",
     "write_path_csv",
 ]
 
 # Relative tolerance below which a negative circulant eigenvalue is treated
-# as round-off and clamped to zero; anything larger triggers a retry with a
-# doubled embedding (genuine clamping would bias convergence measurements).
+# as round-off and clamped to zero.  The minimal embedding of fGn is
+# nonnegative definite for every H (Dietrich & Newsam 1997), so anything
+# larger is a defect and fails hard: clamping it would bias the law.
 _EIGENVALUE_ROUNDOFF = 1e-10
 
-_MAX_EMBEDDING_DOUBLINGS = 3
-
-# Paths one Davies-Harte FFT transforms at a time.  Bounds the normal and
-# complex work arrays at this many rows of 2m entries however many paths a
-# call draws; row r's variates do not depend on which rows share its block.
+# Paths one Davies-Harte FFT transforms at a time.  Bounds the mode and
+# output work arrays at this many rows of about 2m entries however many
+# paths a call draws; row r's variates do not depend on which rows share
+# its block.
 _FFT_BLOCK_ROWS = 64
 
 
@@ -186,7 +186,7 @@ class CovarianceFactorizationError(RuntimeError):
 
 
 class CirculantEmbeddingError(RuntimeError):
-    """Circulant embedding kept negative eigenvalues after all retries."""
+    """Circulant embedding had an eigenvalue negative beyond round-off."""
 
 
 class CholeskySampler:
@@ -208,19 +208,11 @@ class CholeskySampler:
                 f"n={mesh.steps}; try the circulant sampler"
             ) from exc
 
-    def sample(self, dimension: int, stream: StreamKey) -> FbmPath:
-        """One path; component j draws n normals from stream.child(j)."""
-        n = self.mesh.steps
-        increments = np.empty((n, dimension))
-        for j in range(dimension):
-            z = stream.child(j).generator().standard_normal(n)
-            increments[:, j] = self._factor @ z
-        return FbmPath(self.mesh, increments)
-
     def sample_ensemble(self, dimension: int, streams: Sequence[StreamKey],
                         *, out: "np.ndarray | None" = None) -> np.ndarray:
-        """Increments for many paths at once, shape (len(streams), n, d).
+        """Increments of one path per stream, shape (len(streams), n, d).
 
+        Component j of a path draws n normals from its stream's child(j).
         ``out``, if given, is a (len(streams), n, d) array, possibly a
         strided view, that receives the increments and is returned.
         """
@@ -240,98 +232,84 @@ class CirculantSampler:
     """Exact fBm increment sampler via Davies-Harte circulant embedding.
 
     The length-n stationary increment sequence is embedded in a circulant of
-    size 2m (m >= n).  If the embedding has a genuinely negative eigenvalue
-    the size is doubled, up to three times, before failing hard; eigenvalues
-    negative only at round-off scale are clamped to zero.
+    size 2m with m = n.  That minimal embedding is nonnegative definite for
+    every H (Dietrich & Newsam 1997): eigenvalues negative only at round-off
+    scale are clamped to zero, and a larger one raises
+    CirculantEmbeddingError.
     """
 
     def __init__(self, hurst: "float | HurstParameter", mesh: UniformMesh) -> None:
         self.hurst = HurstParameter.coerce(hurst)
         self.mesh = mesh
-        m = mesh.steps
-        for _ in range(_MAX_EMBEDDING_DOUBLINGS + 1):
-            eigenvalues = self._embedding_eigenvalues(m)
-            floor = -_EIGENVALUE_ROUNDOFF * eigenvalues.max()
-            if eigenvalues.min() >= floor:
-                self._sqrt_eigenvalues = np.sqrt(np.clip(eigenvalues, 0.0, None))
-                self._half_size = m
-                return
-            m *= 2
-        raise CirculantEmbeddingError(
-            f"circulant embedding not PSD for H={self.hurst.value}, n={mesh.steps} "
-            f"after {_MAX_EMBEDDING_DOUBLINGS} doublings; try the Cholesky sampler"
-        )
-
-    def _embedding_eigenvalues(self, m: int) -> np.ndarray:
-        gamma = _fgn_autocovariance(self.hurst, self.mesh.delta, np.arange(m + 1))
-        first_row = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2m, symmetric
-        return np.fft.fft(first_row).real
-
-    def sample(self, dimension: int, stream: StreamKey) -> FbmPath:
-        """One path; component j draws 2m normals from stream.child(j)."""
-        n = self.mesh.steps
-        increments = np.empty((n, dimension))
-        for j in range(dimension):
-            z = stream.child(j).generator().standard_normal(2 * self._half_size)
-            increments[:, j] = self._fgn_from_normals(z[None, :])[0]
-        return FbmPath(self.mesh, increments)
+        self._half_size = mesh.steps
+        eigenvalues = _embedding_eigenvalues(self.hurst, mesh)
+        if eigenvalues.min() < -_EIGENVALUE_ROUNDOFF * eigenvalues.max():
+            raise CirculantEmbeddingError(
+                f"circulant embedding not PSD for H={self.hurst.value}, n={mesh.steps}; "
+                "try the Cholesky sampler"
+            )
+        self._sqrt_eigenvalues = np.sqrt(np.clip(eigenvalues, 0.0, None))  # modes 0..m
 
     def sample_ensemble(self, dimension: int, streams: Sequence[StreamKey],
                         *, out: "np.ndarray | None" = None) -> np.ndarray:
-        """Increments for many paths at once, shape (len(streams), n, d).
+        """Increments of one path per stream, shape (len(streams), n, d).
 
-        ``out`` is as for CholeskySampler.  The FFT runs over blocks of
-        rows, so its work arrays stay small however many paths are drawn.
-        """
-        size = 2 * self._half_size
-        if out is None:
-            out = np.empty((len(streams), self.mesh.steps, dimension))
-        for start in range(0, len(streams), _FFT_BLOCK_ROWS):
-            block = streams[start : start + _FFT_BLOCK_ROWS]
-            z = np.empty((len(block), size))
-            for j in range(dimension):
-                for p, stream in enumerate(block):
-                    z[p] = stream.child(j).generator().standard_normal(size)
-                out[start : start + len(block), :, j] = self._fgn_from_normals(z)
-        return out
+        Component j of a path draws 2m normals z from its stream's child(j):
+        z[0] and z[1] feed the two real Fourier modes (frequencies 0 and m),
+        z[2k] and z[2k+1] the real and imaginary parts of mode k, 0 < k < m.
+        ``out`` is as for CholeskySampler.  The FFT runs over blocks of rows,
+        so its work arrays stay small however many paths are drawn.
 
-    def _fgn_from_normals(self, z: np.ndarray) -> np.ndarray:
-        """Map rows of 2m standard normals to rows of n exact fGn variates.
-
-        Draw layout per row: z[0] and z[1] feed the two real Fourier modes
-        (frequencies 0 and m); z[2k], z[2k+1] feed the real/imaginary parts
-        of mode k for k = 1..m-1.
+        The normals land in the float view of the m+1 complex modes, where
+        only z[1] has to move.  Scaled and conjugated they are the Hermitian
+        half of the spectrum w of the classical fft(w).real / sqrt(2m), so
+        an unnormalized irfft of the half gives the same variates.
         """
         m = self._half_size
-        size = 2 * m
-        w = np.zeros((z.shape[0], size), dtype=complex)
-        w[:, 0] = self._sqrt_eigenvalues[0] * z[:, 0]
-        w[:, m] = self._sqrt_eigenvalues[m] * z[:, 1]
-        scale = self._sqrt_eigenvalues[1:m] / np.sqrt(2.0)
-        modes = scale * (z[:, 2::2] + 1j * z[:, 3::2])
-        w[:, 1:m] = modes
-        w[:, m + 1 :] = np.conj(modes[:, ::-1])
-        return np.fft.fft(w, axis=1).real[:, : self.mesh.steps] / np.sqrt(size)
+        if out is None:
+            out = np.empty((len(streams), self.mesh.steps, dimension))
+        scale = self._mode_scale()
+        for start in range(0, len(streams), _FFT_BLOCK_ROWS):
+            block = streams[start : start + _FFT_BLOCK_ROWS]
+            modes = np.empty((len(block), m + 1), dtype=complex)
+            parts = modes.view(float)  # (rows, 2m + 2): re/im of mode 0, 1, .., m
+            for j in range(dimension):
+                for p, stream in enumerate(block):
+                    stream.child(j).generator().standard_normal(2 * m, out=parts[p, : 2 * m])
+                parts[:, 2 * m] = parts[:, 1]
+                parts[:, 1] = parts[:, 2 * m + 1] = 0.0
+                parts *= scale
+                fgn = np.fft.irfft(modes, n=2 * m, axis=1, norm="forward")
+                out[start : start + len(block), :, j] = fgn[:, : self.mesh.steps]
+        return out
+
+    def _mode_scale(self) -> np.ndarray:
+        """Per-part factors of the interleaved modes: sqrt(lambda_k / 2m), with
+        an extra 1/sqrt(2) and the conjugating sign on modes 1..m-1."""
+        m = self._half_size
+        amplitude = self._sqrt_eigenvalues / np.sqrt(2.0 * m)
+        scale = np.zeros(2 * m + 2)
+        scale[0::2] = amplitude
+        scale[2 : 2 * m : 2] /= np.sqrt(2.0)
+        scale[3 : 2 * m : 2] = -scale[2 : 2 * m : 2]
+        return scale
 
 
-def generate_path_cholesky(
-    hurst: "float | HurstParameter", mesh: UniformMesh, dimension: int, stream: StreamKey
-) -> FbmPath:
-    """One exact path via dense factorization (convenience wrapper)."""
-    return CholeskySampler(hurst, mesh).sample(dimension, stream)
-
-
-def generate_path_circulant(
-    hurst: "float | HurstParameter", mesh: UniformMesh, dimension: int, stream: StreamKey
-) -> FbmPath:
-    """One exact path via circulant embedding (convenience wrapper)."""
-    return CirculantSampler(hurst, mesh).sample(dimension, stream)
+def _embedding_eigenvalues(hurst: HurstParameter, mesh: UniformMesh) -> np.ndarray:
+    """Eigenvalues of modes 0..m of the size-2m circulant embedding of the
+    mesh's fGn autocovariance (m = n)."""
+    gamma = _fgn_autocovariance(hurst, mesh.delta, np.arange(mesh.steps + 1))
+    first_row = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2m, symmetric
+    return np.fft.rfft(first_row).real
 
 
 SAMPLERS = {"circulant": CirculantSampler, "cholesky": CholeskySampler}
 
 
+@functools.lru_cache(maxsize=4)
 def make_sampler(name: str, hurst: "float | HurstParameter", mesh: UniformMesh):
+    """The ``name`` sampler of (H, mesh).  Samplers are immutable, so the four
+    most recently asked for are kept and handed out again."""
     try:
         factory = SAMPLERS[name]
     except KeyError:
@@ -339,19 +317,30 @@ def make_sampler(name: str, hurst: "float | HurstParameter", mesh: UniformMesh):
     return factory(hurst, mesh)
 
 
+def block_sums(increments: np.ndarray, factor: int) -> np.ndarray:
+    """Sums of consecutive blocks of ``factor`` rows, each added left to right.
+
+    Row k is ((x[k*f] + x[k*f+1]) + ...) + x[k*f+f-1], element by element,
+    so its bits do not depend on the other axes' sizes.
+    """
+    blocks = increments.reshape(increments.shape[0] // factor, factor, *increments.shape[1:])
+    out = blocks[:, 0].copy()
+    for k in range(1, factor):
+        out += blocks[:, k]
+    return out
+
+
 def restrict_to_coarse(path: FbmPath, factor: int) -> FbmPath:
     """Restrict a fine-mesh path to a mesh coarsened by ``factor``.
 
     Coarse increment k is the left-to-right sum of fine increments
-    k*factor .. (k+1)*factor - 1, so the result is the same continuous path
-    sampled coarsely (up to floating summation order).
+    k*factor .. (k+1)*factor - 1 (see block_sums), so the result is the same
+    continuous path sampled coarsely, up to floating summation order.
     """
     if factor == 1:
         return path
     coarse_mesh = path.mesh.coarsen(factor)
-    cuts = np.arange(0, path.mesh.steps, factor)
-    coarse = np.add.reduceat(path.increments, cuts, axis=0)
-    return FbmPath(coarse_mesh, coarse)
+    return FbmPath(coarse_mesh, block_sums(path.increments, factor))
 
 
 def write_path_csv(path: FbmPath, out: TextIO) -> None:

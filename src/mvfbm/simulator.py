@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fbm import HurstParameter, UniformMesh, make_sampler
+from .fbm import HurstParameter, UniformMesh, block_sums, make_sampler
 from .measure import EmpiricalMeasure
 from .model import ModelSpec, validate
 from .streams import StreamKey
@@ -215,8 +215,8 @@ def _snapshot_plan(steps: int, policy: str) -> set[int]:
 def _drivers(config: SimulationConfig) -> np.ndarray:
     """Per-particle exact fBm increments of the whole batch, shape (steps, R*N, d).
 
-    One sampler serves the batch; particle i of replication m draws from
-    child(1, i) of the replication's root.
+    The sampler of (H, mesh) serves the batch; particle i of replication m
+    draws from child(1, i) of the replication's root.
     """
     sampler = make_sampler(config.sampler, config.hurst, config.mesh)
     streams = [root.child(_NS_NOISE, i) for root in config.roots() for i in range(config.particles)]
@@ -287,11 +287,7 @@ def run_coupled_meshes(
     fine_drivers = _drivers(config)  # (steps, R*N, d)
     results: dict[int, TrajectoryRecord] = {}
     for f in factors:
-        if f == 1:
-            drivers = fine_drivers
-        else:
-            cuts = np.arange(0, config.mesh.steps, f)
-            drivers = np.add.reduceat(fine_drivers, cuts, axis=0)
+        drivers = fine_drivers if f == 1 else block_sums(fine_drivers, f)
         coarse = replace(config, mesh=config.mesh.coarsen(f))
         results[f] = _evolve(coarse, initial, drivers, snapshots)
     return results

@@ -11,15 +11,16 @@ import math
 import numpy as np
 import pytest
 
+import mvfbm.fbm
+from mvfbm.cli import main
 from mvfbm.fbm import (
+    CirculantEmbeddingError,
     CirculantSampler,
     CholeskySampler,
     FbmPath,
     HurstParameter,
     UniformMesh,
     fbm_covariance,
-    generate_path_cholesky,
-    generate_path_circulant,
     increment_covariance_matrix,
     make_sampler,
     restrict_to_coarse,
@@ -108,6 +109,11 @@ class TestIncrementCovarianceMatrix:
             assert eigenvalues.min() >= -1e-12 * eigenvalues.max()
 
 
+def _path(sampler_cls, hurst: float, mesh: UniformMesh, dimension: int, stream: StreamKey) -> FbmPath:
+    """One path drawn from ``stream`` through sample_ensemble."""
+    return FbmPath(mesh, sampler_cls(hurst, mesh).sample_ensemble(dimension, [stream])[0])
+
+
 def _increment_ensemble(sampler, paths: int, seed: int = 77) -> np.ndarray:
     root = StreamKey(seed)
     streams = [root.child(p) for p in range(paths)]
@@ -139,14 +145,14 @@ class TestSamplers:
         mesh = UniformMesh(1.0, 128)
         stream = StreamKey(5).child(9)
         sampler = make_sampler(name, 0.8, mesh)
-        a = sampler.sample(3, stream)
-        b = sampler.sample(3, stream)
-        assert np.array_equal(a.increments, b.increments)
+        a = sampler.sample_ensemble(3, [stream])
+        b = sampler.sample_ensemble(3, [stream])
+        assert np.array_equal(a, b)
 
     def test_seed_changes_path(self):
         mesh = UniformMesh(1.0, 64)
-        a = generate_path_circulant(0.7, mesh, 1, StreamKey(1))
-        b = generate_path_circulant(0.7, mesh, 1, StreamKey(2))
+        a = _path(CirculantSampler, 0.7, mesh, 1, StreamKey(1))
+        b = _path(CirculantSampler, 0.7, mesh, 1, StreamKey(2))
         assert not np.array_equal(a.increments, b.increments)
 
     def test_components_independent(self):
@@ -154,9 +160,7 @@ class TestSamplers:
         mesh = UniformMesh(1.0, 16)
         sampler = CirculantSampler(0.7, mesh)
         root = StreamKey(11)
-        paths = np.stack(
-            [sampler.sample(2, root.child(p)).increments for p in range(4000)]
-        )  # (P, n, 2)
+        paths = sampler.sample_ensemble(2, [root.child(p) for p in range(4000)])  # (P, n, 2)
         cross = np.mean(paths[:, :, 0] * paths[:, :, 1], axis=0)
         scale = mesh.delta ** (2 * 0.7)
         assert np.abs(cross).max() < 5 * scale / math.sqrt(4000) * 1.5
@@ -225,9 +229,37 @@ class TestSamplers:
                 assert abs(np.mean(gap**2) - expected) < 5 * stderr
 
 
+class TestCirculantEmbedding:
+    SWEEP_STEPS = [*range(1, 65), 100, 127, 128, 129, 1000, 1023, 1024, 1025, 2048, 4095, 4096]
+
+    @pytest.mark.parametrize("hurst", [(2 * i + 1) / 100 for i in range(50)])  # 0.01 .. 0.99
+    def test_minimal_embedding_is_nonnegative(self, hurst):
+        # Dietrich & Newsam (1997): no H or n needs more than round-off clamping
+        h = HurstParameter(hurst)
+        for n in self.SWEEP_STEPS:
+            eigenvalues = mvfbm.fbm._embedding_eigenvalues(h, UniformMesh(1.0, n))
+            assert eigenvalues.min() >= -mvfbm.fbm._EIGENVALUE_ROUNDOFF * eigenvalues.max(), n
+
+    def test_negative_eigenvalue_fails_hard(self, monkeypatch, tmp_path, capsys):
+        def negative(hurst, mesh):
+            eigenvalues = np.ones(mesh.steps + 1)
+            eigenvalues[1] = -1e-6
+            return eigenvalues
+
+        monkeypatch.setattr(mvfbm.fbm, "_embedding_eigenvalues", negative)
+        make_sampler.cache_clear()  # a cached sampler would skip the check
+        with pytest.raises(CirculantEmbeddingError, match="not PSD for H=0.7, n=16"):
+            CirculantSampler(0.7, UniformMesh(1.0, 16))
+        args = ["--command", "simulate", "--steps", "16", "--particles", "4",
+                "--outdir", str(tmp_path)]
+        assert main(args) == 1
+        assert "numerical failure: circulant embedding not PSD" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRestriction:
     def test_factor_one_is_identity(self):
-        path = generate_path_circulant(0.6, UniformMesh(1.0, 16), 1, StreamKey(0))
+        path = _path(CirculantSampler, 0.6, UniformMesh(1.0, 16), 1, StreamKey(0))
         assert restrict_to_coarse(path, 1) is path
 
     def test_block_sums(self):
@@ -239,24 +271,24 @@ class TestRestriction:
         assert np.array_equal(coarse.increments, np.array([[3.0], [12.0]]))
 
     def test_same_continuous_path(self):
-        path = generate_path_circulant(0.8, UniformMesh(1.0, 64), 2, StreamKey(21))
+        path = _path(CirculantSampler, 0.8, UniformMesh(1.0, 64), 2, StreamKey(21))
         coarse = restrict_to_coarse(path, 8)
         fine_values = path.values()[::8]
         assert np.allclose(coarse.values(), fine_values, rtol=1e-12, atol=1e-14)
 
     def test_terminal_value_preserved(self):
-        path = generate_path_cholesky(0.4, UniformMesh(1.0, 32), 1, StreamKey(2))
+        path = _path(CholeskySampler, 0.4, UniformMesh(1.0, 32), 1, StreamKey(2))
         coarse = restrict_to_coarse(path, 4)
         assert coarse.values()[-1] == pytest.approx(path.values()[-1], rel=1e-12, abs=1e-14)
 
     def test_non_divisor_rejected(self):
-        path = generate_path_circulant(0.6, UniformMesh(1.0, 10), 1, StreamKey(3))
+        path = _path(CirculantSampler, 0.6, UniformMesh(1.0, 10), 1, StreamKey(3))
         with pytest.raises(ValueError):
             restrict_to_coarse(path, 4)
 
 
 def test_path_csv_dump():
-    path = generate_path_circulant(0.7, UniformMesh(1.0, 4), 2, StreamKey(5))
+    path = _path(CirculantSampler, 0.7, UniformMesh(1.0, 4), 2, StreamKey(5))
     buffer = io.StringIO()
     write_path_csv(path, buffer)
     lines = buffer.getvalue().splitlines()

@@ -1,0 +1,98 @@
+"""Property tests of the exact driver path: coarse restriction and sampling.
+
+The examples come from the derandomized profile in conftest.py.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given
+from hypothesis import strategies as st
+
+from mvfbm.fbm import (
+    SAMPLERS,
+    FbmPath,
+    HurstParameter,
+    UniformMesh,
+    _fgn_autocovariance,
+    block_sums,
+    make_sampler,
+    restrict_to_coarse,
+)
+from mvfbm.streams import StreamKey
+
+hursts = st.floats(0.01, 0.99)
+
+
+def _python_block_sums(x: np.ndarray, factor: int) -> np.ndarray:
+    """Each coarse entry summed by plain Python float additions, left to right."""
+    steps, columns = x.shape
+    out = np.empty((steps // factor, columns))
+    for k in range(steps // factor):
+        for c in range(columns):
+            total = float(x[k * factor, c])
+            for i in range(1, factor):
+                total = total + float(x[k * factor + i, c])
+            out[k, c] = total
+    return out
+
+
+@given(factor=st.integers(1, 40), blocks=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_restriction_is_a_left_to_right_block_sum(factor, blocks, seed):
+    rng = np.random.default_rng(seed)
+    steps = factor * blocks
+    # magnitudes spread over 16 decades, so any other grouping changes bits
+    x = rng.standard_normal((steps, 7)) * 10.0 ** rng.integers(-8, 8, size=(steps, 7))
+    expected = _python_block_sums(x, factor)
+    mesh = UniformMesh(1.0, steps)
+    for columns in (1, 2, 7):
+        part = np.ascontiguousarray(x[:, :columns])
+        got = restrict_to_coarse(FbmPath(mesh, part), factor).increments
+        assert got.tobytes() == expected[:, :columns].tobytes()
+        # the driver layout of a batch: (steps, rows, d)
+        drivers = block_sums(part.reshape(steps, columns, 1), factor)
+        assert drivers.tobytes() == expected[:, :columns].tobytes()
+
+
+def _classical_increments(hurst, mesh, dimension, streams):
+    """The Davies-Harte construction as a complex 2m-point FFT (Dieker 2004)."""
+    m = mesh.steps
+    size = 2 * m
+    gamma = _fgn_autocovariance(HurstParameter(hurst), mesh.delta, np.arange(m + 1))
+    eigenvalues = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    root = np.sqrt(np.clip(eigenvalues, 0.0, None))
+    out = np.empty((len(streams), m, dimension))
+    for p, stream in enumerate(streams):
+        for j in range(dimension):
+            z = stream.child(j).generator().standard_normal(size)
+            w = np.zeros(size, dtype=complex)
+            w[0] = root[0] * z[0]
+            w[m] = root[m] * z[1]
+            modes = root[1:m] / np.sqrt(2.0) * (z[2::2] + 1j * z[3::2])
+            w[1:m] = modes
+            w[m + 1 :] = np.conj(modes[::-1])
+            out[p, :, j] = np.fft.fft(w).real[:m] / np.sqrt(size)
+    return out
+
+
+@given(hurst=hursts, steps=st.integers(1, 600), rows=st.integers(1, 150),
+       dimension=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_circulant_matches_the_classical_fft(hurst, steps, rows, dimension, seed):
+    mesh = UniformMesh(1.0, steps)
+    streams = [StreamKey(seed).child(p) for p in range(rows)]
+    got = SAMPLERS["circulant"](hurst, mesh).sample_ensemble(dimension, streams)
+    expected = _classical_increments(hurst, mesh, dimension, streams)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@given(name=st.sampled_from(sorted(SAMPLERS)), hurst=hursts, steps=st.integers(1, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_memoized_sampler_gives_fresh_bytes(name, hurst, steps, seed):
+    mesh = UniformMesh(1.0, steps)
+    streams = [StreamKey(seed).child(p) for p in range(3)]
+    memoized = make_sampler(name, hurst, mesh)
+    assert make_sampler(name, hurst, mesh) is memoized
+    fresh = SAMPLERS[name](hurst, mesh)
+    got = memoized.sample_ensemble(2, streams)
+    assert got.tobytes() == fresh.sample_ensemble(2, streams).tobytes()

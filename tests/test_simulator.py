@@ -150,8 +150,8 @@ class TestRun:
 
         sampler = CirculantSampler(0.7, config.mesh)
         for i in range(6):
-            path = sampler.sample(1, config.stream().child(1, i))
-            expected = x0 + xi * path.increments.sum()
+            increments = sampler.sample_ensemble(1, [config.stream().child(1, i)])[0]
+            expected = x0 + xi * increments.sum()
             assert record.terminal[i, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_exchangeability(self):

@@ -9,7 +9,7 @@ import pytest
 import mvfbm.fbm
 import mvfbm.simulator
 import mvfbm.study
-from mvfbm.fbm import UniformMesh
+from mvfbm.fbm import CirculantSampler, UniformMesh, make_sampler
 from mvfbm.model import (
     ConstantDiffusion,
     MeasureDiffusion,
@@ -403,18 +403,19 @@ class TestBatching:
     def test_one_em_step_per_mesh_step_per_batch(self, monkeypatch):
         monkeypatch.setattr(mvfbm.study, "_BATCH_BYTES", _batch_budget(7))
         rows, builds = [], []
-        step, make_sampler = mvfbm.simulator.em_step, mvfbm.simulator.make_sampler
+        step, build = mvfbm.simulator.em_step, CirculantSampler.__init__
 
         def counting_step(ensemble, *args):
             rows.append(ensemble.states.shape[0])
             return step(ensemble, *args)
 
-        def counting_build(*args):
+        def counting_build(sampler, *args):
             builds.append(args)
-            return make_sampler(*args)
+            build(sampler, *args)
 
+        make_sampler.cache_clear()
         monkeypatch.setattr(mvfbm.simulator, "em_step", counting_step)
-        monkeypatch.setattr(mvfbm.simulator, "make_sampler", counting_build)
+        monkeypatch.setattr(CirculantSampler, "__init__", counting_build)
         strong_error_study(
             preset_mean_reverting(), 0.3, BATCH_PARTICLES, BATCH_REPLICATIONS, DELTAS,
             1.0 / BATCH_STEPS, seed=1,
@@ -423,7 +424,7 @@ class TestBatching:
         assert steps_per_batch == 128 + 8 + 16 + 32
         batch_sizes = [7, 7, 2]  # 16 replications under a 7-replication budget
         assert rows == [n * BATCH_PARTICLES for n in batch_sizes for _ in range(steps_per_batch)]
-        assert len(builds) == len(batch_sizes)  # one sampler per batch
+        assert len(builds) == 1  # one sampler per (H, mesh), shared by the three batches
 
     @pytest.mark.parametrize("workers", [1, 2])  # a worker's blow-up must reach the caller
     def test_blowup_in_a_batched_run_names_the_replication(self, monkeypatch, workers):
