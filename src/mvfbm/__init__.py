@@ -11,23 +11,17 @@ from .fbm import (
     CirculantSampler,
     CholeskySampler,
     CovarianceFactorizationError,
-    FbmPath,
     HurstParameter,
-    Regime,
     UniformMesh,
     block_sums,
-    fbm_covariance,
     increment_covariance_matrix,
     make_sampler,
-    restrict_to_coarse,
-    write_path_csv,
 )
 from .measure import (
     EmpiricalMeasure,
     WassersteinOrder,
     coupled_upper_bound,
     moment_distance_to_dirac0,
-    monotonicity_check,
     wasserstein_1d_exact,
 )
 from .model import (
@@ -35,7 +29,6 @@ from .model import (
     LipschitzProbeReport,
     MeasureDiffusion,
     ModelSpec,
-    RegimeTag,
     RegimeViolation,
     StateMeasureDiffusion,
     lipschitz_probe,
@@ -52,7 +45,6 @@ from .simulator import (
     SimulationConfig,
     TrajectoryRecord,
     em_step,
-    piecewise_constant_lookup,
     run,
     run_coupled_meshes,
     write_trajectory_csv,

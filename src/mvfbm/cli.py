@@ -57,7 +57,7 @@ def _simulate(config: RunConfig) -> tuple[Report, str | None]:
     sim = SimulationConfig(model, config.hurst, mesh, config.particles, config.seed, config.sampler)
     record = run(sim, snapshots=config.snapshots)
     trajectory = io.StringIO()
-    write_trajectory_csv(record, trajectory, terminal_only=(config.snapshots == "terminal"))
+    write_trajectory_csv(record, trajectory)
     report = SimulateReport(
         model=config.model, hurst=config.hurst, particles=config.particles, steps=config.steps,
         terminal_mean=float(record.terminal.mean()), terminal_std=float(record.terminal.std()),

@@ -25,18 +25,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
 from .streams import StreamKey
 
 __all__ = [
-    "Regime",
     "HurstParameter",
     "UniformMesh",
-    "FbmPath",
-    "fbm_covariance",
     "increment_covariance_matrix",
     "CholeskySampler",
     "CirculantSampler",
@@ -45,8 +42,6 @@ __all__ = [
     "SAMPLERS",
     "make_sampler",
     "block_sums",
-    "restrict_to_coarse",
-    "write_path_csv",
 ]
 
 # Relative tolerance below which a negative circulant eigenvalue is treated
@@ -62,14 +57,6 @@ _EIGENVALUE_ROUNDOFF = 1e-10
 _FFT_BLOCK_ROWS = 64
 
 
-class Regime:
-    """Roughness regime of a Hurst index."""
-
-    ROUGH = "rough"          # H < 1/2
-    STANDARD = "standard"    # H = 1/2, ordinary Brownian motion
-    SMOOTH = "smooth"        # H > 1/2
-
-
 @dataclass(frozen=True)
 class HurstParameter:
     """Validated Hurst index, H strictly inside (0, 1)."""
@@ -79,14 +66,6 @@ class HurstParameter:
     def __post_init__(self) -> None:
         if not (0.0 < self.value < 1.0):
             raise ValueError(f"Hurst parameter must lie in (0, 1), got {self.value}")
-
-    @property
-    def regime(self) -> str:
-        if self.value < 0.5:
-            return Regime.ROUGH
-        if self.value > 0.5:
-            return Regime.SMOOTH
-        return Regime.STANDARD
 
     @classmethod
     def coerce(cls, value: "float | HurstParameter") -> "HurstParameter":
@@ -115,55 +94,12 @@ class UniformMesh:
     def node(self, k: int) -> float:
         return k * self.delta
 
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.steps + 1) * self.delta
-
     def coarsen(self, factor: int) -> "UniformMesh":
         if factor < 1 or self.steps % factor != 0:
             raise ValueError(
                 f"coarsening factor {factor} does not divide {self.steps} mesh steps"
             )
         return UniformMesh(self.horizon, self.steps // factor)
-
-
-@dataclass(frozen=True)
-class FbmPath:
-    """One d-dimensional fBm path stored as mesh increments.
-
-    ``increments[k, j]`` is the j-th component increment over [t_k, t_{k+1}].
-    Components are mutually independent by construction (one stream each).
-    """
-
-    mesh: UniformMesh
-    increments: np.ndarray  # shape (steps, dimension)
-
-    def __post_init__(self) -> None:
-        if self.increments.ndim != 2:
-            raise ValueError("increments must be a (steps, dimension) array")
-        if self.increments.shape[0] != self.mesh.steps:
-            raise ValueError(
-                f"increment rows {self.increments.shape[0]} != mesh steps {self.mesh.steps}"
-            )
-
-    @property
-    def dimension(self) -> int:
-        return self.increments.shape[1]
-
-    def values(self) -> np.ndarray:
-        """Cumulative path values at the mesh nodes, (steps + 1, d), B_0 = 0."""
-        out = np.empty((self.mesh.steps + 1, self.dimension))
-        out[0] = 0.0
-        np.cumsum(self.increments, axis=0, out=out[1:])
-        return out
-
-
-def fbm_covariance(hurst: "float | HurstParameter", t: float, s: float) -> float:
-    """Covariance R_H(t, s) of fBm values at times t, s >= 0."""
-    h = HurstParameter.coerce(hurst).value
-    if t < 0.0 or s < 0.0:
-        raise ValueError(f"times must be nonnegative, got ({t}, {s})")
-    two_h = 2.0 * h
-    return 0.5 * (t**two_h + s**two_h - abs(t - s) ** two_h)
 
 
 def _fgn_autocovariance(hurst: HurstParameter, delta: float, lags: np.ndarray) -> np.ndarray:
@@ -329,26 +265,3 @@ def block_sums(increments: np.ndarray, factor: int) -> np.ndarray:
         out += blocks[:, k]
     return out
 
-
-def restrict_to_coarse(path: FbmPath, factor: int) -> FbmPath:
-    """Restrict a fine-mesh path to a mesh coarsened by ``factor``.
-
-    Coarse increment k is the left-to-right sum of fine increments
-    k*factor .. (k+1)*factor - 1 (see block_sums), so the result is the same
-    continuous path sampled coarsely, up to floating summation order.
-    """
-    if factor == 1:
-        return path
-    coarse_mesh = path.mesh.coarsen(factor)
-    return FbmPath(coarse_mesh, block_sums(path.increments, factor))
-
-
-def write_path_csv(path: FbmPath, out: TextIO) -> None:
-    """Dump cumulative path values: header t,component_1..d, one row per node."""
-    out.write("# schema_version=1\n")
-    header = ",".join(["t"] + [f"component_{j + 1}" for j in range(path.dimension)])
-    out.write(header + "\n")
-    values = path.values()
-    for k, t in enumerate(path.mesh.nodes()):
-        row = ",".join([repr(float(t))] + [repr(float(v)) for v in values[k]])
-        out.write(row + "\n")

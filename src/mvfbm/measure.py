@@ -20,7 +20,6 @@ __all__ = [
     "moment_distance_to_dirac0",
     "coupled_upper_bound",
     "wasserstein_1d_exact",
-    "monotonicity_check",
 ]
 
 
@@ -139,17 +138,3 @@ def wasserstein_1d_exact(
     b = np.sort(nu.atoms[:, 0], kind="stable")
     return float(np.mean(np.abs(a - b) ** theta) ** (1.0 / theta))
 
-
-def monotonicity_check(
-    mu: EmpiricalMeasure,
-    nu: EmpiricalMeasure,
-    theta_low: float,
-    theta_high: float,
-    tolerance: float = 1e-12,
-) -> bool:
-    """Test utility: W_{theta_low} <= W_{theta_high} + tolerance (d = 1 exact)."""
-    if not (2.0 <= theta_low <= theta_high):
-        raise ValueError(f"need 2 <= theta_low <= theta_high, got ({theta_low}, {theta_high})")
-    low = wasserstein_1d_exact(mu, nu, theta_low)
-    high = wasserstein_1d_exact(mu, nu, theta_high)
-    return low <= high + tolerance

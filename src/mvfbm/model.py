@@ -33,7 +33,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .fbm import HurstParameter, Regime
+from .fbm import HurstParameter
 from .measure import EmpiricalMeasure, WassersteinOrder, coupled_upper_bound, moment_distance_to_dirac0
 from .streams import StreamKey
 
@@ -43,7 +43,6 @@ __all__ = [
     "StateMeasureDiffusion",
     "Diffusion",
     "ModelSpec",
-    "RegimeTag",
     "RegimeViolation",
     "validate",
     "LipschitzProbeReport",
@@ -129,37 +128,24 @@ class ModelSpec:
         return np.tile(value, (count, 1))
 
 
-class RegimeTag:
-    """Joint (Hurst regime, diffusion kind) classification of a simulation."""
-
-    ROUGH_CONSTANT = "rough-constant-diffusion"    # H < 1/2, constant sigma
-    SMOOTH_MEASURE = "smooth-measure-diffusion"    # H > 1/2
-    STANDARD_BROWNIAN = "standard-brownian"        # H = 1/2
-
-
 class RegimeViolation(ValueError):
     """Model/Hurst combination outside the known well-posedness regimes."""
 
 
-def validate(model: ModelSpec, hurst: "float | HurstParameter") -> str:
-    """Classify (model, H) or reject it.
+def validate(model: ModelSpec, hurst: "float | HurstParameter") -> None:
+    """Reject (model, H) outside the known well-posedness regimes.
 
     Below H = 1/2 well-posedness is only available for constant diffusion;
     a measure- or state-dependent sigma there is rejected.  H = 1/2 and
     H > 1/2 accept every diffusion kind.
     """
     h = HurstParameter.coerce(hurst)
-    if h.regime == Regime.ROUGH:
-        if not isinstance(model.diffusion, ConstantDiffusion):
-            raise RegimeViolation(
-                f"H={h.value} < 1/2 requires a constant diffusion coefficient "
-                f"(model {model.name!r} uses {type(model.diffusion).__name__}); "
-                "below H=1/2 the solution theory only covers sigma independent of the measure"
-            )
-        return RegimeTag.ROUGH_CONSTANT
-    if h.regime == Regime.SMOOTH:
-        return RegimeTag.SMOOTH_MEASURE
-    return RegimeTag.STANDARD_BROWNIAN
+    if h.value < 0.5 and not isinstance(model.diffusion, ConstantDiffusion):
+        raise RegimeViolation(
+            f"H={h.value} < 1/2 requires a constant diffusion coefficient "
+            f"(model {model.name!r} uses {type(model.diffusion).__name__}); "
+            "below H=1/2 the solution theory only covers sigma independent of the measure"
+        )
 
 
 @dataclass(frozen=True)

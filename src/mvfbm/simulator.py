@@ -29,6 +29,7 @@ import numpy as np
 from .fbm import HurstParameter, UniformMesh, block_sums, make_sampler
 from .measure import EmpiricalMeasure
 from .model import ModelSpec, validate
+from .reports import render_csv
 from .streams import StreamKey
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "em_step",
     "run",
     "run_coupled_meshes",
-    "piecewise_constant_lookup",
     "write_trajectory_csv",
 ]
 
@@ -107,10 +107,6 @@ class ParticleEnsemble:
         """The states as an (R, N, d) view."""
         return self.states.reshape(self.replications, self.size, self.dimension)
 
-    def measure(self) -> EmpiricalMeasure:
-        """The R empirical measures, as one batch."""
-        return EmpiricalMeasure(self.blocks())
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -158,15 +154,6 @@ class TrajectoryRecord:
     def terminal(self) -> np.ndarray:
         return self.snapshots[-1]
 
-    def snapshot_at(self, step_index: int) -> np.ndarray:
-        try:
-            pos = self.snapshot_indices.index(step_index)
-        except ValueError:
-            raise KeyError(
-                f"snapshot at step {step_index} was thinned away; rerun with snapshots='full'"
-            ) from None
-        return self.snapshots[pos]
-
 
 def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: float,
             increments: np.ndarray) -> ParticleEnsemble:
@@ -200,10 +187,12 @@ def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: float,
 
 
 def _snapshot_plan(steps: int, policy: str) -> set[int]:
+    """Step indices a run keeps: all of them, the terminal one alone, or
+    every ceil(n / 64)-th plus the terminal one."""
     if policy == "full":
         return set(range(steps + 1))
     if policy == "terminal":
-        return {0, steps}
+        return {steps}
     if policy == "thin":
         stride = max(1, -(-steps // 64))  # ceil(n / 64)
         kept = set(range(0, steps + 1, stride))
@@ -293,26 +282,13 @@ def run_coupled_meshes(
     return results
 
 
-def piecewise_constant_lookup(record: TrajectoryRecord, t: float) -> np.ndarray:
-    """Ensemble at the largest mesh node <= t (the left-continuous extension)."""
-    horizon = record.mesh.horizon
-    if not (0.0 <= t <= horizon):
-        raise ValueError(f"time {t} outside [0, {horizon}]")
-    k = min(int(np.floor(t / record.mesh.delta)), record.mesh.steps)
-    return record.snapshot_at(k)
-
-
-def write_trajectory_csv(record: TrajectoryRecord, out, terminal_only: bool = True) -> None:
-    """Export snapshots: header k,t,particle,component_1..d."""
+def write_trajectory_csv(record: TrajectoryRecord, out) -> None:
+    """Export every retained snapshot: header k,t,particle,component_1..d."""
     dimension = record.terminal.shape[1]
-    out.write("# schema_version=1\n")
-    cols = ["k", "t", "particle"] + [f"component_{j + 1}" for j in range(dimension)]
-    out.write(",".join(cols) + "\n")
-    pairs = zip(record.snapshot_indices, record.snapshots)
-    if terminal_only:
-        pairs = [(record.snapshot_indices[-1], record.terminal)]
-    for k, states in pairs:
-        t = record.mesh.node(k)
-        for i in range(states.shape[0]):
-            row = [str(k), repr(float(t)), str(i)] + [repr(float(v)) for v in states[i]]
-            out.write(",".join(row) + "\n")
+    columns = ["k", "t", "particle"] + [f"component_{j + 1}" for j in range(dimension)]
+    rows = (
+        [k, float(record.mesh.node(k)), i, *state]
+        for k, states in zip(record.snapshot_indices, record.snapshots)
+        for i, state in enumerate(states.tolist())
+    )
+    out.write(render_csv({}, columns, rows))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from mvfbm.cli import ConfigError, main, parse_config
+from mvfbm.simulator import _snapshot_plan
 
 DESK_DELTAS = (2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8)
 
@@ -245,6 +246,21 @@ class TestOutputs:
         assert lines[1] == "k,t,particle,component_1"
         assert len(lines) == 2 + 4
         assert "terminal mean" in out
+
+    def test_snapshot_policies_are_rows_of_the_full_export(self, tmp_path, capsys):
+        args = ["--command", "simulate", "--model", "mean-reverting", "--hurst", "0.6",
+                "--particles", "3", "--steps", "130", "--seed", "4", "--outdir", str(tmp_path)]
+        exports = {}
+        for policy in ("full", "thin", "terminal"):
+            assert run_cli(args + ["--snapshots", policy, "--label", policy], capsys)[0] == 0
+            exports[policy] = (tmp_path / policy / "report.csv").read_bytes().splitlines(keepends=True)
+        full = exports["full"]
+        assert full[1] == b"k,t,particle,component_1\n"
+        for policy in ("thin", "terminal"):
+            plan = _snapshot_plan(130, policy)
+            kept = [row for row in full[2:] if int(row.split(b",")[0]) in plan]
+            assert exports[policy] == full[:2] + kept
+        assert {int(row.split(b",")[0]) for row in exports["terminal"][2:]} == {130}
 
     def test_moments_and_chaos_run(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -5,7 +5,6 @@ estimated standard errors; hand-computed covariance values are asserted
 tightly.
 """
 
-import io
 import math
 
 import numpy as np
@@ -17,24 +16,16 @@ from mvfbm.fbm import (
     CirculantEmbeddingError,
     CirculantSampler,
     CholeskySampler,
-    FbmPath,
     HurstParameter,
     UniformMesh,
-    fbm_covariance,
+    block_sums,
     increment_covariance_matrix,
     make_sampler,
-    restrict_to_coarse,
-    write_path_csv,
 )
 from mvfbm.streams import StreamKey
 
 
 class TestHurstParameter:
-    def test_regimes(self):
-        assert HurstParameter(0.3).regime == "rough"
-        assert HurstParameter(0.5).regime == "standard"
-        assert HurstParameter(0.7).regime == "smooth"
-
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -46,8 +37,8 @@ class TestUniformMesh:
         mesh = UniformMesh(2.0, 8)
         assert mesh.delta == 0.25
         assert mesh.node(3) == pytest.approx(0.75)
-        nodes = mesh.nodes()
-        assert len(nodes) == 9
+        nodes = np.array([mesh.node(k) for k in range(mesh.steps + 1)])
+        assert nodes[0] == 0.0
         assert np.all(np.diff(nodes) > 0)
         assert abs(mesh.delta * mesh.steps - mesh.horizon) <= np.finfo(float).eps * mesh.horizon
 
@@ -58,6 +49,16 @@ class TestUniformMesh:
             UniformMesh(-1.0, 4)
         with pytest.raises(ValueError):
             UniformMesh(1.0, 8).coarsen(3)
+
+
+def fbm_covariance(hurst: float, t: float, s: float) -> float:
+    """Covariance R_H(t, s) of fBm values at times t, s >= 0: the oracle of
+    the increment covariance below."""
+    h = HurstParameter.coerce(hurst).value
+    if t < 0.0 or s < 0.0:
+        raise ValueError(f"times must be nonnegative, got ({t}, {s})")
+    two_h = 2.0 * h
+    return 0.5 * (t**two_h + s**two_h - abs(t - s) ** two_h)
 
 
 class TestCovariance:
@@ -99,6 +100,19 @@ class TestIncrementCovarianceMatrix:
         cov = increment_covariance_matrix(0.75, UniformMesh(4.0, 4))
         assert cov[0, 1] == pytest.approx(0.5 * (2**1.5 - 2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.7, 0.95])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 64])
+    def test_entries_are_second_differences_of_r_h(self, hurst, steps):
+        # Cov(B_{t_{i+1}} - B_{t_i}, B_{t_{j+1}} - B_{t_j}) expanded in R_H; the
+        # tolerance is absolute because R_H's cancellation at far lags for
+        # small H leaves errors of order 1e-13 times the variance
+        mesh = UniformMesh(2.0, steps)
+        cov = increment_covariance_matrix(hurst, mesh)
+        t = [mesh.node(k) for k in range(steps + 1)]
+        r = np.array([[fbm_covariance(hurst, a, b) for b in t] for a in t])
+        expected = r[1:, 1:] - r[1:, :-1] - r[:-1, 1:] + r[:-1, :-1]
+        assert np.abs(cov - expected).max() <= 1e-11 * cov[0, 0]
+
     def test_diagonal_and_psd(self):
         for h in (0.2, 0.5, 0.8):
             mesh = UniformMesh(1.0, 32)
@@ -109,9 +123,14 @@ class TestIncrementCovarianceMatrix:
             assert eigenvalues.min() >= -1e-12 * eigenvalues.max()
 
 
-def _path(sampler_cls, hurst: float, mesh: UniformMesh, dimension: int, stream: StreamKey) -> FbmPath:
-    """One path drawn from ``stream`` through sample_ensemble."""
-    return FbmPath(mesh, sampler_cls(hurst, mesh).sample_ensemble(dimension, [stream])[0])
+def _path(sampler_cls, hurst: float, mesh: UniformMesh, dimension: int, stream: StreamKey) -> np.ndarray:
+    """Increments (steps, d) of one path drawn from ``stream`` through sample_ensemble."""
+    return sampler_cls(hurst, mesh).sample_ensemble(dimension, [stream])[0]
+
+
+def _values(increments: np.ndarray) -> np.ndarray:
+    """Path values at the mesh nodes, (steps + 1, d), starting from B_0 = 0."""
+    return np.concatenate([np.zeros((1, increments.shape[1])), np.cumsum(increments, axis=0)])
 
 
 def _increment_ensemble(sampler, paths: int, seed: int = 77) -> np.ndarray:
@@ -153,7 +172,7 @@ class TestSamplers:
         mesh = UniformMesh(1.0, 64)
         a = _path(CirculantSampler, 0.7, mesh, 1, StreamKey(1))
         b = _path(CirculantSampler, 0.7, mesh, 1, StreamKey(2))
-        assert not np.array_equal(a.increments, b.increments)
+        assert not np.array_equal(a, b)
 
     def test_components_independent(self):
         # lag-0 cross-correlation between components should vanish
@@ -259,43 +278,33 @@ class TestCirculantEmbedding:
 
 class TestRestriction:
     def test_factor_one_is_identity(self):
-        path = _path(CirculantSampler, 0.6, UniformMesh(1.0, 16), 1, StreamKey(0))
-        assert restrict_to_coarse(path, 1) is path
+        mesh = UniformMesh(1.0, 16)
+        increments = _path(CirculantSampler, 0.6, mesh, 1, StreamKey(0))
+        assert mesh.coarsen(1) == mesh
+        assert block_sums(increments, 1).tobytes() == increments.tobytes()
 
     def test_block_sums(self):
         mesh = UniformMesh(1.0, 4)
         increments = np.array([[1.0], [2.0], [4.0], [8.0]])
-        coarse = restrict_to_coarse(FbmPath(mesh, increments), 2)
-        assert coarse.mesh.steps == 2
-        assert coarse.mesh.delta == pytest.approx(0.5)
-        assert np.array_equal(coarse.increments, np.array([[3.0], [12.0]]))
+        coarse_mesh = mesh.coarsen(2)
+        assert coarse_mesh.steps == 2
+        assert coarse_mesh.delta == pytest.approx(0.5)
+        assert np.array_equal(block_sums(increments, 2), np.array([[3.0], [12.0]]))
 
     def test_same_continuous_path(self):
-        path = _path(CirculantSampler, 0.8, UniformMesh(1.0, 64), 2, StreamKey(21))
-        coarse = restrict_to_coarse(path, 8)
-        fine_values = path.values()[::8]
-        assert np.allclose(coarse.values(), fine_values, rtol=1e-12, atol=1e-14)
+        increments = _path(CirculantSampler, 0.8, UniformMesh(1.0, 64), 2, StreamKey(21))
+        coarse = block_sums(increments, 8)
+        assert np.allclose(_values(coarse), _values(increments)[::8], rtol=1e-12, atol=1e-14)
 
     def test_terminal_value_preserved(self):
-        path = _path(CholeskySampler, 0.4, UniformMesh(1.0, 32), 1, StreamKey(2))
-        coarse = restrict_to_coarse(path, 4)
-        assert coarse.values()[-1] == pytest.approx(path.values()[-1], rel=1e-12, abs=1e-14)
+        increments = _path(CholeskySampler, 0.4, UniformMesh(1.0, 32), 1, StreamKey(2))
+        coarse = block_sums(increments, 4)
+        assert coarse.sum() == pytest.approx(increments.sum(), rel=1e-12, abs=1e-14)
 
     def test_non_divisor_rejected(self):
-        path = _path(CirculantSampler, 0.6, UniformMesh(1.0, 10), 1, StreamKey(3))
+        mesh = UniformMesh(1.0, 10)
+        increments = _path(CirculantSampler, 0.6, mesh, 1, StreamKey(3))
         with pytest.raises(ValueError):
-            restrict_to_coarse(path, 4)
-
-
-def test_path_csv_dump():
-    path = _path(CirculantSampler, 0.7, UniformMesh(1.0, 4), 2, StreamKey(5))
-    buffer = io.StringIO()
-    write_path_csv(path, buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "# schema_version=1"
-    assert lines[1] == "t,component_1,component_2"
-    assert len(lines) == 2 + 5  # header block + one row per node
-    first = lines[2].split(",")
-    assert float(first[0]) == 0.0 and float(first[1]) == 0.0 and float(first[2]) == 0.0
-    terminal = np.array([float(v) for v in lines[-1].split(",")[1:]])
-    assert np.allclose(terminal, path.values()[-1])
+            mesh.coarsen(4)
+        with pytest.raises(ValueError):
+            block_sums(increments, 4)

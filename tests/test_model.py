@@ -10,7 +10,6 @@ from mvfbm.model import (
     ConstantDiffusion,
     MeasureDiffusion,
     ModelSpec,
-    RegimeTag,
     RegimeViolation,
     StateMeasureDiffusion,
     lipschitz_probe,
@@ -78,33 +77,31 @@ class TestMeanRevertingPreset:
 
 class TestValidate:
     def test_smooth_regime_accepts_measure_diffusion(self):
-        assert validate(preset_mean_deviation(), 0.7) == RegimeTag.SMOOTH_MEASURE
+        assert validate(preset_mean_deviation(), 0.7) is None
 
     def test_rough_regime_with_constant(self):
-        assert validate(preset_mean_reverting(), 0.3) == RegimeTag.ROUGH_CONSTANT
+        assert validate(preset_mean_reverting(), 0.3) is None
 
     def test_rough_regime_rejects_measure_diffusion(self):
         with pytest.raises(RegimeViolation):
             validate(preset_mean_deviation(), 0.3)
 
     def test_standard_regime_accepts_both(self):
-        assert validate(preset_mean_deviation(), 0.5) == RegimeTag.STANDARD_BROWNIAN
-        assert validate(preset_mean_reverting(), 0.5) == RegimeTag.STANDARD_BROWNIAN
+        assert validate(preset_mean_deviation(), 0.5) is None
+        assert validate(preset_mean_reverting(), 0.5) is None
 
     def test_total_over_grid(self):
-        # every combination yields a tag or RegimeViolation, never another error
+        # every combination passes or raises RegimeViolation, never another error,
+        # and only a non-constant diffusion below H = 1/2 is rejected
         models = [preset_mean_deviation(), preset_mean_reverting(), preset_unstable_cubic()]
         for model in models:
             for h in (0.1, 0.3, 0.5, 0.7, 0.9):
                 try:
-                    tag = validate(model, h)
-                    assert tag in (
-                        RegimeTag.ROUGH_CONSTANT,
-                        RegimeTag.SMOOTH_MEASURE,
-                        RegimeTag.STANDARD_BROWNIAN,
-                    )
+                    validate(model, h)
                 except RegimeViolation:
-                    assert h < 0.5
+                    assert h < 0.5 and not isinstance(model.diffusion, ConstantDiffusion)
+                else:
+                    assert h >= 0.5 or isinstance(model.diffusion, ConstantDiffusion)
 
 
 def _zero_drift(states, mu):

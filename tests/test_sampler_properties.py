@@ -1,4 +1,5 @@
-"""Property tests of the exact driver path: coarse restriction and sampling.
+"""Property tests of the exact driver path: coarse restriction, the circulant
+embedding's covariance and sampling.
 
 The examples come from the derandomized profile in conftest.py.
 """
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 
 from mvfbm.fbm import (
     SAMPLERS,
-    FbmPath,
     HurstParameter,
     UniformMesh,
+    _embedding_eigenvalues,
     _fgn_autocovariance,
     block_sums,
+    increment_covariance_matrix,
     make_sampler,
-    restrict_to_coarse,
 )
 from mvfbm.streams import StreamKey
 
@@ -45,14 +46,23 @@ def test_restriction_is_a_left_to_right_block_sum(factor, blocks, seed):
     # magnitudes spread over 16 decades, so any other grouping changes bits
     x = rng.standard_normal((steps, 7)) * 10.0 ** rng.integers(-8, 8, size=(steps, 7))
     expected = _python_block_sums(x, factor)
-    mesh = UniformMesh(1.0, steps)
     for columns in (1, 2, 7):
         part = np.ascontiguousarray(x[:, :columns])
-        got = restrict_to_coarse(FbmPath(mesh, part), factor).increments
+        got = block_sums(part, factor)
         assert got.tobytes() == expected[:, :columns].tobytes()
         # the driver layout of a batch: (steps, rows, d)
         drivers = block_sums(part.reshape(steps, columns, 1), factor)
         assert drivers.tobytes() == expected[:, :columns].tobytes()
+
+
+@given(hurst=hursts, steps=st.integers(1, 600))
+def test_embedding_spectrum_is_the_exact_increment_covariance(hurst, steps):
+    # the circulant's first row, back from its eigenvalues, is the fGn
+    # autocovariance at lags 0..n-1: the sampler's law is exact
+    h, mesh = HurstParameter(hurst), UniformMesh(1.0, steps)
+    first_row = np.fft.irfft(_embedding_eigenvalues(h, mesh), n=2 * steps)[:steps]
+    expected = increment_covariance_matrix(h, mesh)[0]
+    assert np.abs(first_row - expected).max() <= 1e-12 * expected[0]
 
 
 def _classical_increments(hurst, mesh, dimension, streams):

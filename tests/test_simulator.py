@@ -18,8 +18,8 @@ from mvfbm.simulator import (
     NumericalBlowup,
     ParticleEnsemble,
     SimulationConfig,
+    _snapshot_plan,
     em_step,
-    piecewise_constant_lookup,
     run,
     run_coupled_meshes,
     write_trajectory_csv,
@@ -176,7 +176,7 @@ class TestRun:
         assert thin.snapshot_indices[-1] == 200
         assert len(thin.snapshot_indices) <= 66
         terminal = run(config, snapshots="terminal")
-        assert terminal.snapshot_indices == [0, 200]
+        assert terminal.snapshot_indices == [200]
 
     def test_blowup_propagates(self):
         config = SimulationConfig(
@@ -221,42 +221,11 @@ class TestCoupledMeshes:
             run_coupled_meshes(config, [5])
 
 
-class TestPiecewiseConstantLookup:
-    def _record(self):
-        config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 3, 21)
-        return run(config, snapshots="full")
-
-    def test_at_node(self):
-        record = self._record()
-        assert np.array_equal(piecewise_constant_lookup(record, 0.5), record.snapshot_at(2))
-
-    def test_between_nodes_takes_left(self):
-        record = self._record()
-        assert np.array_equal(piecewise_constant_lookup(record, 0.63), record.snapshot_at(2))
-
-    def test_terminal_closure(self):
-        record = self._record()
-        assert np.array_equal(piecewise_constant_lookup(record, 1.0), record.terminal)
-
-    def test_out_of_range(self):
-        record = self._record()
-        with pytest.raises(ValueError):
-            piecewise_constant_lookup(record, 1.5)
-        with pytest.raises(ValueError):
-            piecewise_constant_lookup(record, -0.1)
-
-    def test_thinned_snapshot_missing(self):
-        config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 512), 2, 4)
-        record = run(config, snapshots="terminal")
-        with pytest.raises(KeyError):
-            piecewise_constant_lookup(record, 0.5)
-
-
 def test_trajectory_csv_terminal_only():
     config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 8), 3, 12)
     record = run(config, snapshots="terminal")
     buffer = io.StringIO()
-    write_trajectory_csv(record, buffer, terminal_only=True)
+    write_trajectory_csv(record, buffer)
     lines = buffer.getvalue().splitlines()
     assert lines[0] == "# schema_version=1"
     assert lines[1] == "k,t,particle,component_1"
@@ -268,6 +237,32 @@ def test_trajectory_csv_full():
     config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 2, 12)
     record = run(config, snapshots="full")
     buffer = io.StringIO()
-    write_trajectory_csv(record, buffer, terminal_only=False)
+    write_trajectory_csv(record, buffer)
     lines = buffer.getvalue().splitlines()
     assert len(lines) == 2 + 5 * 2
+
+
+def _planar_drift(states, mu):
+    return mu.mean() - states
+
+
+def test_trajectory_csv_policies_are_rows_of_the_full_export():
+    # d = 2: a kept snapshot writes the same bytes under every policy
+    model = ModelSpec(
+        name="planar", dimension=2, drift=_planar_drift,
+        diffusion=ConstantDiffusion(np.array([[1.0, 0.5], [0.0, 2.0]])),
+        initial=np.array([1.0, -1.0]), lipschitz_constant=2.0,
+    )
+    config = SimulationConfig(model, 0.7, UniformMesh(1.0, 130), 3, 8)
+
+    def export(policy):
+        buffer = io.StringIO()
+        write_trajectory_csv(run(config, snapshots=policy), buffer)
+        return buffer.getvalue().splitlines(keepends=True)
+
+    full = export("full")
+    assert full[1] == "k,t,particle,component_1,component_2\n"
+    for policy in ("terminal", "thin"):
+        plan = _snapshot_plan(130, policy)
+        kept = [row for row in full[2:] if int(row.split(",")[0]) in plan]
+        assert export(policy) == full[:2] + kept
