@@ -1,5 +1,10 @@
+"""``python -m mvfbm``: the command line; importing it runs nothing."""
+
 import sys
 
 from .cli import main
 
-sys.exit(main())
+__all__: list[str] = []
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -50,11 +50,11 @@ __all__ = [
 # larger is a defect and fails hard: clamping it would bias the law.
 _EIGENVALUE_ROUNDOFF = 1e-10
 
-# Paths one Davies-Harte FFT transforms at a time.  Bounds the mode and
-# output work arrays at this many rows of about 2m entries however many
-# paths a call draws; row r's variates do not depend on which rows share
-# its block.
-_FFT_BLOCK_ROWS = 64
+# Bytes of complex modes one Davies-Harte FFT block may hold (63 paths at
+# n = 1024, 15 at n = 4096).  Bounds the mode and output work arrays however
+# many paths a call draws; row r's variates do not depend on which rows
+# share its block.
+_FFT_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,11 @@ def _fgn_autocovariance(hurst: HurstParameter, delta: float, lags: np.ndarray) -
 def increment_covariance_matrix(hurst: "float | HurstParameter", mesh: UniformMesh) -> np.ndarray:
     """Exact covariance of the n mesh increments (symmetric Toeplitz, n x n)."""
     h = HurstParameter.coerce(hurst)
-    gamma = _fgn_autocovariance(h, mesh.delta, np.arange(mesh.steps))
-    idx = np.arange(mesh.steps)
-    return gamma[np.abs(idx[:, None] - idx[None, :])]
+    n = mesh.steps
+    gamma = _fgn_autocovariance(h, mesh.delta, np.arange(n))
+    # window n - 1 - i of gamma[n-1], .., gamma[1], gamma[0], .., gamma[n-1] is row i
+    mirrored = np.concatenate([gamma[::-1], gamma[1:]])
+    return np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
 
 
 class CovarianceFactorizationError(RuntimeError):
@@ -193,8 +195,9 @@ class CirculantSampler:
         Component j of a path draws 2m normals z from its stream's child(j):
         z[0] and z[1] feed the two real Fourier modes (frequencies 0 and m),
         z[2k] and z[2k+1] the real and imaginary parts of mode k, 0 < k < m.
-        ``out`` is as for CholeskySampler.  The FFT runs over blocks of rows,
-        so its work arrays stay small however many paths are drawn.
+        ``out`` is as for CholeskySampler.  The FFT runs over blocks of rows
+        of a fixed byte size, so its work arrays stay small however many
+        paths are drawn.
 
         The normals land in the float view of the m+1 complex modes, where
         only z[1] has to move.  Scaled and conjugated they are the Hermitian
@@ -205,8 +208,9 @@ class CirculantSampler:
         if out is None:
             out = np.empty((len(streams), self.mesh.steps, dimension))
         scale = self._mode_scale()
-        for start in range(0, len(streams), _FFT_BLOCK_ROWS):
-            block = streams[start : start + _FFT_BLOCK_ROWS]
+        rows = max(1, _FFT_BLOCK_BYTES // (16 * (m + 1)))
+        for start in range(0, len(streams), rows):
+            block = streams[start : start + rows]
             modes = np.empty((len(block), m + 1), dtype=complex)
             parts = modes.view(float)  # (rows, 2m + 2): re/im of mode 0, 1, .., m
             for j in range(dimension):

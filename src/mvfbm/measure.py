@@ -48,7 +48,7 @@ class EmpiricalMeasure:
     read-only.  The distances below take single (N, d) measures.
     """
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "_mean")
 
     def __init__(self, atoms: np.ndarray) -> None:
         atoms = np.asarray(atoms, dtype=float)
@@ -57,6 +57,7 @@ class EmpiricalMeasure:
         if atoms.ndim not in (2, 3) or atoms.shape[-2] < 1:
             raise ValueError("atoms must be a nonempty (N, d) or (R, N, d) array")
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "_mean", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("EmpiricalMeasure is immutable")
@@ -73,9 +74,15 @@ class EmpiricalMeasure:
         """Barycenter over the atom axis, shape (1, d) or (R, 1, d).
 
         Reduced in fixed index order, so each measure of a batch gets the
-        same bits as it would alone.
+        same bits as it would alone, and the same bits as ``ndarray.mean``.
+        Computed on the first call; every call returns that one read-only
+        array, so the coefficients of a step share it.
         """
-        return self.atoms.mean(axis=-2, keepdims=True)
+        if self._mean is None:
+            mean = np.add.reduce(self.atoms, axis=-2, keepdims=True) / self.size
+            mean.flags.writeable = False
+            object.__setattr__(self, "_mean", mean)
+        return self._mean
 
 
 def _single(mu: EmpiricalMeasure) -> np.ndarray:

@@ -6,7 +6,8 @@ probe.  Coefficients are vectorized over particles and over independent
 replications: the simulator advances R replications of N particles at
 once and passes an (R, N, d) block of states plus an
 :class:`~mvfbm.measure.EmpiricalMeasure` holding the R frozen empirical
-measures, whose ``mean()`` has shape (R, 1, d).  A drift returns an
+measures, whose ``mean()`` has shape (R, 1, d) and is one read-only array
+that the drift and the diffusion of a step share.  A drift returns an
 (R, N, d) block; written with numpy broadcasting against ``mu.mean()``,
 as the presets are, it works for any R, including the single-ensemble
 (1, N, d) case.  Diffusions come in three kinds:

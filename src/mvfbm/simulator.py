@@ -57,23 +57,32 @@ class NumericalBlowup(RuntimeError):
     """A particle state left the finite range; carries step, replication and particle.
 
     ``particle`` counts within its replication; ``replication`` is the
-    replication index the run was given (0 for a single ensemble).  A batch
-    stops at the first step where any of its replications blows up, so when
-    several would, which one is named can depend on the batch.
+    replication index the run was given (0 for a single ensemble), and
+    ``mesh_steps`` the step count of the mesh it ran on (None from a bare
+    ``em_step``).  A run stops at the first step where any of its
+    replications blows up and names the first non-finite row of that step.
+    A study whose batches blow up names the earliest failure of them all:
+    for convergence the finest mesh first, then the smallest step, then the
+    smallest replication; for chaos the smallest particle-count index
+    first.  So which failure is named does not depend on ``--workers`` or
+    on how replications are batched.
     """
 
-    def __init__(self, step: int, particle: int, model_name: str, replication: int = 0) -> None:
+    def __init__(self, step: int, particle: int, model_name: str, replication: int = 0,
+                 mesh_steps: "int | None" = None) -> None:
         self.step = step
         self.particle = particle
         self.model_name = model_name
         self.replication = replication
+        self.mesh_steps = mesh_steps
         super().__init__(
             f"non-finite state at step {step}, replication {replication}, particle {particle} "
             f"(model {model_name!r}); refine the mesh or check the coefficients"
         )
 
     def __reduce__(self):  # a pool worker's blow-up reaches the caller as itself
-        return type(self), (self.step, self.particle, self.model_name, self.replication)
+        return type(self), (self.step, self.particle, self.model_name, self.replication,
+                            self.mesh_steps)
 
 
 @dataclass(frozen=True)
@@ -240,7 +249,7 @@ def _evolve(config: SimulationConfig, initial: np.ndarray, drivers: np.ndarray,
             ensemble = em_step(ensemble, config.model, mesh.delta, drivers[k])
         except NumericalBlowup as exc:  # name the replication index, not the slot in the batch
             raise NumericalBlowup(
-                exc.step, exc.particle, config.model.name, labels[exc.replication]
+                exc.step, exc.particle, config.model.name, labels[exc.replication], mesh.steps
             ) from None
         if ensemble.step_index in keep:
             indices.append(ensemble.step_index)

@@ -25,7 +25,7 @@ from .fbm import HurstParameter, UniformMesh, increment_covariance_matrix, make_
 from .measure import EmpiricalMeasure, coupled_upper_bound, wasserstein_1d_exact
 from .model import ModelSpec
 from .reports import ChaosReport, ConvergenceReport, CovarianceCheckReport, MomentReport
-from .simulator import SimulationConfig, run, run_coupled_meshes
+from .simulator import NumericalBlowup, SimulationConfig, run, run_coupled_meshes
 from .streams import StreamKey
 
 __all__ = [
@@ -108,11 +108,25 @@ def _batches(replications: int, particles: int, steps: int, dimension: int,
     return [range(lo, min(lo + size, replications)) for lo in range(0, replications, size)]
 
 
-def _convergence_batch(args) -> list[tuple[float, ...]]:
+def _raise_earliest(failures: Sequence[tuple[tuple, NumericalBlowup]]) -> None:
+    """Raise the blow-up with the smallest key, if any batch returned one.
+
+    Batch tasks return their blow-up rather than raise it, so every batch
+    runs and the study names the same failure however replications are
+    batched or spread over workers.
+    """
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+
+
+def _convergence_batch(args) -> "list[tuple[float, ...]] | NumericalBlowup":
     """Per replication of the batch: sum over particles of squared terminal gaps, per factor."""
     model, hurst, fine_mesh, particles, sampler, root, reps, factors = args
     config = SimulationConfig(model, hurst, fine_mesh, particles, root, sampler, replications=reps)
-    records = run_coupled_meshes(config, factors, snapshots="terminal")
+    try:
+        records = run_coupled_meshes(config, factors, snapshots="terminal")
+    except NumericalBlowup as exc:
+        return exc
     reference = records[1].terminal
     sums = []
     for f in factors:
@@ -156,7 +170,13 @@ def strong_error_study(
         (model, hurst, fine_mesh, particles, sampler, root, reps, factors)
         for reps in _batches(replications, particles, fine_mesh.steps, model.dimension, workers)
     ]
-    per_rep = [rep for batch in _map_in_order(_convergence_batch, tasks, workers) for rep in batch]
+    batches = _map_in_order(_convergence_batch, tasks, workers)
+    # meshes run finest first, then each batch stops at its first failing step
+    _raise_earliest([
+        ((-exc.mesh_steps, exc.step, exc.replication), exc)
+        for exc in batches if isinstance(exc, NumericalBlowup)
+    ])
+    per_rep = [rep for batch in batches for rep in batch]
     total = particles * replications
     rms = [math.sqrt(sum(rep_sums[i] for rep_sums in per_rep) / total) for i in range(len(factors))]
     points = tuple(zip(deltas, rms))
@@ -181,13 +201,16 @@ def strong_error_study(
     )
 
 
-def _chaos_batch(args) -> list[float]:
+def _chaos_batch(args) -> "list[float] | NumericalBlowup":
     """Per replication of the batch: distance from its terminal law to a fresh reference subsample."""
     model, hurst, mesh, sampler, root, size_index, reps, count, reference, theta, estimator = args
     config = SimulationConfig(
         model, hurst, mesh, count, root.child(1, size_index), sampler, replications=reps
     )
-    terminal = run(config, snapshots="terminal").terminal
+    try:
+        terminal = run(config, snapshots="terminal").terminal
+    except NumericalBlowup as exc:
+        return exc
     distance = wasserstein_1d_exact if estimator == "1d-exact" else coupled_upper_bound
     out = []
     for rep, states in zip(reps, terminal.reshape(len(reps), count, -1)):
@@ -239,7 +262,12 @@ def chaos_study(
         for a, count in enumerate(counts)
         for reps in _batches(replications, count, mesh.steps, model.dimension, workers)
     ]
-    distances = [d for batch in _map_in_order(_chaos_batch, tasks, workers) for d in batch]
+    batches = _map_in_order(_chaos_batch, tasks, workers)
+    _raise_earliest([
+        ((task[5], exc.step, exc.replication), exc)  # task[5]: the particle-count index
+        for task, exc in zip(tasks, batches) if isinstance(exc, NumericalBlowup)
+    ])
+    distances = [d for batch in batches for d in batch]
     points = []
     for a, count in enumerate(counts):
         block = np.array(distances[a * replications : (a + 1) * replications])
@@ -330,37 +358,48 @@ def covariance_check(
     """Entrywise z-scores of the sampled increment covariance, per lag.
 
     The standard error of each raw second-moment entry follows from the
-    Gaussian product-moment identity Var(xy) = C_xx * C_yy + C_xy^2.
+    Gaussian product-moment identity Var(xy) = C_xx * C_yy + C_xy^2; on the
+    Toeplitz covariance it depends on the lag only.  Besides the sample,
+    the check holds one n x n matrix, the empirical second moments, and
+    works through it one pair of diagonals at a time.
     """
     hurst = HurstParameter.coerce(hurst)
     mesh = UniformMesh(horizon, steps)
     root = StreamKey.coerce(seed)
     started = time.perf_counter()
-    expected = increment_covariance_matrix(hurst, mesh)
+    gamma = increment_covariance_matrix(hurst, mesh)[0].copy()
+    stderr = np.sqrt((gamma[0] * gamma[0] + gamma**2) / paths)
     generator = make_sampler(sampler, hurst, mesh)
     streams = [root.child(p) for p in range(paths)]
     increments = generator.sample_ensemble(1, streams)[:, :, 0]
-    empirical = increments.T @ increments / paths
-    diag = np.diag(expected)
-    stderr = np.sqrt((np.outer(diag, diag) + expected**2) / paths)
-    z = np.abs(empirical - expected) / stderr
-    # Group the flat entries by lag |i - j|; the stable sort keeps each lag's
-    # entries in row-major order, so each mean sums them in that order.
-    index = np.arange(steps)
-    by_lag = np.argsort(np.abs(index[:, None] - index[None, :]).ravel(), kind="stable")
-    empirical_by_lag, z_by_lag = empirical.ravel()[by_lag], z.ravel()[by_lag]
-    counts = np.concatenate([[steps], 2 * (steps - index[1:])])  # n entries at lag 0, 2(n - k) at lag k
-    ends = np.cumsum(counts)
+    empirical = increments.T @ increments
+    del increments
+    empirical /= paths
+    # Lag k's entries (i, i - k) and (i, i + k) in row-major order, row i's
+    # lower entry first.  Rows below k have no lower entry and rows from
+    # n - k on no upper one; the rows in between, if any, hold both.
+    entries = np.empty(2 * steps)
     points = []
-    for lag, (start, end) in enumerate(zip(ends - counts, ends)):
-        points.append(
-            (
-                lag,
-                float(expected[0, lag]),
-                float(empirical_by_lag[start:end].mean()),
-                float(z_by_lag[start:end].max()),
-            )
-        )
+    for lag in range(steps):
+        lower = np.diagonal(empirical, -lag)  # rows lag .. n-1
+        upper = np.diagonal(empirical, lag)  # rows 0 .. n-1-lag
+        if lag == 0:
+            row_major = entries[:steps]
+            row_major[:] = upper
+        else:
+            both = max(0, steps - 2 * lag)  # rows lag .. n-1-lag
+            head = steps - lag - both
+            row_major = entries[: 2 * (steps - lag)]
+            row_major[:head] = upper[:head]
+            pairs = row_major[head : head + 2 * both].reshape(both, 2)
+            pairs[:, 0] = lower[:both]
+            pairs[:, 1] = upper[head:]
+            row_major[head + 2 * both :] = lower[both:]
+        mean = float(row_major.mean())
+        row_major -= gamma[lag]
+        z = np.abs(row_major, out=row_major)
+        z /= stderr[lag]
+        points.append((lag, float(gamma[lag]), mean, float(z.max())))
     return CovarianceCheckReport(
         hurst=hurst.value,
         steps=steps,
@@ -368,6 +407,6 @@ def covariance_check(
         sampler=sampler,
         seed=root.seed,
         points=tuple(points),
-        max_abs_z=float(z.max()),
+        max_abs_z=float(np.max([point[3] for point in points])),
         wall_time=time.perf_counter() - started,
     )

@@ -8,8 +8,7 @@ import pytest
 
 import mvfbm
 
-# __main__ runs the CLI on import, so it is not a library module
-MODULES = sorted(info.name for info in pkgutil.iter_modules(mvfbm.__path__) if info.name != "__main__")
+MODULES = sorted(info.name for info in pkgutil.iter_modules(mvfbm.__path__))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -31,3 +30,8 @@ def test_package_reexports_only_module_exports():
     namespace = {}
     exec("from mvfbm import *", namespace)
     assert public <= namespace.keys()
+
+
+def test_importing_main_module_does_not_run_the_cli():
+    module = importlib.import_module("mvfbm.__main__")
+    assert callable(module.main)

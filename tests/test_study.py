@@ -349,7 +349,8 @@ def _csv_per_variant(monkeypatch, particles, dimension, study_call):
     for name, (replications, fft_rows, workers) in BATCH_VARIANTS.items():
         budget = _batch_budget(replications, particles, dimension)
         monkeypatch.setattr(mvfbm.study, "_BATCH_BYTES", budget)
-        monkeypatch.setattr(mvfbm.fbm, "_FFT_BLOCK_ROWS", fft_rows)
+        # the byte budget of fft_rows rows of the BATCH_STEPS + 1 complex modes
+        monkeypatch.setattr(mvfbm.fbm, "_FFT_BLOCK_BYTES", fft_rows * 16 * (BATCH_STEPS + 1))
         out[name] = study_call(workers).to_csv()
     return out
 
@@ -428,24 +429,27 @@ class TestBatching:
 
     @pytest.mark.parametrize("workers", [1, 2])  # a worker's blow-up must reach the caller
     def test_blowup_in_a_batched_run_names_the_replication(self, monkeypatch, workers):
-        monkeypatch.setattr(mvfbm.study, "_BATCH_BYTES", _batch_budget(4))
         model = ModelSpec(
             name="cubic-spread", dimension=1, drift=_cubic_drift,
             diffusion=ConstantDiffusion(np.array([[0.1]])), initial=_spread_initial,
             lipschitz_constant=1.0,
         )
-        with pytest.raises(NumericalBlowup) as excinfo:
-            strong_error_study(
-                model, 0.7, BATCH_PARTICLES, 12, (2.0**-3, 2.0**-4), 1.0 / BATCH_STEPS, seed=31,
-                workers=workers,
-            )
-        error = excinfo.value
-        # Batches hold replications 0-3, 4-7 and 8-11; the first batch survives,
-        # and replication 5 (the second slot of the second batch) blows up first.
-        assert error.replication == 5
-        assert f"step {error.step}, replication 5, particle {error.particle} " in str(error)
+        replications = 12
+        named = set()
+        for budget in (1, 4, replications):  # replications per batch
+            monkeypatch.setattr(mvfbm.study, "_BATCH_BYTES", _batch_budget(budget))
+            with pytest.raises(NumericalBlowup) as excinfo:
+                strong_error_study(
+                    model, 0.7, BATCH_PARTICLES, replications, (2.0**-3, 2.0**-4),
+                    1.0 / BATCH_STEPS, seed=31, workers=workers,
+                )
+            error = excinfo.value
+            assert error.mesh_steps == BATCH_STEPS  # the reference mesh runs first
+            assert (f"step {error.step}, replication {error.replication}, "
+                    f"particle {error.particle} ") in str(error)
+            named.add((error.step, error.replication, error.particle))
         solo = {}
-        for m in range(4, 8):  # each replication of that batch, run alone
+        for m in range(replications):  # each replication, run alone on the reference mesh
             config = SimulationConfig(
                 model, 0.7, UniformMesh(1.0, BATCH_STEPS), BATCH_PARTICLES, StreamKey(31).child(m)
             )
@@ -455,4 +459,5 @@ class TestBatching:
                 assert alone.replication == 0
                 solo[m] = (alone.step, alone.particle)
         first = min(solo, key=lambda m: (solo[m][0], m))
-        assert (error.replication, error.step, error.particle) == (first, *solo[first])
+        # Every batching and worker count names the earliest (step, replication).
+        assert named == {(solo[first][0], first, solo[first][1])}
