@@ -19,19 +19,16 @@ from .fbm import (
 )
 from .measure import (
     EmpiricalMeasure,
-    WassersteinOrder,
     coupled_upper_bound,
     moment_distance_to_dirac0,
     wasserstein_1d_exact,
 )
 from .model import (
     ConstantDiffusion,
-    LipschitzProbeReport,
     MeasureDiffusion,
     ModelSpec,
     RegimeViolation,
     StateMeasureDiffusion,
-    lipschitz_probe,
     preset_by_name,
     preset_mean_deviation,
     preset_mean_reverting,

@@ -10,34 +10,14 @@ labeled as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "EmpiricalMeasure",
-    "WassersteinOrder",
     "moment_distance_to_dirac0",
     "coupled_upper_bound",
     "wasserstein_1d_exact",
 ]
-
-
-@dataclass(frozen=True)
-class WassersteinOrder:
-    """Transport cost exponent theta >= 2."""
-
-    theta: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.theta < 2.0:
-            raise ValueError(f"Wasserstein order must be >= 2, got {self.theta}")
-
-    @classmethod
-    def coerce(cls, value: "float | WassersteinOrder") -> "WassersteinOrder":
-        if isinstance(value, WassersteinOrder):
-            return value
-        return cls(float(value))
 
 
 class EmpiricalMeasure:
@@ -100,21 +80,27 @@ def _check_aligned(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
         raise ValueError(f"dimensions differ: {mu.dimension} vs {nu.dimension}")
 
 
-def moment_distance_to_dirac0(
-    mu: EmpiricalMeasure, order: "float | WassersteinOrder" = 2.0
-) -> float:
+def _theta(order: float) -> float:
+    """The transport cost exponent theta, which must be >= 2."""
+    theta = float(order)
+    if theta < 2.0:
+        raise ValueError(f"Wasserstein order must be >= 2, got {theta}")
+    return theta
+
+
+def moment_distance_to_dirac0(mu: EmpiricalMeasure, order: float = 2.0) -> float:
     """Exact W_theta distance from mu to the Dirac mass at the origin.
 
     Every transport plan to a point mass is forced, so the distance equals
     the theta-th root of the theta-th moment: ((1/N) sum_j |x_j|^theta)^(1/theta).
     """
-    theta = WassersteinOrder.coerce(order).theta
+    theta = _theta(order)
     norms = np.linalg.norm(_single(mu), axis=1)
     return float(np.mean(norms**theta) ** (1.0 / theta))
 
 
 def coupled_upper_bound(
-    mu: EmpiricalMeasure, nu: EmpiricalMeasure, order: "float | WassersteinOrder" = 2.0
+    mu: EmpiricalMeasure, nu: EmpiricalMeasure, order: float = 2.0
 ) -> float:
     """Upper bound on W_theta(mu, nu) from the identity-index coupling.
 
@@ -122,13 +108,13 @@ def coupled_upper_bound(
     whenever the identity pairing happens to be optimal.
     """
     _check_aligned(mu, nu)
-    theta = WassersteinOrder.coerce(order).theta
+    theta = _theta(order)
     gaps = np.linalg.norm(mu.atoms - nu.atoms, axis=1)
     return float(np.mean(gaps**theta) ** (1.0 / theta))
 
 
 def wasserstein_1d_exact(
-    mu: EmpiricalMeasure, nu: EmpiricalMeasure, order: "float | WassersteinOrder" = 2.0
+    mu: EmpiricalMeasure, nu: EmpiricalMeasure, order: float = 2.0
 ) -> float:
     """Exact W_theta for equally weighted one-dimensional empirical measures.
 
@@ -140,7 +126,7 @@ def wasserstein_1d_exact(
             "exact computation requires d = 1; use coupled_upper_bound in higher dimension"
         )
     _check_aligned(mu, nu)
-    theta = WassersteinOrder.coerce(order).theta
+    theta = _theta(order)
     a = np.sort(mu.atoms[:, 0], kind="stable")
     b = np.sort(nu.atoms[:, 0], kind="stable")
     return float(np.mean(np.abs(a - b) ** theta) ** (1.0 / theta))

@@ -1,23 +1,25 @@
 """Mean-field SDE model specifications and well-posedness validation.
 
-A model couples a drift b(x, mu), a diffusion coefficient, an initial
-condition, and the declared Lipschitz constant used by the diagnostic
-probe.  Coefficients are vectorized over particles and over independent
-replications: the simulator advances R replications of N particles at
-once and passes an (R, N, d) block of states plus an
-:class:`~mvfbm.measure.EmpiricalMeasure` holding the R frozen empirical
-measures, whose ``mean()`` has shape (R, 1, d) and is one read-only array
-that the drift and the diffusion of a step share.  A drift returns an
-(R, N, d) block; written with numpy broadcasting against ``mu.mean()``,
-as the presets are, it works for any R, including the single-ensemble
-(1, N, d) case.  Diffusions come in three kinds:
+A model is what the Euler scheme reads: a drift b(x, mu), a diffusion
+coefficient and an initial condition.  Coefficients are vectorized over
+particles and over independent replications: the simulator advances R
+replications of N particles at once and passes an (R, N, d) block of
+states plus an :class:`~mvfbm.measure.EmpiricalMeasure` holding the R
+frozen empirical measures, whose ``mean()`` has shape (R, 1, d) and is one
+read-only array that the drift and the diffusion of a step share.  A drift
+returns an (R, N, d) block; written with numpy broadcasting against
+``mu.mean()``, as the presets are, it works for any R, including the
+single-ensemble (1, N, d) case.  Diffusions come in three kinds, and each
+``evaluate`` returns sigma in a shape that broadcasts against (R, N, d, d):
 
-* ``ConstantDiffusion`` -- fixed (d, d) matrix (required when H < 1/2);
+* ``ConstantDiffusion`` -- fixed matrix, evaluated as (d, d) (required
+  when H < 1/2);
 * ``MeasureDiffusion``  -- sigma(mu) -> (d, d) or one (d, d) per
-  replication, (R, d, d); the baseline form;
-* ``StateMeasureDiffusion`` -- sigma(states, mu) -> (R, N, d, d) extension
-  for coefficients that read the particle's own state; models using it sit
-  outside the strict well-posedness hypotheses but are runnable.
+  replication, evaluated as (R or 1, 1, d, d); the baseline form;
+* ``StateMeasureDiffusion`` -- sigma(states, mu) -> one (d, d) per
+  particle, evaluated as (R, N, d, d); an extension for coefficients that
+  read the particle's own state, outside the strict well-posedness
+  hypotheses but runnable.
 
 How many replications share one call is an internal memory budget, never
 a model property: a coefficient must treat the replications of a block
@@ -28,15 +30,14 @@ them concurrently and relies on them for bitwise reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Union
 
 import numpy as np
 
 from .fbm import HurstParameter
-from .measure import EmpiricalMeasure, WassersteinOrder, coupled_upper_bound, moment_distance_to_dirac0
-from .streams import StreamKey
+from .measure import EmpiricalMeasure
 
 __all__ = [
     "ConstantDiffusion",
@@ -46,8 +47,6 @@ __all__ = [
     "ModelSpec",
     "RegimeViolation",
     "validate",
-    "LipschitzProbeReport",
-    "lipschitz_probe",
     "preset_mean_deviation",
     "preset_mean_reverting",
     "preset_unstable_cubic",
@@ -80,9 +79,9 @@ class MeasureDiffusion:
     fn: Callable[[EmpiricalMeasure], np.ndarray]
 
     def evaluate(self, states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-        """sigma(mu) as a stack of (d, d) matrices, one per replication or one for all."""
+        """sigma(mu) as (R or 1, 1, d, d): one matrix per replication, or one for all."""
         d = states.shape[-1]
-        return np.asarray(self.fn(mu), dtype=float).reshape(-1, d, d)
+        return np.asarray(self.fn(mu), dtype=float).reshape(-1, 1, d, d)
 
 
 @dataclass(frozen=True)
@@ -107,14 +106,10 @@ class ModelSpec:
     drift: Callable[[np.ndarray, EmpiricalMeasure], np.ndarray]
     diffusion: Diffusion
     initial: "float | np.ndarray | Callable[[np.random.Generator, int], np.ndarray]"
-    lipschitz_constant: float
-    theta: WassersteinOrder = field(default_factory=WassersteinOrder)
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if self.lipschitz_constant <= 0.0:
-            raise ValueError(f"declared Lipschitz constant must be positive, got {self.lipschitz_constant}")
 
     def initial_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Materialize the initial ensemble as an (count, d) array."""
@@ -147,76 +142,6 @@ def validate(model: ModelSpec, hurst: "float | HurstParameter") -> None:
             f"(model {model.name!r} uses {type(model.diffusion).__name__}); "
             "below H=1/2 the solution theory only covers sigma independent of the measure"
         )
-
-
-@dataclass(frozen=True)
-class LipschitzProbeReport:
-    declared: float
-    samples: int
-    max_lipschitz_ratio: float
-    max_drift_growth_ratio: float
-    max_diffusion_growth_ratio: float
-    flagged: bool
-
-
-def lipschitz_probe(
-    model: ModelSpec,
-    samples: int,
-    stream: StreamKey,
-    sample_range: float = 10.0,
-    atoms_per_measure: int = 8,
-) -> LipschitzProbeReport:
-    """Randomized ratio probe of the declared coefficient bounds.
-
-    Draws state/measure pairs uniformly from [-R, R]^d and estimates
-
-        |b(x,mu) - b(y,nu)| / (|x-y| + W_theta(mu,nu))     (index-coupling W)
-        |b(x,mu)|     / (1 + |x| + W_theta(mu, delta_0))
-        |sigma(mu)|_F / (1 + W_theta(mu, delta_0))
-
-    flagging the model when any observed ratio exceeds the declared constant
-    by more than 5%.  For the state-and-measure diffusion extension the
-    growth denominator gains the |x| term, mirroring the drift bound.
-    Diagnostic only: it can refute, never prove.
-    """
-    if samples < 2:
-        raise ValueError(f"need at least 2 probe samples, got {samples}")
-    rng = stream.generator()
-    d = model.dimension
-    theta = model.theta
-    max_lip = 0.0
-    max_growth_b = 0.0
-    max_growth_sigma = 0.0
-    for _ in range(samples):
-        x = rng.uniform(-sample_range, sample_range, size=(1, d))
-        y = rng.uniform(-sample_range, sample_range, size=(1, d))
-        mu = EmpiricalMeasure(rng.uniform(-sample_range, sample_range, size=(atoms_per_measure, d)))
-        nu = EmpiricalMeasure(rng.uniform(-sample_range, sample_range, size=(atoms_per_measure, d)))
-        bx = np.asarray(model.drift(x, mu), dtype=float).reshape(d)
-        by = np.asarray(model.drift(y, nu), dtype=float).reshape(d)
-        gap = float(np.linalg.norm(x - y)) + coupled_upper_bound(mu, nu, theta)
-        if gap > 0.0:
-            max_lip = max(max_lip, float(np.linalg.norm(bx - by)) / gap)
-        w0 = moment_distance_to_dirac0(mu, theta)
-        max_growth_b = max(
-            max_growth_b, float(np.linalg.norm(bx)) / (1.0 + float(np.linalg.norm(x)) + w0)
-        )
-        sigma = model.diffusion.evaluate(x, mu)
-        sigma_denominator = 1.0 + w0
-        if isinstance(model.diffusion, StateMeasureDiffusion):
-            sigma_denominator += float(np.linalg.norm(x))
-        max_growth_sigma = max(
-            max_growth_sigma, float(np.linalg.norm(sigma)) / sigma_denominator
-        )
-    worst = max(max_lip, max_growth_b, max_growth_sigma)
-    return LipschitzProbeReport(
-        declared=model.lipschitz_constant,
-        samples=samples,
-        max_lipschitz_ratio=max_lip,
-        max_drift_growth_ratio=max_growth_b,
-        max_diffusion_growth_ratio=max_growth_sigma,
-        flagged=worst > 1.05 * model.lipschitz_constant,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +188,6 @@ def preset_mean_deviation(initial: float = 1.0, initial_spread: float = 0.0) -> 
         drift=_mean_deviation_drift,
         diffusion=StateMeasureDiffusion(_mean_deviation_sigma),
         initial=start,
-        lipschitz_constant=2.0,
     )
 
 
@@ -278,14 +202,12 @@ def preset_mean_reverting(xi: float = 1.0, rate: float = 1.0, initial: float = 1
     diffusion makes this the workhorse for the rough regime H < 1/2.  With
     rate = 0 the scheme integrates X_0 + xi * B^H_t exactly.
     """
-    lipschitz = max(abs(rate), abs(xi), 1e-9)
     return ModelSpec(
         name="mean-reverting",
         dimension=1,
         drift=partial(_mean_reverting_drift, rate=rate),
         diffusion=ConstantDiffusion(np.array([[xi]])),
         initial=initial,
-        lipschitz_constant=lipschitz,
     )
 
 
@@ -296,8 +218,7 @@ def _cubic_drift(states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
 def preset_unstable_cubic(initial: float = 1.0) -> ModelSpec:
     """Superlinear-drift fixture that blows up under explicit stepping.
 
-    Exists to exercise the numerical-failure path; the declared constant is
-    nominal and the probe flags it on any wide sampling range.
+    Exists to exercise the numerical-failure path.
     """
     return ModelSpec(
         name="unstable-cubic",
@@ -305,7 +226,6 @@ def preset_unstable_cubic(initial: float = 1.0) -> ModelSpec:
         drift=_cubic_drift,
         diffusion=ConstantDiffusion(np.array([[0.1]])),
         initial=initial,
-        lipschitz_constant=1.0,
     )
 
 

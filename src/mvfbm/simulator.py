@@ -170,8 +170,9 @@ def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: float,
 
     Row i of ``increments`` is the driver increment of the particle in row i
     of ``ensemble.states``.  The coefficients see the (R, N, d) view and the
-    batch of R measures; the noise product runs per replication, so each
-    replication gets the bits it would get alone.
+    batch of R measures.  sigma broadcasts against (R, N, d, d), so every
+    diffusion kind goes through one noise product, computed per particle:
+    each replication gets the bits it would get alone.
     """
     states = ensemble.states
     if increments.shape != states.shape:
@@ -180,14 +181,9 @@ def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: float,
     mu = EmpiricalMeasure(blocks)
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up surfaces as an error below
         drift = np.asarray(model.drift(blocks, mu), dtype=float).reshape(states.shape)
-        # (d, d); (R or 1, d, d) per replication; or (R, N, d, d) per particle
         sigma = model.diffusion.evaluate(blocks, mu)
-        if sigma.ndim == 4:
-            d = ensemble.dimension
-            noise = np.einsum("nij,nj->ni", sigma.reshape(-1, d, d), increments)
-        else:
-            noise = (increments.reshape(blocks.shape) @ np.swapaxes(sigma, -1, -2)).reshape(states.shape)
-        new_states = states + delta * drift + noise
+        noise = np.einsum("...ij,...j->...i", sigma, increments.reshape(blocks.shape))
+        new_states = states + delta * drift + noise.reshape(states.shape)
     if not np.all(np.isfinite(new_states)):
         bad = int(np.argwhere(~np.isfinite(new_states))[0, 0])
         replication, particle = divmod(bad, ensemble.size)

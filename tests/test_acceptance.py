@@ -66,7 +66,6 @@ def _measure_noise_model() -> ModelSpec:
         drift=preset_mean_deviation().drift,
         diffusion=MeasureDiffusion(_mean_shifted_sigma),
         initial=1.0,
-        lipschitz_constant=2.0,
     )
 
 

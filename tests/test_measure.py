@@ -8,7 +8,6 @@ import pytest
 
 from mvfbm.measure import (
     EmpiricalMeasure,
-    WassersteinOrder,
     coupled_upper_bound,
     moment_distance_to_dirac0,
     wasserstein_1d_exact,
@@ -25,8 +24,14 @@ def brute_force_w1d(a: np.ndarray, b: np.ndarray, theta: float) -> float:
 
 
 def test_order_requires_two():
+    mu = EmpiricalMeasure(np.array([1.0, 2.0, 3.0]))
+    nu = EmpiricalMeasure(np.array([0.0, 2.0, 4.0]))
     with pytest.raises(ValueError):
-        WassersteinOrder(1.5)
+        moment_distance_to_dirac0(mu, 1.5)
+    with pytest.raises(ValueError):
+        coupled_upper_bound(mu, nu, 1.5)
+    with pytest.raises(ValueError):
+        wasserstein_1d_exact(mu, nu, 1.5)
 
 
 def test_atoms_shape_normalized():

@@ -1,4 +1,4 @@
-"""Preset coefficient oracles, regime validation, and the Lipschitz probe."""
+"""Preset coefficient oracles, regime validation, and the diffusion shape contract."""
 
 import pickle
 
@@ -12,7 +12,6 @@ from mvfbm.model import (
     ModelSpec,
     RegimeViolation,
     StateMeasureDiffusion,
-    lipschitz_probe,
     preset_by_name,
     preset_mean_deviation,
     preset_mean_reverting,
@@ -108,62 +107,34 @@ def _zero_drift(states, mu):
     return np.zeros_like(states)
 
 
-class TestLipschitzProbe:
-    def test_zero_drift_zero_ratio(self):
-        model = ModelSpec(
-            name="null",
-            dimension=1,
-            drift=_zero_drift,
-            diffusion=ConstantDiffusion(np.array([[0.0]])),
-            initial=0.0,
-            lipschitz_constant=1.0,
-        )
-        report = lipschitz_probe(model, 50, StreamKey(3))
-        assert report.max_lipschitz_ratio == 0.0
-        assert not report.flagged
-
-    def test_linear_preset_never_flagged(self):
-        report = lipschitz_probe(preset_mean_deviation(), 300, StreamKey(17))
-        assert report.max_lipschitz_ratio <= 2.0 + 1e-9
-        assert not report.flagged
-
-    def test_quadratic_drift_flagged(self):
-        model = ModelSpec(
-            name="quadratic",
-            dimension=1,
-            drift=lambda states, mu: states**2,
-            diffusion=ConstantDiffusion(np.array([[1.0]])),
-            initial=0.0,
-            lipschitz_constant=2.0,
-        )
-        report = lipschitz_probe(model, 300, StreamKey(23))
-        assert report.flagged
-
-    def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
-            lipschitz_probe(preset_mean_deviation(), 1, StreamKey(0))
-
-
-def _measure_only_sigma(mu):
-    return mu.mean().reshape(-1, 1, 1)  # one 1 x 1 sigma per measure of the batch
-
-
-def _state_wrapped_sigma(states, mu):
-    return np.broadcast_to(_measure_only_sigma(mu)[:, None], states.shape + (1,))
-
-
 def test_state_measure_reduces_to_measure_only():
-    """Ignoring the state argument reproduces the measure-only diffusion."""
+    """One sigma steps to the same bytes whichever diffusion kind declares it."""
     from mvfbm.simulator import ParticleEnsemble, em_step
 
-    states = np.array([[0.5], [1.5], [-1.0]])
-    increments = np.array([[0.2], [-0.3], [0.1]])
-    base = dict(dimension=1, drift=_zero_drift, initial=0.0, lipschitz_constant=1.0)
-    measure_model = ModelSpec(name="m", diffusion=MeasureDiffusion(_measure_only_sigma), **base)
-    wrapped_model = ModelSpec(name="w", diffusion=StateMeasureDiffusion(_state_wrapped_sigma), **base)
-    out_measure = em_step(ParticleEnsemble(states, 0), measure_model, 0.1, increments)
-    out_wrapped = em_step(ParticleEnsemble(states, 0), wrapped_model, 0.1, increments)
-    assert np.allclose(out_measure.states, out_wrapped.states, rtol=1e-15)
+    rng = np.random.default_rng(5)
+    particles = 4
+    for d in (1, 2, 3):
+        matrix = rng.standard_normal((d, d))
+        kinds = {
+            "constant": ConstantDiffusion(matrix),
+            "measure": MeasureDiffusion(lambda mu, a=matrix: a),
+            "state": StateMeasureDiffusion(
+                lambda states, mu, a=matrix: np.broadcast_to(a, states.shape + (a.shape[0],))
+            ),
+        }
+        for replications in (1, 3):
+            states = rng.standard_normal((replications * particles, d))
+            increments = rng.standard_normal((replications * particles, d))
+            stepped = {
+                kind: em_step(
+                    ParticleEnsemble(states, 0, replications),
+                    ModelSpec(kind, d, _zero_drift, diffusion, 0.0),
+                    0.1,
+                    increments,
+                ).states.tobytes()
+                for kind, diffusion in kinds.items()
+            }
+            assert len(set(stepped.values())) == 1, (d, replications)
 
 
 def test_presets_picklable():
@@ -192,7 +163,6 @@ def test_initial_sampler_shape_checked():
         drift=_zero_drift,
         diffusion=ConstantDiffusion(np.eye(2)),
         initial=lambda rng, count: rng.normal(size=(count, 1)),
-        lipschitz_constant=1.0,
     )
     with pytest.raises(ValueError, match="initial sampler"):
         model.initial_states(4, StreamKey(1).generator())

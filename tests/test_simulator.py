@@ -38,7 +38,6 @@ def _null_model(dimension=1):
         drift=_zero_drift,
         diffusion=ConstantDiffusion(np.zeros((dimension, dimension))),
         initial=np.zeros(dimension),
-        lipschitz_constant=1.0,
     )
 
 
@@ -80,7 +79,6 @@ class TestEmStep:
             drift=recording_drift,
             diffusion=ConstantDiffusion(np.array([[1.0]])),
             initial=0.0,
-            lipschitz_constant=1.0,
         )
         states = np.array([[0.0], [4.0]])
         em_step(ParticleEnsemble(states, 0), model, 0.1, np.array([[1.0], [1.0]]))
@@ -104,7 +102,6 @@ class TestEmStep:
             drift=lambda s, mu: s * 1e10,
             diffusion=ConstantDiffusion(np.array([[0.0]])),
             initial=0.0,
-            lipschitz_constant=1.0,
         )
         with pytest.raises(NumericalBlowup) as excinfo:
             em_step(ParticleEnsemble(states, 6), model, 1e12, np.zeros((2, 1)))
@@ -251,7 +248,7 @@ def test_trajectory_csv_policies_are_rows_of_the_full_export():
     model = ModelSpec(
         name="planar", dimension=2, drift=_planar_drift,
         diffusion=ConstantDiffusion(np.array([[1.0, 0.5], [0.0, 2.0]])),
-        initial=np.array([1.0, -1.0]), lipschitz_constant=2.0,
+        initial=np.array([1.0, -1.0]),
     )
     config = SimulationConfig(model, 0.7, UniformMesh(1.0, 130), 3, 8)
 

@@ -114,6 +114,29 @@ class TestStrongErrorStudy:
         again = strong_error_study(model, 0.7, workers=1, **kwargs)
         assert serial.to_csv() == again.to_csv()
 
+    def test_pool_no_larger_than_its_batches(self, monkeypatch):
+        seen = []
+
+        class SerialPool:  # records the pool size, maps in this process
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, task, args):
+                return map(task, args)
+
+        monkeypatch.setattr(mvfbm.study, "ProcessPoolExecutor", SerialPool)
+        strong_error_study(
+            preset_mean_deviation(initial_spread=0.5), 0.7, particles=4, replications=2,
+            deltas=DELTAS, reference_delta=REFERENCE, seed=3, workers=64,
+        )
+        assert all(size <= 2 for size in seen)
+
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError, match="integer multiple"):
             strong_error_study(
@@ -208,7 +231,6 @@ class TestChaosStudy:
             drift=lambda s, mu: np.zeros_like(s),
             diffusion=model_mod.ConstantDiffusion(np.eye(2)),
             initial=np.zeros(2),
-            lipschitz_constant=1.0,
         )
         with pytest.raises(ValueError, match="1d-exact"):
             chaos_study(two_d, 0.5, self.MESH, [4, 8], 2, 2.0, 0)
@@ -230,17 +252,17 @@ class TestMomentBoundCheck:
     def test_frozen_model_ratio_exactly_one(self):
         import mvfbm.model as model_mod
 
-        frozen = model_mod.ModelSpec(
-            name="frozen",
-            dimension=1,
-            drift=lambda s, mu: np.zeros_like(s),
-            diffusion=model_mod.ConstantDiffusion(np.array([[0.0]])),
-            initial=1.5,
-            lipschitz_constant=1.0,
-        )
-        report = moment_bound_check(frozen, 0.5, DELTAS, particles=16, order=2.0, seed=2)
-        assert all(r == pytest.approx(1.0, abs=1e-15) for r in report.ratios)
-        assert report.passed
+        for initial in (1.5, 0.0):  # at the origin every max moment is 0: 0 -> 0 is ratio 1
+            frozen = model_mod.ModelSpec(
+                name="frozen",
+                dimension=1,
+                drift=lambda s, mu: np.zeros_like(s),
+                diffusion=model_mod.ConstantDiffusion(np.array([[0.0]])),
+                initial=initial,
+            )
+            report = moment_bound_check(frozen, 0.5, DELTAS, particles=16, order=2.0, seed=2)
+            assert all(r == pytest.approx(1.0, abs=1e-15) for r in report.ratios)
+            assert report.passed
 
     def test_interacting_model_ratios_bounded(self):
         report = moment_bound_check(
@@ -301,7 +323,7 @@ def _mean_scaled_sigma(mu):
 def _measure_noise_model():
     return ModelSpec(
         name="measure-noise", dimension=1, drift=_reverting_drift,
-        diffusion=MeasureDiffusion(_mean_scaled_sigma), initial=1.0, lipschitz_constant=1.0,
+        diffusion=MeasureDiffusion(_mean_scaled_sigma), initial=1.0,
     )
 
 
@@ -309,7 +331,7 @@ def _planar_model():
     return ModelSpec(
         name="planar", dimension=2, drift=_reverting_drift,
         diffusion=ConstantDiffusion(np.array([[1.0, 0.3], [-0.2, 0.7]])),
-        initial=partial(_spread_initial, dimension=2), lipschitz_constant=1.5,
+        initial=partial(_spread_initial, dimension=2),
     )
 
 
@@ -432,7 +454,6 @@ class TestBatching:
         model = ModelSpec(
             name="cubic-spread", dimension=1, drift=_cubic_drift,
             diffusion=ConstantDiffusion(np.array([[0.1]])), initial=_spread_initial,
-            lipschitz_constant=1.0,
         )
         replications = 12
         named = set()
