@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
@@ -137,9 +138,15 @@ _PROFILE_SETTINGS = {
 
 
 def _number(text: str) -> float:
-    """A float, or ``base^exponent`` such as ``2^-10``."""
+    """A finite real float, or ``base^exponent`` such as ``2^-10``."""
     base, caret, exponent = text.strip().partition("^")
-    return float(base) ** float(exponent) if caret else float(base)
+    try:
+        value = float(base) ** float(exponent) if caret else float(base)
+    except ArithmeticError:  # 0^-1, 10^400
+        value = math.nan
+    if not isinstance(value, float) or not math.isfinite(value):  # -4^0.5 is complex
+        raise ValueError("not a finite real number")
+    return value
 
 
 def _numbers(text: str) -> tuple[float, ...]:

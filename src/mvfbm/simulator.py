@@ -62,10 +62,9 @@ class NumericalBlowup(RuntimeError):
     ``em_step``).  A run stops at the first step where any of its
     replications blows up and names the first non-finite row of that step.
     A study whose batches blow up names the earliest failure of them all:
-    for convergence the finest mesh first, then the smallest step, then the
-    smallest replication; for chaos the smallest particle-count index
-    first.  So which failure is named does not depend on ``--workers`` or
-    on how replications are batched.
+    the finest mesh first, then the smallest particle count, step and
+    replication.  So which failure is named does not depend on
+    ``--workers`` or on how replications are batched.
     """
 
     def __init__(self, step: int, particle: int, model_name: str, replication: int = 0,
@@ -269,22 +268,19 @@ def run_coupled_meshes(
     """Run the scheme on nested meshes sharing one set of fine drivers.
 
     ``config.mesh`` is the finest mesh; each factor must divide its step
-    count.  Factor 1 (the reference run) is always included.  All runs share
-    the initial ensemble and the same continuous drivers, restricted to each
-    coarse mesh, so terminal differences measure pure discretization error.
+    count.  Factor 1 (the reference run) is always included and runs first.
+    All runs share the initial ensemble and the same continuous drivers,
+    restricted to each coarse mesh, so terminal differences measure pure
+    discretization error.
     """
-    factors = sorted(set(int(f) for f in factors) | {1})
-    for f in factors:
-        if f < 1 or config.mesh.steps % f != 0:
-            raise ValueError(f"factor {f} does not divide {config.mesh.steps} fine steps")
+    meshes = {f: config.mesh.coarsen(f) for f in sorted(set(int(f) for f in factors) | {1})}
     initial = _initial_states(config)
     fine_drivers = _drivers(config)  # (steps, R*N, d)
-    results: dict[int, TrajectoryRecord] = {}
-    for f in factors:
-        drivers = fine_drivers if f == 1 else block_sums(fine_drivers, f)
-        coarse = replace(config, mesh=config.mesh.coarsen(f))
-        results[f] = _evolve(coarse, initial, drivers, snapshots)
-    return results
+    return {
+        f: _evolve(replace(config, mesh=mesh), initial,
+                   fine_drivers if f == 1 else block_sums(fine_drivers, f), snapshots)
+        for f, mesh in meshes.items()
+    }
 
 
 def write_trajectory_csv(record: TrajectoryRecord, out) -> None:

@@ -1,8 +1,10 @@
 """Experiment harness: convergence, chaos, moment, and sampler studies.
 
-Replications run in batches: one simulator run advances every replication
-of a batch together.  Batches fan out over processes when ``workers > 1``
-and results are always aggregated in replication order, so a report is a
+Replications run in batches, and a batch is a ``SimulationConfig`` whose
+``replications`` range names its replications: one simulator run advances
+all of them together.  Batches fan out over processes when ``workers > 1``;
+a batch returns only its terminal states, or its blow-up, and the study
+reduces them in the main process in replication order.  So a report is a
 pure function of its seed and parameters, independent of batch size,
 worker count or scheduling.
 
@@ -17,7 +19,9 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence
+from dataclasses import replace
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -77,64 +81,69 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
     return slope, stderr
 
 
-def _factor_for(delta: float, reference_delta: float) -> int:
-    factor = int(round(delta / reference_delta))
-    if factor < 1 or not math.isclose(factor * reference_delta, delta, rel_tol=1e-12):
-        raise ValueError(
-            f"delta {delta} is not an integer multiple of reference delta {reference_delta}"
-        )
-    return factor
+def _ladder(deltas: Sequence[float], fine_delta: float,
+            horizon: float) -> tuple[list[float], UniformMesh, list[int]]:
+    """The deltas coarse to fine, the fine mesh, and each delta's factor on it."""
+    steps = int(round(horizon / fine_delta))
+    if steps < 1 or not math.isclose(steps * fine_delta, horizon, rel_tol=1e-12):
+        raise ValueError(f"delta {fine_delta} does not divide the horizon {horizon}")
+    deltas = sorted((float(d) for d in deltas), reverse=True)
+    factors = [int(round(d / fine_delta)) for d in deltas]
+    for delta, factor in zip(deltas, factors):
+        if (factor < 1 or steps % factor
+                or not math.isclose(factor * fine_delta, delta, rel_tol=1e-12)):
+            raise ValueError(
+                f"delta {delta} is not an integer multiple of reference delta {fine_delta} "
+                f"that divides the horizon {horizon}"
+            )
+    return deltas, UniformMesh(horizon, steps), factors
 
 
-def _steps_for(horizon: float, delta: float) -> int:
-    steps = int(round(horizon / delta))
-    if steps < 1 or not math.isclose(steps * delta, horizon, rel_tol=1e-12):
-        raise ValueError(f"delta {delta} does not divide the horizon {horizon}")
-    return steps
-
-
-def _map_in_order(task: Callable, args: Sequence, workers: int) -> list:
-    # a forked pool starts all of its workers at once: start no more than there are tasks
-    workers = min(workers, len(args))
-    if workers <= 1:
-        return [task(a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, args))  # input order == output order
-
-
-def _batches(replications: int, particles: int, steps: int, dimension: int,
-             workers: int) -> list[range]:
-    """Consecutive replication ranges within the driver budget, at least one per worker."""
-    fit = _BATCH_BYTES // (particles * steps * dimension * 8)
+def _batches(config: SimulationConfig, replications: int, workers: int) -> list[SimulationConfig]:
+    """The config once per batch of consecutive replications: each batch's
+    drivers fit the byte budget, and there is at least one batch per worker."""
+    fit = _BATCH_BYTES // (config.particles * config.mesh.steps * config.model.dimension * 8)
     size = max(1, min(fit, -(-replications // workers)))
-    return [range(lo, min(lo + size, replications)) for lo in range(0, replications, size)]
+    return [
+        replace(config, replications=range(lo, min(lo + size, replications)))
+        for lo in range(0, replications, size)
+    ]
 
 
-def _raise_earliest(failures: Sequence[tuple[tuple, NumericalBlowup]]) -> None:
-    """Raise the blow-up with the smallest key, if any batch returned one.
-
-    Batch tasks return their blow-up rather than raise it, so every batch
-    runs and the study names the same failure however replications are
-    batched or spread over workers.
-    """
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-
-
-def _convergence_batch(args) -> "list[tuple[float, ...]] | NumericalBlowup":
-    """Per replication of the batch: sum over particles of squared terminal gaps, per factor."""
-    model, hurst, fine_mesh, particles, sampler, root, reps, factors = args
-    config = SimulationConfig(model, hurst, fine_mesh, particles, root, sampler, replications=reps)
+def _batch_terminals(factors: Sequence[int],
+                     config: SimulationConfig) -> "list[np.ndarray] | NumericalBlowup":
+    """The batch's terminal states on each factor's mesh, or its blow-up."""
     try:
         records = run_coupled_meshes(config, factors, snapshots="terminal")
     except NumericalBlowup as exc:
         return exc
-    reference = records[1].terminal
-    sums = []
-    for f in factors:
-        gaps = np.linalg.norm(records[f].terminal - reference, axis=1)
-        sums.append([float(g @ g) for g in gaps.reshape(len(reps), particles)])
-    return list(zip(*sums))
+    return [records[f].terminal for f in factors]
+
+
+def _run_batches(configs: Sequence[SimulationConfig], factors: Sequence[int],
+                 workers: int) -> list[list[np.ndarray]]:
+    """The terminal states of each batch per factor, in batch order.
+
+    Batch tasks return their blow-up rather than raise it, so every batch
+    runs and the study names the same failure however replications are
+    batched or spread over workers: the finest mesh first, then the smallest
+    particle count, step and replication.
+    """
+    task = partial(_batch_terminals, tuple(factors))
+    # a forked pool starts all of its workers at once: start no more than there are batches
+    workers = min(workers, len(configs))
+    if workers <= 1:
+        results = [task(config) for config in configs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, configs))  # input order == output order
+    failures = [
+        ((-exc.mesh_steps, config.particles, exc.step, exc.replication), exc)
+        for config, exc in zip(configs, results) if isinstance(exc, NumericalBlowup)
+    ]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 def strong_error_study(
@@ -159,28 +168,23 @@ def strong_error_study(
     """
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
-    hurst = HurstParameter.coerce(hurst)
-    deltas = sorted((float(d) for d in deltas), reverse=True)
-    factors = [_factor_for(d, reference_delta) for d in deltas]
-    fine_mesh = UniformMesh(horizon, _steps_for(horizon, reference_delta))
-    for f in factors:
-        if fine_mesh.steps % f != 0:
-            raise ValueError(f"factor {f} does not divide {fine_mesh.steps} reference steps")
+    deltas, fine_mesh, factors = _ladder(deltas, reference_delta, horizon)
+    if 1 in factors:
+        raise ValueError(f"delta {reference_delta} is the reference delta: its error is 0")
+    if len(set(factors)) < 2:
+        raise ValueError(f"a slope needs at least two distinct deltas, got {deltas}")
     root = StreamKey.coerce(seed)
+    config = SimulationConfig(model, hurst, fine_mesh, particles, root, sampler)
     started = time.perf_counter()
-    tasks = [
-        (model, hurst, fine_mesh, particles, sampler, root, reps, factors)
-        for reps in _batches(replications, particles, fine_mesh.steps, model.dimension, workers)
-    ]
-    batches = _map_in_order(_convergence_batch, tasks, workers)
-    # meshes run finest first, then each batch stops at its first failing step
-    _raise_earliest([
-        ((-exc.mesh_steps, exc.step, exc.replication), exc)
-        for exc in batches if isinstance(exc, NumericalBlowup)
-    ])
-    per_rep = [rep for batch in batches for rep in batch]
+    batches = _batches(config, replications, workers)
+    # per factor, per replication in order: the sum over particles of squared terminal gaps
+    sums: list[list[float]] = [[] for _ in factors]
+    for reference, *coarse in _run_batches(batches, [1, *factors], workers):
+        for per_rep, terminal in zip(sums, coarse):
+            gaps = np.linalg.norm(terminal - reference, axis=1)
+            per_rep.extend(float(g @ g) for g in gaps.reshape(-1, particles))
     total = particles * replications
-    rms = [math.sqrt(sum(rep_sums[i] for rep_sums in per_rep) / total) for i in range(len(factors))]
+    rms = [math.sqrt(sum(per_rep) / total) for per_rep in sums]
     points = tuple(zip(deltas, rms))
     exact = all(e <= EXACT_SCHEME_ATOL for e in rms)
     slope = stderr = None
@@ -188,7 +192,7 @@ def strong_error_study(
         slope, stderr = fit_loglog_slope(points)
     return ConvergenceReport(
         model=model.name,
-        hurst=hurst.value,
+        hurst=config.hurst.value,
         horizon=horizon,
         particles=particles,
         replications=replications,
@@ -203,26 +207,6 @@ def strong_error_study(
     )
 
 
-def _chaos_batch(args) -> "list[float] | NumericalBlowup":
-    """Per replication of the batch: distance from its terminal law to a fresh reference subsample."""
-    model, hurst, mesh, sampler, root, size_index, reps, count, reference, theta, estimator = args
-    config = SimulationConfig(
-        model, hurst, mesh, count, root.child(1, size_index), sampler, replications=reps
-    )
-    try:
-        terminal = run(config, snapshots="terminal").terminal
-    except NumericalBlowup as exc:
-        return exc
-    distance = wasserstein_1d_exact if estimator == "1d-exact" else coupled_upper_bound
-    out = []
-    for rep, states in zip(reps, terminal.reshape(len(reps), count, -1)):
-        pick = root.child(2, size_index, rep).generator().choice(
-            reference.shape[0], size=count, replace=False
-        )
-        out.append(distance(EmpiricalMeasure(states), EmpiricalMeasure(reference[pick]), theta))
-    return out
-
-
 def chaos_study(
     model: ModelSpec,
     hurst: "float | HurstParameter",
@@ -232,47 +216,52 @@ def chaos_study(
     theta: float,
     seed: int,
     sampler: str = "circulant",
-    estimator: str = "1d-exact",
     workers: int = 1,
 ) -> ChaosReport:
     """Distance of terminal empirical laws to a large-ensemble reference.
 
     The mean-field law is proxied by one independent run with
     4 * max(particle_counts) particles; each run at count N is compared to a
-    fresh same-size subsample of the reference via the exact 1-d distance
-    (or the coupling bound when requested).  The verdict is whether the mean
+    fresh same-size subsample of the reference.  The distance follows from
+    the dimension: the exact W_theta by sorted matching in d = 1, the
+    identity-coupling upper bound in d > 1.  The verdict is whether the mean
     distances are non-increasing within one combined standard error at each
     consecutive pair.
     """
     counts = [int(n) for n in particle_counts]
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError(f"particle counts must be strictly increasing, got {counts}")
-    if estimator not in ("1d-exact", "coupling-bound"):
-        raise ValueError(f"unknown estimator {estimator!r}")
-    if estimator == "1d-exact" and model.dimension != 1:
-        raise ValueError("the 1d-exact estimator requires a one-dimensional model")
-    hurst = HurstParameter.coerce(hurst)
+    if theta < 2.0:
+        raise ValueError(f"transport order theta must be >= 2, got {theta}")
     root = StreamKey.coerce(seed)
-    started = time.perf_counter()
     reference_count = 4 * max(counts)
-    reference_config = SimulationConfig(
-        model, hurst, mesh, reference_count, root.child(0, 0), sampler
-    )
-    reference = run(reference_config, snapshots="terminal").terminal
-    tasks = [
-        (model, hurst, mesh, sampler, root, a, reps, count, reference, theta, estimator)
+    template = SimulationConfig(model, hurst, mesh, reference_count, root.child(0, 0), sampler)
+    if model.dimension == 1:
+        estimator, distance = "1d-exact", wasserstein_1d_exact
+    else:
+        estimator, distance = "coupling-bound", coupled_upper_bound
+    started = time.perf_counter()
+    reference = run(template, snapshots="terminal").terminal
+    batches = [
+        batch
         for a, count in enumerate(counts)
-        for reps in _batches(replications, count, mesh.steps, model.dimension, workers)
+        for batch in _batches(replace(template, particles=count, seed=root.child(1, a)),
+                              replications, workers)
     ]
-    batches = _map_in_order(_chaos_batch, tasks, workers)
-    _raise_earliest([
-        ((task[5], exc.step, exc.replication), exc)  # task[5]: the particle-count index
-        for task, exc in zip(tasks, batches) if isinstance(exc, NumericalBlowup)
-    ])
-    distances = [d for batch in batches for d in batch]
+    distances: dict[int, list[float]] = {count: [] for count in counts}
+    for batch, (terminal,) in zip(batches, _run_batches(batches, [1], workers)):
+        a, count = counts.index(batch.particles), batch.particles
+        blocks = terminal.reshape(len(batch.replications), count, -1)
+        for rep, states in zip(batch.replications, blocks):
+            pick = root.child(2, a, rep).generator().choice(
+                reference_count, size=count, replace=False
+            )
+            distances[count].append(
+                distance(EmpiricalMeasure(states), EmpiricalMeasure(reference[pick]), theta)
+            )
     points = []
-    for a, count in enumerate(counts):
-        block = np.array(distances[a * replications : (a + 1) * replications])
+    for count, values in distances.items():
+        block = np.array(values)
         stderr = float(block.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
         points.append((count, float(block.mean()), stderr))
     non_increasing = all(
@@ -281,7 +270,7 @@ def chaos_study(
     )
     return ChaosReport(
         model=model.name,
-        hurst=hurst.value,
+        hurst=template.hurst.value,
         horizon=mesh.horizon,
         steps=mesh.steps,
         replications=replications,
@@ -314,10 +303,7 @@ def moment_bound_check(
     if order < 2.0:
         raise ValueError(f"moment order must be >= 2, got {order}")
     hurst = HurstParameter.coerce(hurst)
-    ladder = sorted((float(d) for d in deltas), reverse=True)  # coarse -> fine
-    fine_delta = ladder[-1]
-    fine_mesh = UniformMesh(horizon, _steps_for(horizon, fine_delta))
-    factors = [_factor_for(d, fine_delta) for d in ladder]
+    ladder, fine_mesh, factors = _ladder(deltas, min(deltas), horizon)
     root = StreamKey.coerce(seed)
     started = time.perf_counter()
     config = SimulationConfig(model, hurst, fine_mesh, particles, root.child(0), sampler)
@@ -329,8 +315,7 @@ def moment_bound_check(
             float(np.mean(np.linalg.norm(states, axis=1) ** order))
             for states in record.snapshots
         ]
-        terminal = float(np.mean(np.linalg.norm(record.terminal, axis=1) ** order))
-        points.append((delta, max(moments), terminal))
+        points.append((delta, max(moments), moments[-1]))  # the thin plan keeps step n last
     # the origin is a fixed point of the scheme on every mesh or on none: 0 -> 0 is ratio 1
     ratios = tuple(
         1.0 if coarse == fine == 0.0 else fine / coarse
@@ -379,26 +364,19 @@ def covariance_check(
     empirical = increments.T @ increments
     del increments
     empirical /= paths
-    # Lag k's entries (i, i - k) and (i, i + k) in row-major order, row i's
-    # lower entry first.  Rows below k have no lower entry and rows from
-    # n - k on no upper one; the rows in between, if any, hold both.
-    entries = np.empty(2 * steps)
+    # Lag k's entries (i, i - k) and (i, i + k) in row-major order: row i's
+    # (lower, upper) pair, where rows below k have no lower entry, rows from
+    # n - k on no upper one, and lag 0 has its one entry in the upper column.
+    pairs = np.empty((steps, 2))
+    valid = np.empty((steps, 2), dtype=bool)
     points = []
     for lag in range(steps):
-        lower = np.diagonal(empirical, -lag)  # rows lag .. n-1
-        upper = np.diagonal(empirical, lag)  # rows 0 .. n-1-lag
-        if lag == 0:
-            row_major = entries[:steps]
-            row_major[:] = upper
-        else:
-            both = max(0, steps - 2 * lag)  # rows lag .. n-1-lag
-            head = steps - lag - both
-            row_major = entries[: 2 * (steps - lag)]
-            row_major[:head] = upper[:head]
-            pairs = row_major[head : head + 2 * both].reshape(both, 2)
-            pairs[:, 0] = lower[:both]
-            pairs[:, 1] = upper[head:]
-            row_major[head + 2 * both :] = lower[both:]
+        pairs[lag:, 0] = np.diagonal(empirical, -lag)
+        pairs[: steps - lag, 1] = np.diagonal(empirical, lag)
+        valid.fill(False)
+        valid[lag:, 0] = lag > 0
+        valid[: steps - lag, 1] = True
+        row_major = pairs[valid]
         mean = float(row_major.mean())
         row_major -= gamma[lag]
         z = np.abs(row_major, out=row_major)

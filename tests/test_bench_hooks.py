@@ -28,8 +28,12 @@ def _tree(directory: Path) -> dict:
     [
         ["--command", "fbm-check", "--steps", "16", "--paths", "20"],
         ["--command", "convergence", "--particles", "8", "--replications", "3", "--workers", "2"],
+        [
+            "--command", "chaos", "--initial-spread", "0.5", "--particle-counts", "4,8",
+            "--replications", "3", "--steps", "16", "--workers", "2",
+        ],
     ],
-    ids=["fbm-check", "convergence-two-workers"],
+    ids=["fbm-check", "convergence-two-workers", "chaos-two-workers"],
 )
 def test_traced_invocation_counts_the_configured_work(tmp_path, cli_args):
     before = _tree(BENCH)
@@ -48,5 +52,7 @@ def test_traced_invocation_counts_the_configured_work(tmp_path, cli_args):
     assert layers["fbm.fgn_samples"] == work["fgn_samples"] > 0
     assert layers["simulator.particle_steps"] == work["particle_steps"]
     assert layers["fbm.fft_bytes"] > 0
+    if "chaos" in cli_args:  # one distance per replication per particle count
+        assert layers["measure.distance_calls"] == 2 * 3
     assert (tmp_path / "trace" / "spans.jsonl").stat().st_size > 0
     assert _tree(BENCH) == before

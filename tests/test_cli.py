@@ -73,6 +73,12 @@ class TestParseConfig:
             (["--particles", "0"], "particles"),
             (["--theta", "1.0"], "theta"),
             (["--workers", "0"], "workers"),
+            # numbers that are not finite reals
+            (["--horizon", "0^-1"], "horizon"),
+            (["--horizon", "10^400"], "horizon"),
+            (["--horizon", "inf"], "horizon"),
+            (["--hurst=-2^0.5"], "hurst"),
+            (["--xi=-4^0.5"], "xi"),
         ],
     )
     def test_validation_names_field(self, flags, key):

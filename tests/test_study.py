@@ -32,6 +32,10 @@ DELTAS = (2.0**-3, 2.0**-4, 2.0**-5)
 REFERENCE = 2.0**-7
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the study ran a simulation before rejecting its arguments")
+
+
 class TestSlopeFit:
     def test_two_point_unit_slope(self):
         slope, stderr = fit_loglog_slope([(0.5, 0.5), (0.25, 0.25)])
@@ -149,6 +153,20 @@ class TestStrongErrorStudy:
                 seed=0,
             )
 
+    @pytest.mark.parametrize(
+        "deltas, match",
+        [((2.0**-3,), "two distinct"), ((2.0**-3, 2.0**-3), "two distinct"),
+         ((2.0**-3, REFERENCE), "reference delta")],
+        ids=["one-delta", "one-distinct-delta", "reference-delta"],
+    )
+    def test_unfittable_ladder_rejected_before_any_run(self, monkeypatch, deltas, match):
+        monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
+        with pytest.raises(ValueError, match=match):
+            strong_error_study(
+                preset_mean_reverting(xi=1.0, rate=0.0), 0.5, particles=4, replications=2,
+                deltas=deltas, reference_delta=REFERENCE, seed=0,
+            )
+
     def test_minimum_replications(self):
         with pytest.raises(ValueError):
             strong_error_study(
@@ -222,7 +240,7 @@ class TestChaosStudy:
                 seed=0,
             )
 
-    def test_requires_one_dimension_for_exact(self):
+    def test_estimator_follows_the_dimension(self):
         import mvfbm.model as model_mod
 
         two_d = model_mod.ModelSpec(
@@ -232,8 +250,16 @@ class TestChaosStudy:
             diffusion=model_mod.ConstantDiffusion(np.eye(2)),
             initial=np.zeros(2),
         )
-        with pytest.raises(ValueError, match="1d-exact"):
-            chaos_study(two_d, 0.5, self.MESH, [4, 8], 2, 2.0, 0)
+        # sorted matching is the exact distance only in d = 1
+        assert chaos_study(two_d, 0.5, self.MESH, [4, 8], 2, 2.0, 0).estimator == "coupling-bound"
+        one_d = preset_mean_reverting(xi=1.0, rate=1.0)
+        assert chaos_study(one_d, 0.5, self.MESH, [4, 8], 2, 2.0, 0).estimator == "1d-exact"
+
+    def test_order_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(mvfbm.study, "run", _must_not_run)
+        monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
+        with pytest.raises(ValueError, match="theta"):
+            chaos_study(preset_mean_reverting(), 0.5, self.MESH, [4, 8], 2, 1.5, 0)
 
     def test_deterministic_and_worker_independent(self):
         kwargs = dict(
@@ -404,18 +430,15 @@ class TestBatching:
         ]
 
     @pytest.mark.parametrize(
-        "model, estimator",
-        [
-            (preset_mean_deviation(initial_spread=0.5), "1d-exact"),
-            (_planar_model(), "coupling-bound"),
-        ],
+        "model",
+        [preset_mean_deviation(initial_spread=0.5), _planar_model()],  # 1d-exact, coupling-bound
         ids=["state-measure", "planar"],
     )
-    def test_chaos_bytes_independent_of_batching(self, monkeypatch, model, estimator):
+    def test_chaos_bytes_independent_of_batching(self, monkeypatch, model):
         def call(workers):
             return chaos_study(
                 model, 0.7, UniformMesh(1.0, BATCH_STEPS), [BATCH_PARTICLES // 2, BATCH_PARTICLES],
-                BATCH_REPLICATIONS, 2.0, seed=707, estimator=estimator, workers=workers,
+                BATCH_REPLICATIONS, 2.0, seed=707, workers=workers,
             )
 
         reports = _csv_per_variant(monkeypatch, BATCH_PARTICLES, model.dimension, call)
