@@ -20,7 +20,6 @@ from .fbm import (
 from .measure import (
     EmpiricalMeasure,
     coupled_upper_bound,
-    moment_distance_to_dirac0,
     wasserstein_1d_exact,
 )
 from .model import (
@@ -38,10 +37,8 @@ from .model import (
 from .reports import ChaosReport, ConvergenceReport, CovarianceCheckReport, MomentReport, SimulateReport
 from .simulator import (
     NumericalBlowup,
-    ParticleEnsemble,
     SimulationConfig,
     TrajectoryRecord,
-    em_step,
     run,
     run_coupled_meshes,
     write_trajectory_csv,

@@ -191,7 +191,10 @@ class RunConfig:
     xi: float = _option(1.0, _number, "constant diffusion scale (mean-reverting preset)")
     rate: float = _option(1.0, _number, "mean-reversion rate (mean-reverting preset)")
     initial: float = _option(1.0, _number, "initial state value (default 1)")
-    initial_spread: float = _option(0.0, _number, "stddev of Gaussian initial data (default 0)")
+    initial_spread: float = _option(
+        0.0, _number, "stddev of Gaussian initial data (default 0)",
+        valid=(lambda s: s >= 0, "must be >= 0"),
+    )
     hurst: float = _option(
         0.7, _number, "Hurst index in (0, 1)",
         valid=(lambda h: 0.0 < h < 1.0, "must be in the open interval (0, 1)"),

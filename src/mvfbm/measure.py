@@ -1,11 +1,10 @@
 """Empirical measures and Wasserstein-type distances.
 
-Only the tools the particle scheme actually needs: the exact distance to a
-Dirac mass at the origin (a plain moment), the index-coupling upper bound
-for equal-size atom clouds, and the exact order-theta distance in dimension
-one via sorted quantile matching.  Exact multi-dimensional optimal transport
-is deliberately out of scope; callers in d > 1 get the coupling bound,
-labeled as such.
+Only the tools the particle scheme actually needs: the index-coupling
+upper bound for equal-size atom clouds, and the exact order-theta distance
+in dimension one via sorted quantile matching.  Exact multi-dimensional
+optimal transport is deliberately out of scope; callers in d > 1 get the
+coupling bound, labeled as such.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "EmpiricalMeasure",
-    "moment_distance_to_dirac0",
     "coupled_upper_bound",
     "wasserstein_1d_exact",
 ]
@@ -65,15 +63,9 @@ class EmpiricalMeasure:
         return self._mean
 
 
-def _single(mu: EmpiricalMeasure) -> np.ndarray:
-    if mu.atoms.ndim != 2:
-        raise ValueError("distances take one (N, d) measure, not a batch")
-    return mu.atoms
-
-
 def _check_aligned(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
-    _single(mu)
-    _single(nu)
+    if mu.atoms.ndim != 2 or nu.atoms.ndim != 2:
+        raise ValueError("distances take one (N, d) measure, not a batch")
     if mu.size != nu.size:
         raise ValueError(f"atom counts differ: {mu.size} vs {nu.size}")
     if mu.dimension != nu.dimension:
@@ -86,17 +78,6 @@ def _theta(order: float) -> float:
     if theta < 2.0:
         raise ValueError(f"Wasserstein order must be >= 2, got {theta}")
     return theta
-
-
-def moment_distance_to_dirac0(mu: EmpiricalMeasure, order: float = 2.0) -> float:
-    """Exact W_theta distance from mu to the Dirac mass at the origin.
-
-    Every transport plan to a point mass is forced, so the distance equals
-    the theta-th root of the theta-th moment: ((1/N) sum_j |x_j|^theta)^(1/theta).
-    """
-    theta = _theta(order)
-    norms = np.linalg.norm(_single(mu), axis=1)
-    return float(np.mean(norms**theta) ** (1.0 / theta))
 
 
 def coupled_upper_bound(

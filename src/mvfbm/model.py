@@ -164,6 +164,13 @@ def _gaussian_initial(rng: np.random.Generator, count: int, mean: float, spread:
     return mean + spread * rng.standard_normal((count, 1))
 
 
+def _start(initial: float, spread: float) -> "float | Callable[[np.random.Generator, int], np.ndarray]":
+    """The point mass at ``initial``, or N(initial, spread^2) when spread > 0."""
+    if spread < 0.0:
+        raise ValueError(f"initial spread must be >= 0, got {spread}")
+    return partial(_gaussian_initial, mean=initial, spread=spread) if spread > 0.0 else initial
+
+
 def preset_mean_deviation(initial: float = 1.0, initial_spread: float = 0.0) -> ModelSpec:
     """Scalar linear interaction model driven by deviation from the mean.
 
@@ -177,17 +184,12 @@ def preset_mean_deviation(initial: float = 1.0, initial_spread: float = 0.0) -> 
     ``initial_spread`` > 0 to start from N(initial, spread^2) and get
     genuinely noise-driven dynamics.
     """
-    start: "float | Callable[[np.random.Generator, int], np.ndarray]"
-    if initial_spread > 0.0:
-        start = partial(_gaussian_initial, mean=initial, spread=initial_spread)
-    else:
-        start = initial
     return ModelSpec(
         name="mean-deviation",
         dimension=1,
         drift=_mean_deviation_drift,
         diffusion=StateMeasureDiffusion(_mean_deviation_sigma),
-        initial=start,
+        initial=_start(initial, initial_spread),
     )
 
 
@@ -195,7 +197,8 @@ def _mean_reverting_drift(states: np.ndarray, mu: EmpiricalMeasure, rate: float)
     return rate * (mu.mean() - states)
 
 
-def preset_mean_reverting(xi: float = 1.0, rate: float = 1.0, initial: float = 1.0) -> ModelSpec:
+def preset_mean_reverting(xi: float = 1.0, rate: float = 1.0, initial: float = 1.0,
+                          initial_spread: float = 0.0) -> ModelSpec:
     """Scalar model reverting toward the empirical mean with constant noise.
 
     Drift rate * (mean(mu) - x), diffusion identically xi; the constant
@@ -207,7 +210,7 @@ def preset_mean_reverting(xi: float = 1.0, rate: float = 1.0, initial: float = 1
         dimension=1,
         drift=partial(_mean_reverting_drift, rate=rate),
         diffusion=ConstantDiffusion(np.array([[xi]])),
-        initial=initial,
+        initial=_start(initial, initial_spread),
     )
 
 
@@ -215,7 +218,7 @@ def _cubic_drift(states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
     return states**3
 
 
-def preset_unstable_cubic(initial: float = 1.0) -> ModelSpec:
+def preset_unstable_cubic(initial: float = 1.0, initial_spread: float = 0.0) -> ModelSpec:
     """Superlinear-drift fixture that blows up under explicit stepping.
 
     Exists to exercise the numerical-failure path.
@@ -225,7 +228,7 @@ def preset_unstable_cubic(initial: float = 1.0) -> ModelSpec:
         dimension=1,
         drift=_cubic_drift,
         diffusion=ConstantDiffusion(np.array([[0.1]])),
-        initial=initial,
+        initial=_start(initial, initial_spread),
     )
 
 
@@ -239,11 +242,12 @@ def preset_by_name(
     initial: float = 1.0,
     initial_spread: float = 0.0,
 ) -> ModelSpec:
-    """Look up a preset for the CLI; parameters apply where meaningful."""
+    """Look up a preset for the CLI; xi and rate apply to mean-reverting only,
+    the initial law to every preset."""
     if name == "mean-deviation":
-        return preset_mean_deviation(initial=initial, initial_spread=initial_spread)
+        return preset_mean_deviation(initial, initial_spread)
     if name == "mean-reverting":
-        return preset_mean_reverting(xi=xi, rate=rate, initial=initial)
+        return preset_mean_reverting(xi, rate, initial, initial_spread)
     if name == "unstable-cubic":
-        return preset_unstable_cubic(initial=initial)
+        return preset_unstable_cubic(initial, initial_spread)
     raise ValueError(f"unknown model preset {name!r}; choose from {PRESET_NAMES}")

@@ -33,12 +33,10 @@ from .reports import render_csv
 from .streams import StreamKey
 
 __all__ = [
-    "ParticleEnsemble",
     "SimulationConfig",
     "TrajectoryRecord",
     "NumericalBlowup",
     "SNAPSHOT_POLICIES",
-    "em_step",
     "run",
     "run_coupled_meshes",
     "write_trajectory_csv",
@@ -58,17 +56,17 @@ class NumericalBlowup(RuntimeError):
 
     ``particle`` counts within its replication; ``replication`` is the
     replication index the run was given (0 for a single ensemble), and
-    ``mesh_steps`` the step count of the mesh it ran on (None from a bare
-    ``em_step``).  A run stops at the first step where any of its
-    replications blows up and names the first non-finite row of that step.
+    ``mesh_steps`` the step count of the mesh it ran on.  A run stops at the
+    first step where any of its replications blows up and names the first
+    non-finite row of that step.
     A study whose batches blow up names the earliest failure of them all:
     the finest mesh first, then the smallest particle count, step and
     replication.  So which failure is named does not depend on
     ``--workers`` or on how replications are batched.
     """
 
-    def __init__(self, step: int, particle: int, model_name: str, replication: int = 0,
-                 mesh_steps: "int | None" = None) -> None:
+    def __init__(self, step: int, particle: int, model_name: str, replication: int,
+                 mesh_steps: int) -> None:
         self.step = step
         self.particle = particle
         self.model_name = model_name
@@ -93,27 +91,11 @@ class ParticleEnsemble:
     """
 
     states: np.ndarray  # (R*N, d)
-    step_index: int
     replications: int = 1
-
-    def __post_init__(self) -> None:
-        if self.replications < 1 or self.states.shape[0] % self.replications:
-            raise ValueError(
-                f"{self.states.shape[0]} rows do not split into {self.replications} replications"
-            )
-
-    @property
-    def size(self) -> int:
-        """Particles per replication."""
-        return self.states.shape[0] // self.replications
-
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[1]
 
     def blocks(self) -> np.ndarray:
         """The states as an (R, N, d) view."""
-        return self.states.reshape(self.replications, self.size, self.dimension)
+        return self.states.reshape(self.replications, -1, self.states.shape[1])
 
 
 @dataclass(frozen=True)
@@ -171,23 +153,21 @@ def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: float,
     of ``ensemble.states``.  The coefficients see the (R, N, d) view and the
     batch of R measures.  sigma broadcasts against (R, N, d, d), so every
     diffusion kind goes through one noise product, computed per particle:
-    each replication gets the bits it would get alone.
+    each replication gets the bits it would get alone.  A non-finite result
+    is returned as it is; the run loop checks finiteness and names the
+    blow-up.
     """
     states = ensemble.states
     if increments.shape != states.shape:
         raise ValueError(f"increment shape {increments.shape} != state shape {states.shape}")
     blocks = ensemble.blocks()
     mu = EmpiricalMeasure(blocks)
-    with np.errstate(over="ignore", invalid="ignore"):  # blow-up surfaces as an error below
+    with np.errstate(over="ignore", invalid="ignore"):  # the run loop reports a blow-up
         drift = np.asarray(model.drift(blocks, mu), dtype=float).reshape(states.shape)
         sigma = model.diffusion.evaluate(blocks, mu)
         noise = np.einsum("...ij,...j->...i", sigma, increments.reshape(blocks.shape))
         new_states = states + delta * drift + noise.reshape(states.shape)
-    if not np.all(np.isfinite(new_states)):
-        bad = int(np.argwhere(~np.isfinite(new_states))[0, 0])
-        replication, particle = divmod(bad, ensemble.size)
-        raise NumericalBlowup(ensemble.step_index + 1, particle, model.name, replication)
-    return ParticleEnsemble(new_states, ensemble.step_index + 1, ensemble.replications)
+    return ParticleEnsemble(new_states, ensemble.replications)
 
 
 def _snapshot_plan(steps: int, policy: str) -> set[int]:
@@ -230,29 +210,27 @@ def _initial_states(config: SimulationConfig) -> np.ndarray:
 
 def _evolve(config: SimulationConfig, initial: np.ndarray, drivers: np.ndarray,
             snapshots: str) -> TrajectoryRecord:
+    """Step the batch over the mesh, keep the planned snapshots, and raise the
+    first non-finite state as a NumericalBlowup naming its step, replication
+    and particle."""
     mesh = config.mesh
     labels = range(1) if config.replications is None else config.replications
     keep = _snapshot_plan(mesh.steps, snapshots)
-    ensemble = ParticleEnsemble(initial, 0, len(labels))
-    indices: list[int] = []
-    kept: list[np.ndarray] = []
-    if 0 in keep:
-        indices.append(0)
-        kept.append(ensemble.states.copy())
-    for k in range(mesh.steps):
-        try:
-            ensemble = em_step(ensemble, config.model, mesh.delta, drivers[k])
-        except NumericalBlowup as exc:  # name the replication index, not the slot in the batch
-            raise NumericalBlowup(
-                exc.step, exc.particle, config.model.name, labels[exc.replication], mesh.steps
-            ) from None
-        if ensemble.step_index in keep:
-            indices.append(ensemble.step_index)
+    ensemble = ParticleEnsemble(initial, len(labels))
+    kept = [initial.copy()] if 0 in keep else []
+    for k, increments in enumerate(drivers, start=1):
+        # bench/layertrace.py patches this module-level call and reads .states from its first argument
+        ensemble = em_step(ensemble, config.model, mesh.delta, increments)
+        if not np.isfinite(ensemble.states).all():
+            bad = int(np.argwhere(~np.isfinite(ensemble.states))[0, 0])
+            slot, particle = divmod(bad, config.particles)
+            raise NumericalBlowup(k, particle, config.model.name, labels[slot], mesh.steps)
+        if k in keep:
             kept.append(ensemble.states)
-    return TrajectoryRecord(mesh, indices, kept)
+    return TrajectoryRecord(mesh, sorted(keep), kept)
 
 
-def run(config: SimulationConfig, snapshots: str = "thin") -> TrajectoryRecord:
+def run(config: SimulationConfig, snapshots: str = "terminal") -> TrajectoryRecord:
     """Simulate the configured ensemble, or batch of ensembles, over the mesh.
 
     Deterministic given the seed: particle i's driver comes from the stream

@@ -229,6 +229,10 @@ def chaos_study(
     consecutive pair.
     """
     counts = [int(n) for n in particle_counts]
+    if len(counts) < 2:
+        raise ValueError(f"a trend needs at least two particle counts, got {counts}")
+    if replications < 1:
+        raise ValueError(f"need at least 1 replication, got {replications}")
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError(f"particle counts must be strictly increasing, got {counts}")
     if theta < 2.0:
@@ -304,6 +308,8 @@ def moment_bound_check(
         raise ValueError(f"moment order must be >= 2, got {order}")
     hurst = HurstParameter.coerce(hurst)
     ladder, fine_mesh, factors = _ladder(deltas, min(deltas), horizon)
+    if len(set(factors)) < 2:
+        raise ValueError(f"a refinement ratio needs at least two distinct deltas, got {ladder}")
     root = StreamKey.coerce(seed)
     started = time.perf_counter()
     config = SimulationConfig(model, hurst, fine_mesh, particles, root.child(0), sampler)

@@ -26,12 +26,7 @@ from mvfbm.fbm import (
     UniformMesh,
     increment_covariance_matrix,
 )
-from mvfbm.measure import (
-    EmpiricalMeasure,
-    coupled_upper_bound,
-    moment_distance_to_dirac0,
-    wasserstein_1d_exact,
-)
+from mvfbm.measure import EmpiricalMeasure, coupled_upper_bound, wasserstein_1d_exact
 from mvfbm.model import (
     MeasureDiffusion,
     ModelSpec,
@@ -41,6 +36,7 @@ from mvfbm.model import (
 from mvfbm.streams import StreamKey
 from mvfbm.study import chaos_study, moment_bound_check, strong_error_study
 from mvfbm.cli import main as cli_main
+from test_measure import moment_distance_to_dirac0
 
 DESK_DELTAS = (2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8)
 DESK_REFERENCE = 2.0**-10
@@ -292,12 +288,12 @@ def test_criterion_7_moment_bounds():
     drift_free = moment_bound_check(
         preset_mean_reverting(xi=xi, rate=0.0, initial=x0),
         hurst,
-        [2.0**-6],
+        [2.0**-5, 2.0**-6],
         particles=particles,
         order=2.0,
         seed=5152,
     )
-    terminal = drift_free.points[0][2]
+    terminal = drift_free.points[-1][2]
     expected = x0**2 + xi**2 * 1.0 ** (2 * hurst)
     # X_T ~ N(x0, T^{2H}): Var(X_T^2) = 4 x0^2 s^2 + 2 s^4 with s^2 = T^{2H}
     stderr = math.sqrt((4 * x0**2 + 2.0) / particles)

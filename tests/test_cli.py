@@ -79,6 +79,7 @@ class TestParseConfig:
             (["--horizon", "inf"], "horizon"),
             (["--hurst=-2^0.5"], "hurst"),
             (["--xi=-4^0.5"], "xi"),
+            (["--initial-spread=-0.5"], "initial-spread"),
         ],
     )
     def test_validation_names_field(self, flags, key):
@@ -126,6 +127,9 @@ class TestMainExitCodes:
             ("command = simulate\nmodel = bogus\n", [], 2),
             (None, ["--command", "convergence", "--deltas", "2^-5,0.03"], 2),
             (None, ["--command", "chaos", "--particle-counts", "100,50"], 2),
+            (None, ["--command", "chaos", "--particle-counts", "50"], 2),
+            (None, ["--command", "moments", "--deltas", "2^-5"], 2),
+            (None, ["--command", "moments", "--deltas", "2^-5,2^-5"], 2),
             (
                 None,
                 [
@@ -145,8 +149,8 @@ class TestMainExitCodes:
             ),
         ],
         ids=[
-            "unknown-model-in-file", "delta-off-reference-mesh", "decreasing-counts", "blow-up",
-            "blow-up-in-worker",
+            "unknown-model-in-file", "delta-off-reference-mesh", "decreasing-counts", "one-count",
+            "one-delta", "one-distinct-delta", "blow-up", "blow-up-in-worker",
         ],
     )
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys, config_text, flags, expected_code):

@@ -7,6 +7,7 @@ import pytest
 
 from mvfbm.measure import EmpiricalMeasure
 from mvfbm.model import (
+    PRESET_NAMES,
     ConstantDiffusion,
     MeasureDiffusion,
     ModelSpec,
@@ -127,7 +128,7 @@ def test_state_measure_reduces_to_measure_only():
             increments = rng.standard_normal((replications * particles, d))
             stepped = {
                 kind: em_step(
-                    ParticleEnsemble(states, 0, replications),
+                    ParticleEnsemble(states, replications=replications),
                     ModelSpec(kind, d, _zero_drift, diffusion, 0.0),
                     0.1,
                     increments,
@@ -144,6 +145,17 @@ def test_presets_picklable():
         states = np.array([[1.0], [2.0]])
         mu = EmpiricalMeasure(states)
         assert np.allclose(clone.drift(states, mu), model.drift(states, mu))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_preset_takes_the_initial_law(name):
+    rng = StreamKey(3).generator()
+    point = preset_by_name(name, initial=1.5).initial_states(64, rng)
+    assert np.array_equal(point, np.full((64, 1), 1.5))
+    spread = preset_by_name(name, initial=1.5, initial_spread=0.5).initial_states(64, rng)
+    assert abs(spread.mean() - 1.5) < 5 * 0.5 / 8 and 0.25 < spread.std() < 1.0
+    with pytest.raises(ValueError, match="spread"):
+        preset_by_name(name, initial_spread=-0.5)
 
 
 def test_preset_by_name_unknown():

@@ -41,16 +41,25 @@ def _null_model(dimension=1):
     )
 
 
+def _overflowing_model(initial=0.0):
+    return ModelSpec(
+        name="overflowing",
+        dimension=1,
+        drift=lambda s, mu: s * 1e10,
+        diffusion=ConstantDiffusion(np.array([[0.0]])),
+        initial=initial,
+    )
+
+
 class TestEmStep:
     def test_identity_when_coefficients_vanish(self):
         states = np.array([[1.0], [-2.0], [0.5]])
-        out = em_step(ParticleEnsemble(states, 3), _null_model(), 0.25, np.ones((3, 1)))
+        out = em_step(ParticleEnsemble(states), _null_model(), 0.25, np.ones((3, 1)))
         assert np.array_equal(out.states, states)
-        assert out.step_index == 4
 
     def test_pure_noise_step(self):
         model = preset_mean_reverting(xi=1.0, rate=0.0)
-        out = em_step(ParticleEnsemble(np.array([[2.0]]), 0), model, 0.5, np.array([[0.3]]))
+        out = em_step(ParticleEnsemble(np.array([[2.0]])), model, 0.5, np.array([[0.3]]))
         assert out.states[0, 0] == pytest.approx(2.3)
 
     def test_hand_computed_interacting_step(self):
@@ -58,7 +67,7 @@ class TestEmStep:
         # drifts (-1, 3), diffusions (-1, 1) -> (-0.6, 3.4)
         model = preset_mean_deviation()
         out = em_step(
-            ParticleEnsemble(np.array([[0.0], [2.0]]), 0),
+            ParticleEnsemble(np.array([[0.0], [2.0]])),
             model,
             0.5,
             np.array([[0.1], [-0.1]]),
@@ -81,7 +90,7 @@ class TestEmStep:
             initial=0.0,
         )
         states = np.array([[0.0], [4.0]])
-        em_step(ParticleEnsemble(states, 0), model, 0.1, np.array([[1.0], [1.0]]))
+        em_step(ParticleEnsemble(states), model, 0.1, np.array([[1.0], [1.0]]))
         assert seen == [2.0]
 
     def test_relabeling_equivariance(self):
@@ -90,27 +99,19 @@ class TestEmStep:
         states = rng.normal(size=(16, 1))
         increments = rng.normal(size=(16, 1))
         perm = rng.permutation(16)
-        direct = em_step(ParticleEnsemble(states, 0), model, 0.1, increments).states
-        permuted = em_step(ParticleEnsemble(states[perm], 0), model, 0.1, increments[perm]).states
+        direct = em_step(ParticleEnsemble(states), model, 0.1, increments).states
+        permuted = em_step(ParticleEnsemble(states[perm]), model, 0.1, increments[perm]).states
         assert np.allclose(permuted, direct[perm], rtol=1e-12, atol=1e-14)
 
-    def test_blowup_names_step_and_particle(self):
+    def test_non_finite_result_returned_not_raised(self):
+        # finiteness is the run loop's check, not the step's
         states = np.array([[1.0], [1e308]])
-        model = ModelSpec(
-            name="overflowing",
-            dimension=1,
-            drift=lambda s, mu: s * 1e10,
-            diffusion=ConstantDiffusion(np.array([[0.0]])),
-            initial=0.0,
-        )
-        with pytest.raises(NumericalBlowup) as excinfo:
-            em_step(ParticleEnsemble(states, 6), model, 1e12, np.zeros((2, 1)))
-        assert excinfo.value.step == 7
-        assert excinfo.value.particle == 1
+        out = em_step(ParticleEnsemble(states), _overflowing_model(), 1.0, np.zeros((2, 1)))
+        assert np.isfinite(out.states[0, 0]) and not np.isfinite(out.states[1, 0])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            em_step(ParticleEnsemble(np.zeros((3, 1)), 0), _null_model(), 0.1, np.zeros((2, 1)))
+            em_step(ParticleEnsemble(np.zeros((3, 1))), _null_model(), 0.1, np.zeros((2, 1)))
 
 
 class TestRun:
@@ -118,8 +119,8 @@ class TestRun:
         config = SimulationConfig(
             preset_mean_deviation(initial_spread=1.0), 0.7, UniformMesh(1.0, 32), 20, 42
         )
-        a = run(config)
-        b = run(config)
+        a = run(config, snapshots="thin")
+        b = run(config, snapshots="thin")
         assert a.snapshot_indices == b.snapshot_indices
         for left, right in zip(a.snapshots, b.snapshots):
             assert np.array_equal(left, right)
@@ -181,6 +182,15 @@ class TestRun:
         )
         with pytest.raises(NumericalBlowup):
             run(config)
+
+    def test_blowup_names_step_and_particle(self):
+        model = _overflowing_model(initial=lambda rng, count: np.array([[1.0], [1e308]]))
+        config = SimulationConfig(model, 0.5, UniformMesh(1.0, 1), 2, 0)
+        with pytest.raises(NumericalBlowup) as excinfo:
+            run(config)
+        blowup = excinfo.value
+        assert (blowup.step, blowup.replication, blowup.particle) == (1, 0, 1)
+        assert blowup.mesh_steps == 1
 
 
 class TestCoupledMeshes:

@@ -261,6 +261,18 @@ class TestChaosStudy:
         with pytest.raises(ValueError, match="theta"):
             chaos_study(preset_mean_reverting(), 0.5, self.MESH, [4, 8], 2, 1.5, 0)
 
+    @pytest.mark.parametrize(
+        "counts, replications, match",
+        [([8], 2, "two particle counts"), ([4, 8], 0, "at least 1 replication")],
+        ids=["one-count", "no-replications"],
+    )
+    def test_untrendable_arguments_rejected_before_any_run(self, monkeypatch, counts,
+                                                           replications, match):
+        monkeypatch.setattr(mvfbm.study, "run", _must_not_run)
+        monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
+        with pytest.raises(ValueError, match=match):
+            chaos_study(preset_mean_reverting(), 0.5, self.MESH, counts, replications, 2.0, 0)
+
     def test_deterministic_and_worker_independent(self):
         kwargs = dict(
             particle_counts=[8, 16],
@@ -304,12 +316,12 @@ class TestMomentBoundCheck:
         report = moment_bound_check(
             preset_mean_reverting(xi=xi, rate=0.0, initial=x0),
             hurst,
-            [2.0**-4],
+            [2.0**-3, 2.0**-4],
             particles=particles,
             order=2.0,
             seed=8,
         )
-        _, _, terminal = report.points[0]
+        _, _, terminal = report.points[-1]
         expected = x0**2 + xi**2
         # var of X^2 for X ~ N(1,1): E X^4 - (E X^2)^2 = 10 - 4 = 6
         stderr = math.sqrt(6.0 / particles)
@@ -318,6 +330,13 @@ class TestMomentBoundCheck:
     def test_order_validated(self):
         with pytest.raises(ValueError):
             moment_bound_check(preset_mean_reverting(), 0.5, DELTAS, 4, order=1.0, seed=0)
+
+    @pytest.mark.parametrize("deltas", [(2.0**-3,), (2.0**-3, 2.0**-3)],
+                             ids=["one-delta", "one-distinct-delta"])
+    def test_ratioless_ladder_rejected_before_any_run(self, monkeypatch, deltas):
+        monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
+        with pytest.raises(ValueError, match="two distinct deltas"):
+            moment_bound_check(preset_mean_reverting(), 0.5, deltas, 4, order=2.0, seed=0)
 
 
 class TestCovarianceCheck:
