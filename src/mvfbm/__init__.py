@@ -1,6 +1,6 @@
 """Interacting-particle Euler simulation of mean-field SDEs driven by fBm.
 
-Exact fractional Brownian drivers (circulant embedding or Cholesky), a
+Exact fractional Brownian drivers (Davies-Harte circulant embedding), a
 synchronous explicit Euler scheme over the particle ensemble, empirical
 measure distances, and a reproducible experiment harness for strong-error,
 chaos-trend, and moment studies.
@@ -45,6 +45,7 @@ from .simulator import (
 )
 from .streams import StreamKey
 from .study import (
+    StudyArgumentError,
     chaos_study,
     covariance_check,
     fit_loglog_slope,

@@ -6,7 +6,7 @@ One executable, five commands selected with ``--command``:
 * ``convergence`` -- strong-error ladder against a fine reference mesh
 * ``chaos``       -- distance-to-reference trend over particle counts
 * ``moments``     -- moment stability across a mesh ladder
-* ``fbm-check``   -- empirical covariance audit of the driver sampler
+* ``fbm-check``   -- empirical covariance audit of the Davies-Harte drivers
 
 Every option is one ``RunConfig`` field, set by a flag or by a line of a
 flat ``key = value`` config file (``--config``); both are parsed and
@@ -15,7 +15,9 @@ rejected.  A run that succeeds writes ``report.csv``, ``report.json``,
 ``config.echo`` and optionally ``plot.svg`` into its own directory under
 ``--outdir``; a run that fails creates no directory.
 
-Exit codes: 0 success, 1 numerical failure, 2 configuration failure.
+Exit codes: 0 success, 1 numerical failure, 2 configuration failure
+(``ConfigError``, ``RegimeViolation`` or ``StudyArgumentError``).  Any other
+exception is a defect and propagates as itself.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import time
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .fbm import SAMPLERS, CirculantEmbeddingError, CovarianceFactorizationError, UniformMesh
-from .model import PRESET_NAMES, preset_by_name
+from .fbm import CirculantEmbeddingError, UniformMesh
+from .model import PRESET_NAMES, RegimeViolation, preset_by_name
 from .reports import Report, SimulateReport, render_loglog_svg
 from .simulator import (
     SNAPSHOT_POLICIES,
@@ -38,7 +40,13 @@ from .simulator import (
     run,
     write_trajectory_csv,
 )
-from .study import chaos_study, covariance_check, moment_bound_check, strong_error_study
+from .study import (
+    StudyArgumentError,
+    chaos_study,
+    covariance_check,
+    moment_bound_check,
+    strong_error_study,
+)
 
 __all__ = ["main", "parse_config", "dispatch", "ConfigError", "RunConfig"]
 
@@ -55,7 +63,7 @@ class ConfigError(ValueError):
 def _simulate(config: RunConfig) -> tuple[Report, str | None]:
     started = time.perf_counter()
     model, mesh = _model_for(config), UniformMesh(config.horizon, config.steps)
-    sim = SimulationConfig(model, config.hurst, mesh, config.particles, config.seed, config.sampler)
+    sim = SimulationConfig(model, config.hurst, mesh, config.particles, config.seed)
     record = run(sim, snapshots=config.snapshots)
     trajectory = io.StringIO()
     write_trajectory_csv(record, trajectory)
@@ -70,7 +78,7 @@ def _simulate(config: RunConfig) -> tuple[Report, str | None]:
 def _convergence(config: RunConfig) -> tuple[Report, str | None]:
     report = strong_error_study(
         _model_for(config), config.hurst, config.particles, config.replications, config.deltas,
-        config.reference_delta, config.seed, config.horizon, config.sampler, config.workers,
+        config.reference_delta, config.seed, config.horizon, config.workers,
     )
     if not config.emit_plot or report.exact_scheme:
         return report, None
@@ -83,7 +91,7 @@ def _chaos(config: RunConfig) -> tuple[Report, str | None]:
     report = chaos_study(
         _model_for(config), config.hurst, UniformMesh(config.horizon, config.steps),
         config.particle_counts, config.replications, config.theta, config.seed,
-        sampler=config.sampler, workers=config.workers,
+        workers=config.workers,
     )
     positive = [(float(n), d) for n, d, _ in report.points if d > 0]
     if not config.emit_plot or len(positive) < 2:
@@ -97,15 +105,13 @@ def _chaos(config: RunConfig) -> tuple[Report, str | None]:
 def _moments(config: RunConfig) -> tuple[Report, str | None]:
     report = moment_bound_check(
         _model_for(config), config.hurst, config.deltas, config.particles, config.order,
-        config.seed, config.horizon, config.sampler,
+        config.seed, config.horizon,
     )
     return report, None
 
 
 def _fbm_check(config: RunConfig) -> tuple[Report, str | None]:
-    report = covariance_check(
-        config.hurst, config.steps, config.paths, config.seed, config.sampler, config.horizon
-    )
+    report = covariance_check(config.hurst, config.steps, config.paths, config.seed, config.horizon)
     return report, None
 
 
@@ -217,8 +223,7 @@ class RunConfig:
     theta: float = _option(2.0, _number, "transport cost exponent >= 2 (chaos)", valid=_AT_LEAST_2)
     order: float = _option(4.0, _number, "moment order q >= 2 (moments)", valid=_AT_LEAST_2)
     paths: int = _option(10_000, int, "sample paths (fbm-check)", valid=_AT_LEAST_2)
-    seed: int = _option(2024, int, "master seed")
-    sampler: str = _option("circulant", str, "driver sampler", tuple(SAMPLERS))
+    seed: int = _option(2024, int, "master seed", valid=(lambda s: s >= 0, "must be >= 0"))
     snapshots: str = _option("terminal", str, "trajectory retention (simulate)", SNAPSHOT_POLICIES)
     workers: int = _option(1, int, "parallel workers for replications", valid=_AT_LEAST_1)
     outdir: str = _option("runs", str, "output directory root (default runs/)")
@@ -371,10 +376,10 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
     try:
         return dispatch(parse_config(argv))
-    except ValueError as exc:  # ConfigError, RegimeViolation and rejected study arguments
+    except (ConfigError, RegimeViolation, StudyArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalBlowup, CirculantEmbeddingError, CovarianceFactorizationError) as exc:
+    except (NumericalBlowup, CirculantEmbeddingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

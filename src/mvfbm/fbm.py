@@ -10,12 +10,11 @@ Gaussian sequence (fractional Gaussian noise) with autocovariance
 
     gamma(k) = delta^{2H} * ((k+1)^{2H} - 2 k^{2H} + |k-1|^{2H}) / 2.
 
-Two exact samplers are provided:
-
-* ``CirculantSampler`` -- Davies-Harte circulant embedding, O(n log n);
-  the default.  See Dieker (2004) for the classical construction.
-* ``CholeskySampler`` -- dense factorization of the increment covariance,
-  O(n^3) setup; the cross-validation oracle for moderate n.
+Davies-Harte circulant embedding (``CirculantSampler``, O(n log n); see
+Dieker 2004) draws every driver: ``make_sampler`` hands out the memoized
+sampler of (H, mesh).  ``CholeskySampler`` factors the dense increment
+covariance in O(n^3); it is the reference implementation that the tests
+compare the circulant sampler against, and no run uses it.
 
 Both draw from :class:`~mvfbm.streams.StreamKey` addresses, one independent
 stream per path component, and are deterministic given (H, mesh, d, stream).
@@ -24,6 +23,7 @@ stream per path component, and are deterministic given (H, mesh, d, stream).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +39,6 @@ __all__ = [
     "CirculantSampler",
     "CovarianceFactorizationError",
     "CirculantEmbeddingError",
-    "SAMPLERS",
     "make_sampler",
     "block_sums",
 ]
@@ -82,8 +81,8 @@ class UniformMesh:
     steps: int
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0.0:
-            raise ValueError(f"mesh horizon must be positive, got {self.horizon}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValueError(f"mesh horizon must be positive and finite, got {self.horizon}")
         if self.steps < 1:
             raise ValueError(f"mesh must have at least one step, got {self.steps}")
 
@@ -130,8 +129,8 @@ class CirculantEmbeddingError(RuntimeError):
 class CholeskySampler:
     """Exact fBm increment sampler via dense Cholesky factorization.
 
-    Setup is O(n^3); intended for moderate meshes (n <= 4096 as a guideline)
-    and as the statistical oracle for the circulant sampler.
+    Setup is O(n^3).  The reference implementation the tests check the
+    circulant sampler against, for moderate meshes; no run uses it.
     """
 
     def __init__(self, hurst: "float | HurstParameter", mesh: UniformMesh) -> None:
@@ -143,7 +142,7 @@ class CholeskySampler:
         except np.linalg.LinAlgError as exc:
             raise CovarianceFactorizationError(
                 f"increment covariance not numerically PSD for H={self.hurst.value}, "
-                f"n={mesh.steps}; try the circulant sampler"
+                f"n={mesh.steps}"
             ) from exc
 
     def sample_ensemble(self, dimension: int, streams: Sequence[StreamKey],
@@ -183,8 +182,9 @@ class CirculantSampler:
         eigenvalues = _embedding_eigenvalues(self.hurst, mesh)
         if eigenvalues.min() < -_EIGENVALUE_ROUNDOFF * eigenvalues.max():
             raise CirculantEmbeddingError(
-                f"circulant embedding not PSD for H={self.hurst.value}, n={mesh.steps}; "
-                "try the Cholesky sampler"
+                f"circulant embedding not PSD for H={self.hurst.value}, n={mesh.steps}: "
+                f"eigenvalue {eigenvalues.min():.3e} contradicts the nonnegative minimal "
+                "embedding of Dietrich & Newsam (1997): a defect in the eigenvalue computation"
             )
         self._sqrt_eigenvalues = np.sqrt(np.clip(eigenvalues, 0.0, None))  # modes 0..m
 
@@ -243,18 +243,11 @@ def _embedding_eigenvalues(hurst: HurstParameter, mesh: UniformMesh) -> np.ndarr
     return np.fft.rfft(first_row).real
 
 
-SAMPLERS = {"circulant": CirculantSampler, "cholesky": CholeskySampler}
-
-
 @functools.lru_cache(maxsize=4)
-def make_sampler(name: str, hurst: "float | HurstParameter", mesh: UniformMesh):
-    """The ``name`` sampler of (H, mesh).  Samplers are immutable, so the four
+def make_sampler(hurst: "float | HurstParameter", mesh: UniformMesh) -> CirculantSampler:
+    """The driver sampler of (H, mesh).  Samplers are immutable, so the four
     most recently asked for are kept and handed out again."""
-    try:
-        factory = SAMPLERS[name]
-    except KeyError:
-        raise ValueError(f"unknown sampler {name!r}; choose from {sorted(SAMPLERS)}") from None
-    return factory(hurst, mesh)
+    return CirculantSampler(hurst, mesh)
 
 
 def block_sums(increments: np.ndarray, factor: int) -> np.ndarray:

@@ -30,6 +30,7 @@ them concurrently and relies on them for bitwise reproducibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Union
@@ -166,8 +167,9 @@ def _gaussian_initial(rng: np.random.Generator, count: int, mean: float, spread:
 
 def _start(initial: float, spread: float) -> "float | Callable[[np.random.Generator, int], np.ndarray]":
     """The point mass at ``initial``, or N(initial, spread^2) when spread > 0."""
-    if spread < 0.0:
-        raise ValueError(f"initial spread must be >= 0, got {spread}")
+    if not (math.isfinite(initial) and math.isfinite(spread) and spread >= 0.0):
+        raise ValueError(f"initial law needs a finite value and a finite spread >= 0, "
+                         f"got initial={initial}, spread={spread}")
     return partial(_gaussian_initial, mean=initial, spread=spread) if spread > 0.0 else initial
 
 

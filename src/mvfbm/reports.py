@@ -106,7 +106,6 @@ class ConvergenceReport(Report):
     particles: int
     replications: int
     reference_delta: float
-    sampler: str
     seed: int
     points: tuple[tuple[float, float], ...]  # (delta, rms_error), delta decreasing
     slope: float | None
@@ -193,16 +192,14 @@ class CovarianceCheckReport(Report):
     hurst: float
     steps: int
     paths: int
-    sampler: str
     seed: int
     points: tuple[tuple[int, float, float, float], ...]  # (lag, expected, empirical, max|z|)
     max_abs_z: float
 
     def summary(self) -> str:
         return (
-            f"fbm-check H={self.hurst} n={self.steps} paths={self.paths} "
-            f"sampler={self.sampler}: max covariance deviation {self.max_abs_z:.2f} "
-            "standard errors"
+            f"fbm-check H={self.hurst} n={self.steps} paths={self.paths}: "
+            f"max covariance deviation {self.max_abs_z:.2f} standard errors"
         )
 
 

@@ -105,7 +105,6 @@ class SimulationConfig:
     mesh: UniformMesh
     particles: int
     seed: "int | StreamKey"
-    sampler: str = "circulant"
     # Replication indices of a batch: replication m is rooted at
     # stream().child(m).  None runs one ensemble rooted at stream() itself.
     replications: "range | None" = None
@@ -191,7 +190,7 @@ def _drivers(config: SimulationConfig) -> np.ndarray:
     The sampler of (H, mesh) serves the batch; particle i of replication m
     draws from child(1, i) of the replication's root.
     """
-    sampler = make_sampler(config.sampler, config.hurst, config.mesh)
+    sampler = make_sampler(config.hurst, config.mesh)
     streams = [root.child(_NS_NOISE, i) for root in config.roots() for i in range(config.particles)]
     drivers = np.empty((config.mesh.steps, len(streams), config.model.dimension))
     # the sampler writes its (R*N, steps, d) rows straight into the step-major array,

@@ -1,4 +1,4 @@
-"""Experiment harness: convergence, chaos, moment, and sampler studies.
+"""Experiment harness: convergence, chaos, moment, and driver covariance studies.
 
 Replications run in batches, and a batch is a ``SimulationConfig`` whose
 ``replications`` range names its replications: one simulator run advances
@@ -33,6 +33,7 @@ from .simulator import NumericalBlowup, SimulationConfig, run, run_coupled_meshe
 from .streams import StreamKey
 
 __all__ = [
+    "StudyArgumentError",
     "fit_loglog_slope",
     "strong_error_study",
     "chaos_study",
@@ -55,6 +56,10 @@ _TREND_ATOL = 1e-12
 _BATCH_BYTES = 16 * 2**20
 
 
+class StudyArgumentError(ValueError):
+    """A study argument, or the mesh ladder it asks for, is rejected before any run."""
+
+
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares slope of log2(error) against log2(delta).
 
@@ -62,17 +67,17 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
     is zero for an exact two-point or collinear fit.
     """
     if len(points) < 2:
-        raise ValueError(f"slope fit needs at least 2 points, got {len(points)}")
+        raise StudyArgumentError(f"slope fit needs at least 2 points, got {len(points)}")
     deltas = np.array([p[0] for p in points], dtype=float)
     errors = np.array([p[1] for p in points], dtype=float)
     if np.any(deltas <= 0.0) or np.any(errors <= 0.0):
-        raise ValueError("slope fit requires strictly positive deltas and errors")
+        raise StudyArgumentError("slope fit requires strictly positive deltas and errors")
     x = np.log2(deltas)
     y = np.log2(errors)
     x_center = x - x.mean()
     sxx = float(x_center @ x_center)
     if sxx == 0.0:
-        raise ValueError("slope fit requires at least two distinct deltas")
+        raise StudyArgumentError("slope fit requires at least two distinct deltas")
     slope = float(x_center @ (y - y.mean())) / sxx
     intercept = float(y.mean()) - slope * float(x.mean())
     residuals = y - (intercept + slope * x)
@@ -86,13 +91,13 @@ def _ladder(deltas: Sequence[float], fine_delta: float,
     """The deltas coarse to fine, the fine mesh, and each delta's factor on it."""
     steps = int(round(horizon / fine_delta))
     if steps < 1 or not math.isclose(steps * fine_delta, horizon, rel_tol=1e-12):
-        raise ValueError(f"delta {fine_delta} does not divide the horizon {horizon}")
+        raise StudyArgumentError(f"delta {fine_delta} does not divide the horizon {horizon}")
     deltas = sorted((float(d) for d in deltas), reverse=True)
     factors = [int(round(d / fine_delta)) for d in deltas]
     for delta, factor in zip(deltas, factors):
         if (factor < 1 or steps % factor
                 or not math.isclose(factor * fine_delta, delta, rel_tol=1e-12)):
-            raise ValueError(
+            raise StudyArgumentError(
                 f"delta {delta} is not an integer multiple of reference delta {fine_delta} "
                 f"that divides the horizon {horizon}"
             )
@@ -155,7 +160,6 @@ def strong_error_study(
     reference_delta: float,
     seed: int,
     horizon: float = 1.0,
-    sampler: str = "circulant",
     workers: int = 1,
 ) -> ConvergenceReport:
     """Terminal RMS error against a shared-driver fine-mesh reference run.
@@ -167,14 +171,14 @@ def strong_error_study(
     exactly at every delta is flagged instead of fitted.
     """
     if replications < 2:
-        raise ValueError(f"need at least 2 replications, got {replications}")
+        raise StudyArgumentError(f"need at least 2 replications, got {replications}")
     deltas, fine_mesh, factors = _ladder(deltas, reference_delta, horizon)
     if 1 in factors:
-        raise ValueError(f"delta {reference_delta} is the reference delta: its error is 0")
+        raise StudyArgumentError(f"delta {reference_delta} is the reference delta: its error is 0")
     if len(set(factors)) < 2:
-        raise ValueError(f"a slope needs at least two distinct deltas, got {deltas}")
+        raise StudyArgumentError(f"a slope needs at least two distinct deltas, got {deltas}")
     root = StreamKey.coerce(seed)
-    config = SimulationConfig(model, hurst, fine_mesh, particles, root, sampler)
+    config = SimulationConfig(model, hurst, fine_mesh, particles, root)
     started = time.perf_counter()
     batches = _batches(config, replications, workers)
     # per factor, per replication in order: the sum over particles of squared terminal gaps
@@ -197,7 +201,6 @@ def strong_error_study(
         particles=particles,
         replications=replications,
         reference_delta=reference_delta,
-        sampler=sampler,
         seed=root.seed,
         points=points,
         slope=slope,
@@ -215,7 +218,6 @@ def chaos_study(
     replications: int,
     theta: float,
     seed: int,
-    sampler: str = "circulant",
     workers: int = 1,
 ) -> ChaosReport:
     """Distance of terminal empirical laws to a large-ensemble reference.
@@ -230,16 +232,16 @@ def chaos_study(
     """
     counts = [int(n) for n in particle_counts]
     if len(counts) < 2:
-        raise ValueError(f"a trend needs at least two particle counts, got {counts}")
+        raise StudyArgumentError(f"a trend needs at least two particle counts, got {counts}")
     if replications < 1:
-        raise ValueError(f"need at least 1 replication, got {replications}")
+        raise StudyArgumentError(f"need at least 1 replication, got {replications}")
     if any(b <= a for a, b in zip(counts, counts[1:])):
-        raise ValueError(f"particle counts must be strictly increasing, got {counts}")
+        raise StudyArgumentError(f"particle counts must be strictly increasing, got {counts}")
     if theta < 2.0:
-        raise ValueError(f"transport order theta must be >= 2, got {theta}")
+        raise StudyArgumentError(f"transport order theta must be >= 2, got {theta}")
     root = StreamKey.coerce(seed)
     reference_count = 4 * max(counts)
-    template = SimulationConfig(model, hurst, mesh, reference_count, root.child(0, 0), sampler)
+    template = SimulationConfig(model, hurst, mesh, reference_count, root.child(0, 0))
     if model.dimension == 1:
         estimator, distance = "1d-exact", wasserstein_1d_exact
     else:
@@ -296,7 +298,6 @@ def moment_bound_check(
     order: float,
     seed: int,
     horizon: float = 1.0,
-    sampler: str = "circulant",
 ) -> MomentReport:
     """Empirical q-th moment stability under mesh refinement.
 
@@ -305,14 +306,14 @@ def moment_bound_check(
     passes when each successive refinement ratio stays within [0.8, 1.25].
     """
     if order < 2.0:
-        raise ValueError(f"moment order must be >= 2, got {order}")
+        raise StudyArgumentError(f"moment order must be >= 2, got {order}")
     hurst = HurstParameter.coerce(hurst)
     ladder, fine_mesh, factors = _ladder(deltas, min(deltas), horizon)
     if len(set(factors)) < 2:
-        raise ValueError(f"a refinement ratio needs at least two distinct deltas, got {ladder}")
+        raise StudyArgumentError(f"a refinement ratio needs at least two distinct deltas, got {ladder}")
     root = StreamKey.coerce(seed)
     started = time.perf_counter()
-    config = SimulationConfig(model, hurst, fine_mesh, particles, root.child(0), sampler)
+    config = SimulationConfig(model, hurst, fine_mesh, particles, root.child(0))
     records = run_coupled_meshes(config, factors, snapshots="thin")
     points = []
     for delta, factor in zip(ladder, factors):
@@ -347,7 +348,6 @@ def covariance_check(
     steps: int,
     paths: int,
     seed: int,
-    sampler: str = "circulant",
     horizon: float = 1.0,
 ) -> CovarianceCheckReport:
     """Entrywise z-scores of the sampled increment covariance, per lag.
@@ -364,7 +364,7 @@ def covariance_check(
     started = time.perf_counter()
     gamma = increment_covariance_matrix(hurst, mesh)[0].copy()
     stderr = np.sqrt((gamma[0] * gamma[0] + gamma**2) / paths)
-    generator = make_sampler(sampler, hurst, mesh)
+    generator = make_sampler(hurst, mesh)
     streams = [root.child(p) for p in range(paths)]
     increments = generator.sample_ensemble(1, streams)[:, :, 0]
     empirical = increments.T @ increments
@@ -392,7 +392,6 @@ def covariance_check(
         hurst=hurst.value,
         steps=steps,
         paths=paths,
-        sampler=sampler,
         seed=root.seed,
         points=tuple(points),
         max_abs_z=float(np.max([point[3] for point in points])),

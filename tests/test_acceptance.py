@@ -11,6 +11,9 @@ criterion 4 and about 1 for the measure-dependent noise of criterion 3.
 Both run models whose fBm noise is non-zero from the first step, so a
 broken coupling of the coarse drivers to the fine ones shows up as a slope
 below the bound.  The measured values are printed next to the verdict.
+A slope does not see drivers that are off by a constant factor; criterion
+10 does, by testing the RMS errors of a Gaussian model against their exact
+chi-square law.
 """
 
 import itertools
@@ -362,3 +365,57 @@ def test_criterion_9_determinism(tmp_path, capsys):
         ok,
         f"3 runs, {len(first)} bytes each, identical: {ok}",
     )
+
+
+def _exact_error_scale(hurst: float, xi: float, rate: float, factor: int,
+                       fine_mesh: UniformMesh) -> float:
+    """s^2 = xi^2 c^T Gamma c: the variance of the coarse-minus-fine terminal gap
+    of one particle's own driver functional, for the mean-reverting model.
+
+    With a point-mass start the ensemble mean is the same on every mesh, and
+    each particle's deviation from it is xi * sum_k w_k (dB_k - mean dB_k),
+    with weights w_k = (1 - r delta)^(n - 1 - k) on the fine mesh and the
+    coarse step's weight on the f fine increments it sums.
+    """
+    n, delta = fine_mesh.steps, fine_mesh.delta
+    k = np.arange(n)
+    coarse = (1.0 - rate * factor * delta) ** (n // factor - 1 - k // factor)
+    c = coarse - (1.0 - rate * delta) ** (n - 1 - k)
+    return xi**2 * float(c @ increment_covariance_matrix(hurst, fine_mesh) @ c)
+
+
+def test_criterion_10_exact_strong_error_law():
+    """The strong errors of the mean-reverting model follow their exact law.
+
+    For a point-mass start, N particles and R replications the RMS error at
+    each delta satisfies N R RMS^2 / s^2 ~ chi^2 with k = R (N - 1) degrees
+    of freedom, s^2 from the exact increment covariance.  Asserts
+    |z| < 5 with z = (X - k) / sqrt(2k) at every delta for H in
+    {0.3, 0.5, 0.7}.  Drivers scaled by 1.1 give |z| of about 15.
+    """
+    xi = rate = 1.0
+    dof = DESK_REPLICATIONS * (DESK_PARTICLES - 1)
+    fine_mesh = UniformMesh(1.0, round(1.0 / DESK_REFERENCE))
+    scores = {}
+    for hurst, seed in ((0.3, 2024), (0.5, 7), (0.7, 11)):
+        report = strong_error_study(
+            preset_mean_reverting(xi=xi, rate=rate),
+            hurst,
+            particles=DESK_PARTICLES,
+            replications=DESK_REPLICATIONS,
+            deltas=DESK_DELTAS,
+            reference_delta=DESK_REFERENCE,
+            seed=seed,
+        )
+        for delta, rms in report.points:
+            factor = round(delta / DESK_REFERENCE)
+            scale = _exact_error_scale(hurst, xi, rate, factor, fine_mesh)
+            chi2 = DESK_PARTICLES * DESK_REPLICATIONS * rms**2 / scale
+            scores[hurst, delta] = (chi2 - dof) / math.sqrt(2.0 * dof)
+    worst = max(abs(z) for z in scores.values())
+    detail = ", ".join(
+        f"H={h}: " + " ".join(f"{scores[h, d]:+.2f}" for d in DESK_DELTAS) for h in (0.3, 0.5, 0.7)
+    )
+    _verdict("10 (exact strong-error law)", worst < 5.0, f"z per delta {detail}")
+    for (hurst, delta), z in scores.items():
+        assert abs(z) < 5.0, f"H={hurst}, delta={delta}: chi-square z = {z:.2f}"

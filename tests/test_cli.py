@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import mvfbm.cli
 from mvfbm.cli import ConfigError, main, parse_config
 from mvfbm.simulator import _snapshot_plan
 
@@ -80,6 +81,7 @@ class TestParseConfig:
             (["--hurst=-2^0.5"], "hurst"),
             (["--xi=-4^0.5"], "xi"),
             (["--initial-spread=-0.5"], "initial-spread"),
+            (["--seed", "-1"], "seed"),
         ],
     )
     def test_validation_names_field(self, flags, key):
@@ -121,10 +123,21 @@ class TestMainExitCodes:
         assert code == 2
         assert "constant diffusion" in err
 
+    def test_unexpected_value_error_is_not_a_config_failure(self, monkeypatch, tmp_path):
+        def broken(*args, **kwargs):
+            raise ValueError("a defect inside the study")
+
+        monkeypatch.setattr(mvfbm.cli, "strong_error_study", broken)
+        # only typed rejections exit 2; a bare ValueError surfaces as itself
+        with pytest.raises(ValueError, match="a defect inside the study"):
+            main(["--command", "convergence", "--outdir", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "config_text,flags,expected_code",
         [
             ("command = simulate\nmodel = bogus\n", [], 2),
+            ("command = fbm-check\nsampler = cholesky\n", [], 2),
             (None, ["--command", "convergence", "--deltas", "2^-5,0.03"], 2),
             (None, ["--command", "chaos", "--particle-counts", "100,50"], 2),
             (None, ["--command", "chaos", "--particle-counts", "50"], 2),
@@ -149,8 +162,9 @@ class TestMainExitCodes:
             ),
         ],
         ids=[
-            "unknown-model-in-file", "delta-off-reference-mesh", "decreasing-counts", "one-count",
-            "one-delta", "one-distinct-delta", "blow-up", "blow-up-in-worker",
+            "unknown-model-in-file", "sampler-key-in-file", "delta-off-reference-mesh",
+            "decreasing-counts", "one-count", "one-delta", "one-distinct-delta", "blow-up",
+            "blow-up-in-worker",
         ],
     )
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys, config_text, flags, expected_code):
@@ -299,9 +313,8 @@ class TestOutputs:
 # Every artifact of one small run per command, recorded byte for byte.  The
 # runs use a relative --outdir, so the paths in config.echo and in the
 # printed summary line are the same in any working directory.  report.json
-# is compared without its volatile wall_time_seconds.  To re-record, run
-# the arguments below from an empty directory (with GOLDEN_CONFIG written to
-# run.cfg) and copy _artifacts() of each run into tests/golden/<command>/.
+# is compared without its volatile wall_time_seconds.  To re-record after an
+# intended change, run ``python tests/record_golden.py`` and review the diff.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CONFIG = """# convergence run read from a file
 command = convergence
@@ -330,7 +343,7 @@ GOLDEN_RUNS = {
     ],
     "fbm-check": [
         "--command", "fbm-check", "--hurst", "0.7", "--paths", "300", "--steps", "8",
-        "--sampler", "cholesky", "--seed", "5",
+        "--seed", "5",
     ],
 }
 
@@ -345,17 +358,19 @@ def _artifacts(run_dir, printed):
     return got
 
 
-def _golden_run(name, workdir, capsys):
+def _golden_run(name, workdir, printed):
+    """The artifacts of golden run ``name``, made in the current directory
+    ``workdir``; ``printed()`` returns what the run printed."""
     (workdir / "run.cfg").write_text(GOLDEN_CONFIG)
     code = main(GOLDEN_RUNS[name] + ["--outdir", "out", "--label", name])
     assert code == 0
-    return _artifacts(workdir / "out" / name, capsys.readouterr().out)
+    return _artifacts(workdir / "out" / name, printed())
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_RUNS))
 def test_golden_artifacts(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    got = _golden_run(name, tmp_path, capsys)
+    got = _golden_run(name, tmp_path, lambda: capsys.readouterr().out)
     expected = {path.name: path.read_bytes() for path in (GOLDEN / name).iterdir()}
     assert sorted(got) == sorted(expected)
     for file_name, content in expected.items():

@@ -24,6 +24,9 @@ from mvfbm.fbm import (
 )
 from mvfbm.streams import StreamKey
 
+# The runtime sampler and the dense reference it is checked against.
+SAMPLERS = {"cholesky": CholeskySampler, "circulant": CirculantSampler}
+
 
 class TestHurstParameter:
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7])
@@ -45,8 +48,9 @@ class TestUniformMesh:
     def test_invalid(self):
         with pytest.raises(ValueError):
             UniformMesh(1.0, 0)
-        with pytest.raises(ValueError):
-            UniformMesh(-1.0, 4)
+        for horizon in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                UniformMesh(horizon, 4)
         with pytest.raises(ValueError):
             UniformMesh(1.0, 8).coarsen(3)
 
@@ -154,7 +158,7 @@ class TestSamplers:
     @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7, 0.9])
     def test_empirical_covariance_matches(self, name, hurst):
         mesh = UniformMesh(1.0, 64)
-        sampler = make_sampler(name, hurst, mesh)
+        sampler = SAMPLERS[name](hurst, mesh)
         increments = _increment_ensemble(sampler, self.PATHS)
         z = _covariance_zscores(increments, increment_covariance_matrix(hurst, mesh))
         assert z.max() < 5.0, f"covariance deviates {z.max():.2f} standard errors"
@@ -163,7 +167,7 @@ class TestSamplers:
     def test_bit_identical_for_same_seed(self, name):
         mesh = UniformMesh(1.0, 128)
         stream = StreamKey(5).child(9)
-        sampler = make_sampler(name, 0.8, mesh)
+        sampler = SAMPLERS[name](0.8, mesh)
         a = sampler.sample_ensemble(3, [stream])
         b = sampler.sample_ensemble(3, [stream])
         assert np.array_equal(a, b)
@@ -267,8 +271,9 @@ class TestCirculantEmbedding:
 
         monkeypatch.setattr(mvfbm.fbm, "_embedding_eigenvalues", negative)
         make_sampler.cache_clear()  # a cached sampler would skip the check
-        with pytest.raises(CirculantEmbeddingError, match="not PSD for H=0.7, n=16"):
+        with pytest.raises(CirculantEmbeddingError, match="not PSD for H=0.7, n=16") as excinfo:
             CirculantSampler(0.7, UniformMesh(1.0, 16))
+        assert "Dietrich & Newsam" in str(excinfo.value)
         args = ["--command", "simulate", "--steps", "16", "--particles", "4",
                 "--outdir", str(tmp_path)]
         assert main(args) == 1

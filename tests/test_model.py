@@ -1,5 +1,6 @@
 """Preset coefficient oracles, regime validation, and the diffusion shape contract."""
 
+import math
 import pickle
 
 import numpy as np
@@ -154,8 +155,10 @@ def test_every_preset_takes_the_initial_law(name):
     assert np.array_equal(point, np.full((64, 1), 1.5))
     spread = preset_by_name(name, initial=1.5, initial_spread=0.5).initial_states(64, rng)
     assert abs(spread.mean() - 1.5) < 5 * 0.5 / 8 and 0.25 < spread.std() < 1.0
-    with pytest.raises(ValueError, match="spread"):
-        preset_by_name(name, initial_spread=-0.5)
+    # a NaN spread once failed both sign tests and became a point mass
+    for initial, spread in ((1.0, -0.5), (1.0, math.nan), (1.0, math.inf), (math.nan, 0.0)):
+        with pytest.raises(ValueError, match="finite spread >= 0"):
+            preset_by_name(name, initial=initial, initial_spread=spread)
 
 
 def test_preset_by_name_unknown():

@@ -1,8 +1,12 @@
 """Property tests against direct oracles: the covariance audit, the Toeplitz
 covariance and the shared barycenter must give the oracle's bits exactly.
+The audit is checked on samples of the circulant sampler and of the dense
+Cholesky reference sampler.
 
 The examples come from the derandomized profile in conftest.py.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,12 +16,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mvfbm.fbm import (
-    SAMPLERS,
+    CholeskySampler,
+    CirculantSampler,
     HurstParameter,
     UniformMesh,
     _fgn_autocovariance,
     increment_covariance_matrix,
-    make_sampler,
 )
 from mvfbm.measure import EmpiricalMeasure
 from mvfbm.streams import StreamKey
@@ -33,7 +37,7 @@ def _toeplitz_gather(hurst: float, mesh: UniformMesh) -> np.ndarray:
     return gamma[np.abs(index[:, None] - index[None, :])]
 
 
-def _covariance_check_oracle(hurst, steps, paths, seed, sampler):
+def _covariance_check_oracle(hurst, steps, paths, seed, sampler_cls):
     """The audit on full n x n arrays: per-lag mean and max |z|, and the overall max |z|.
 
     Holds the expected covariance, the standard errors and the z-scores
@@ -43,7 +47,7 @@ def _covariance_check_oracle(hurst, steps, paths, seed, sampler):
     mesh = UniformMesh(1.0, steps)
     expected = _toeplitz_gather(hurst, mesh)
     streams = [StreamKey(seed).child(p) for p in range(paths)]
-    generator = make_sampler(sampler, HurstParameter(hurst), mesh)
+    generator = sampler_cls(HurstParameter(hurst), mesh)
     increments = generator.sample_ensemble(1, streams)[:, :, 0]
     empirical = increments.T @ increments / paths
     diag = np.diag(expected)
@@ -63,10 +67,12 @@ def _covariance_check_oracle(hurst, steps, paths, seed, sampler):
 
 
 @given(hurst=hursts, steps=st.integers(1, 200), paths=st.integers(1, 60),
-       sampler=st.sampled_from(sorted(SAMPLERS)), seed=st.integers(0, 2**32 - 1))
-def test_covariance_check_matches_the_full_matrix_oracle(hurst, steps, paths, sampler, seed):
-    report = covariance_check(hurst, steps, paths, seed, sampler=sampler)
-    points, max_abs_z = _covariance_check_oracle(hurst, steps, paths, seed, sampler)
+       sampler_cls=st.sampled_from([CholeskySampler, CirculantSampler]),
+       seed=st.integers(0, 2**32 - 1))
+def test_covariance_check_matches_the_full_matrix_oracle(hurst, steps, paths, sampler_cls, seed):
+    with mock.patch("mvfbm.study.make_sampler", sampler_cls):  # the audit of this sampler's draws
+        report = covariance_check(hurst, steps, paths, seed)
+    points, max_abs_z = _covariance_check_oracle(hurst, steps, paths, seed, sampler_cls)
     assert repr(report.points) == repr(points)
     assert repr(report.max_abs_z) == repr(max_abs_z)
 

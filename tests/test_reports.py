@@ -20,7 +20,6 @@ def _report(**overrides):
         particles=20,
         replications=4,
         reference_delta=2.0**-7,
-        sampler="circulant",
         seed=7,
         points=((0.125, 0.05), (0.0625, 0.026)),
         slope=0.94,

@@ -141,7 +141,6 @@ class TestRun:
             UniformMesh(1.0, 64),
             6,
             StreamKey(13),
-            "circulant",
         )
         record = run(config, snapshots="terminal")
         from mvfbm.fbm import CirculantSampler

@@ -21,6 +21,7 @@ from mvfbm.simulator import NumericalBlowup, SimulationConfig, run
 from mvfbm.streams import StreamKey
 from mvfbm.study import (
     EXACT_SCHEME_ATOL,
+    StudyArgumentError,
     chaos_study,
     covariance_check,
     fit_loglog_slope,
@@ -50,17 +51,17 @@ class TestSlopeFit:
         assert stderr == pytest.approx(0.0, abs=1e-10)
 
     def test_single_point_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(StudyArgumentError):
             fit_loglog_slope([(0.5, 0.1)])
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(StudyArgumentError):
             fit_loglog_slope([(0.5, 0.0), (0.25, 0.1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(StudyArgumentError):
             fit_loglog_slope([(-0.5, 0.2), (0.25, 0.1)])
 
     def test_duplicate_deltas_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(StudyArgumentError):
             fit_loglog_slope([(0.5, 0.1), (0.5, 0.2)])
 
     def test_noisy_fit_stderr_positive(self):
@@ -142,7 +143,7 @@ class TestStrongErrorStudy:
         assert all(size <= 2 for size in seen)
 
     def test_bad_delta_rejected(self):
-        with pytest.raises(ValueError, match="integer multiple"):
+        with pytest.raises(StudyArgumentError, match="integer multiple"):
             strong_error_study(
                 preset_mean_reverting(),
                 0.5,
@@ -161,14 +162,14 @@ class TestStrongErrorStudy:
     )
     def test_unfittable_ladder_rejected_before_any_run(self, monkeypatch, deltas, match):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(StudyArgumentError, match=match):
             strong_error_study(
                 preset_mean_reverting(xi=1.0, rate=0.0), 0.5, particles=4, replications=2,
                 deltas=deltas, reference_delta=REFERENCE, seed=0,
             )
 
     def test_minimum_replications(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(StudyArgumentError):
             strong_error_study(
                 preset_mean_reverting(),
                 0.5,
@@ -229,7 +230,7 @@ class TestChaosStudy:
         assert abs(mean_a - mean_b) < 5 * math.hypot(se_a, se_b)
 
     def test_counts_must_increase(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(StudyArgumentError, match="strictly increasing"):
             chaos_study(
                 preset_mean_reverting(),
                 0.5,
@@ -258,7 +259,7 @@ class TestChaosStudy:
     def test_order_rejected_before_any_run(self, monkeypatch):
         monkeypatch.setattr(mvfbm.study, "run", _must_not_run)
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
-        with pytest.raises(ValueError, match="theta"):
+        with pytest.raises(StudyArgumentError, match="theta"):
             chaos_study(preset_mean_reverting(), 0.5, self.MESH, [4, 8], 2, 1.5, 0)
 
     @pytest.mark.parametrize(
@@ -270,7 +271,7 @@ class TestChaosStudy:
                                                            replications, match):
         monkeypatch.setattr(mvfbm.study, "run", _must_not_run)
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(StudyArgumentError, match=match):
             chaos_study(preset_mean_reverting(), 0.5, self.MESH, counts, replications, 2.0, 0)
 
     def test_deterministic_and_worker_independent(self):
@@ -328,14 +329,14 @@ class TestMomentBoundCheck:
         assert abs(terminal - expected) < 5 * stderr
 
     def test_order_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(StudyArgumentError):
             moment_bound_check(preset_mean_reverting(), 0.5, DELTAS, 4, order=1.0, seed=0)
 
     @pytest.mark.parametrize("deltas", [(2.0**-3,), (2.0**-3, 2.0**-3)],
                              ids=["one-delta", "one-distinct-delta"])
     def test_ratioless_ladder_rejected_before_any_run(self, monkeypatch, deltas):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
-        with pytest.raises(ValueError, match="two distinct deltas"):
+        with pytest.raises(StudyArgumentError, match="two distinct deltas"):
             moment_bound_check(preset_mean_reverting(), 0.5, deltas, 4, order=2.0, seed=0)
 
 
