@@ -271,6 +271,8 @@ def _read_config_file(path: str) -> dict[str, object]:
         key, value = key.strip(), value.strip()
         if key not in _FIELD_FOR_KEY:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if _FIELD_FOR_KEY[key] in values:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is set twice")
         values[_FIELD_FOR_KEY[key]] = _convert(_FIELD_FOR_KEY[key], value)
     return values
 

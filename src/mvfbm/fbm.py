@@ -145,24 +145,17 @@ class CholeskySampler:
                 f"n={mesh.steps}"
             ) from exc
 
-    def sample_ensemble(self, dimension: int, streams: Sequence[StreamKey],
-                        *, out: "np.ndarray | None" = None) -> np.ndarray:
+    def sample_ensemble(self, dimension: int, streams: Sequence[StreamKey]) -> np.ndarray:
         """Increments of one path per stream, shape (len(streams), n, d).
 
         Component j of a path draws n normals from its stream's child(j).
-        ``out``, if given, is a (len(streams), n, d) array, possibly a
-        strided view, that receives the increments and is returned.
         """
         n = self.mesh.steps
         z = np.empty((len(streams), dimension, n))
         for p, stream in enumerate(streams):
             for j in range(dimension):
                 z[p, j] = stream.child(j).generator().standard_normal(n)
-        increments = np.einsum("kn,pjn->pkj", self._factor, z)
-        if out is None:
-            return increments
-        out[...] = increments
-        return out
+        return np.einsum("kn,pjn->pkj", self._factor, z)
 
 
 class CirculantSampler:
@@ -195,9 +188,10 @@ class CirculantSampler:
         Component j of a path draws 2m normals z from its stream's child(j):
         z[0] and z[1] feed the two real Fourier modes (frequencies 0 and m),
         z[2k] and z[2k+1] the real and imaginary parts of mode k, 0 < k < m.
-        ``out`` is as for CholeskySampler.  The FFT runs over blocks of rows
-        of a fixed byte size, so its work arrays stay small however many
-        paths are drawn.
+        ``out``, if given, is a (len(streams), n, d) array, possibly a
+        strided view, that receives the increments and is returned.  The
+        FFT runs over blocks of rows of a fixed byte size, so its work arrays
+        stay small however many paths are drawn.
 
         The normals land in the float view of the m+1 complex modes, where
         only z[1] has to move.  Scaled and conjugated they are the Hermitian

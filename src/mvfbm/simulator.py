@@ -42,8 +42,8 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-# Stream namespaces under a run's root key: child(0) seeds the initial
-# sampler, child(1, i) seeds particle i's driver path.
+# Stream namespaces under a replication's root key: child(0) seeds the
+# initial sampler, child(1, i) seeds particle i's driver path.
 _NS_INITIAL = 0
 _NS_NOISE = 1
 
@@ -55,10 +55,9 @@ class NumericalBlowup(RuntimeError):
     """A particle state left the finite range; carries step, replication and particle.
 
     ``particle`` counts within its replication; ``replication`` is the
-    replication index the run was given (0 for a single ensemble), and
-    ``mesh_steps`` the step count of the mesh it ran on.  A run stops at the
-    first step where any of its replications blows up and names the first
-    non-finite row of that step.
+    replication index the run was given, and ``mesh_steps`` the step count
+    of the mesh it ran on.  A run stops at the first step where any of its
+    replications blows up and names the first non-finite row of that step.
     A study whose batches blow up names the earliest failure of them all:
     the finest mesh first, then the smallest particle count, step and
     replication.  So which failure is named does not depend on
@@ -105,26 +104,21 @@ class SimulationConfig:
     mesh: UniformMesh
     particles: int
     seed: "int | StreamKey"
-    # Replication indices of a batch: replication m is rooted at
-    # stream().child(m).  None runs one ensemble rooted at stream() itself.
-    replications: "range | None" = None
+    # Replication indices of the batch: replication m is rooted at child(m) of the seed.
+    replications: range = range(1)
 
     def __post_init__(self) -> None:
         if self.particles < 1:
             raise ValueError(f"particle count must be >= 1, got {self.particles}")
-        if self.replications is not None and len(self.replications) < 1:
-            raise ValueError("a batch needs at least one replication")
+        reps = self.replications
+        if not isinstance(reps, range) or not reps or min(reps) < 0:
+            raise ValueError(f"replications must be a nonempty range of indices >= 0, got {reps!r}")
         object.__setattr__(self, "hurst", HurstParameter.coerce(self.hurst))
         validate(self.model, self.hurst)
 
-    def stream(self) -> StreamKey:
-        return StreamKey.coerce(self.seed)
-
     def roots(self) -> list[StreamKey]:
-        """The stream root of each ensemble in the batch."""
-        root = self.stream()
-        if self.replications is None:
-            return [root]
+        """The stream root of each replication in the batch."""
+        root = StreamKey.coerce(self.seed)
         return [root.child(m) for m in self.replications]
 
 
@@ -213,9 +207,8 @@ def _evolve(config: SimulationConfig, initial: np.ndarray, drivers: np.ndarray,
     first non-finite state as a NumericalBlowup naming its step, replication
     and particle."""
     mesh = config.mesh
-    labels = range(1) if config.replications is None else config.replications
     keep = _snapshot_plan(mesh.steps, snapshots)
-    ensemble = ParticleEnsemble(initial, len(labels))
+    ensemble = ParticleEnsemble(initial, len(config.replications))
     kept = [initial.copy()] if 0 in keep else []
     for k, increments in enumerate(drivers, start=1):
         # bench/layertrace.py patches this module-level call and reads .states from its first argument
@@ -223,18 +216,18 @@ def _evolve(config: SimulationConfig, initial: np.ndarray, drivers: np.ndarray,
         if not np.isfinite(ensemble.states).all():
             bad = int(np.argwhere(~np.isfinite(ensemble.states))[0, 0])
             slot, particle = divmod(bad, config.particles)
-            raise NumericalBlowup(k, particle, config.model.name, labels[slot], mesh.steps)
+            raise NumericalBlowup(k, particle, config.model.name, config.replications[slot], mesh.steps)
         if k in keep:
             kept.append(ensemble.states)
     return TrajectoryRecord(mesh, sorted(keep), kept)
 
 
 def run(config: SimulationConfig, snapshots: str = "terminal") -> TrajectoryRecord:
-    """Simulate the configured ensemble, or batch of ensembles, over the mesh.
+    """Simulate the configured batch of ensembles over the mesh.
 
-    Deterministic given the seed: particle i's driver comes from the stream
-    at child(1, i) of its replication's root, independent of evaluation
-    order and of which replications share the batch.
+    Deterministic given the seed: particle i of replication m draws its
+    driver from the stream at child(m, 1, i) of the seed, independent of
+    evaluation order and of which replications share the batch.
     """
     return run_coupled_meshes(config, (1,), snapshots)[1]
 

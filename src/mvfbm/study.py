@@ -8,10 +8,13 @@ reduces them in the main process in replication order.  So a report is a
 pure function of its seed and parameters, independent of batch size,
 worker count or scheduling.
 
-Study-level stream layout under the master key: ``child(m)`` roots
-replication m of a convergence study; chaos studies use ``child(0, 0)``
-for the reference ensemble, ``child(1, a, m)`` for run m at the a-th
-particle count, ``child(2, a, m)`` for the matching subsample draws.
+Study-level stream layout under the master key.  A run roots its
+replication m at ``child(m)`` of the seed it is given, so a study only
+picks seeds.  Convergence and moments pass the master key, so replication
+m is ``child(m)``.  Chaos passes ``child(0)`` to its reference run, so the
+reference ensemble is ``child(0, 0)``; ``child(1, a)`` to the runs at the
+a-th particle count, so run m is ``child(1, a, m)``; and draws run m's
+subsample from ``child(2, a, m)``.
 """
 
 from __future__ import annotations
@@ -94,13 +97,15 @@ def _ladder(deltas: Sequence[float], fine_delta: float,
         raise StudyArgumentError(f"delta {fine_delta} does not divide the horizon {horizon}")
     deltas = sorted((float(d) for d in deltas), reverse=True)
     factors = [int(round(d / fine_delta)) for d in deltas]
-    for delta, factor in zip(deltas, factors):
+    for i, (delta, factor) in enumerate(zip(deltas, factors)):
         if (factor < 1 or steps % factor
                 or not math.isclose(factor * fine_delta, delta, rel_tol=1e-12)):
             raise StudyArgumentError(
                 f"delta {delta} is not an integer multiple of reference delta {fine_delta} "
                 f"that divides the horizon {horizon}"
             )
+        if factor in factors[:i]:
+            raise StudyArgumentError(f"delta {delta} is repeated: give each delta once")
     return deltas, UniformMesh(horizon, steps), factors
 
 
@@ -175,7 +180,7 @@ def strong_error_study(
     deltas, fine_mesh, factors = _ladder(deltas, reference_delta, horizon)
     if 1 in factors:
         raise StudyArgumentError(f"delta {reference_delta} is the reference delta: its error is 0")
-    if len(set(factors)) < 2:
+    if len(factors) < 2:
         raise StudyArgumentError(f"a slope needs at least two distinct deltas, got {deltas}")
     root = StreamKey.coerce(seed)
     config = SimulationConfig(model, hurst, fine_mesh, particles, root)
@@ -241,7 +246,7 @@ def chaos_study(
         raise StudyArgumentError(f"transport order theta must be >= 2, got {theta}")
     root = StreamKey.coerce(seed)
     reference_count = 4 * max(counts)
-    template = SimulationConfig(model, hurst, mesh, reference_count, root.child(0, 0))
+    template = SimulationConfig(model, hurst, mesh, reference_count, root.child(0))
     if model.dimension == 1:
         estimator, distance = "1d-exact", wasserstein_1d_exact
     else:
@@ -309,11 +314,11 @@ def moment_bound_check(
         raise StudyArgumentError(f"moment order must be >= 2, got {order}")
     hurst = HurstParameter.coerce(hurst)
     ladder, fine_mesh, factors = _ladder(deltas, min(deltas), horizon)
-    if len(set(factors)) < 2:
+    if len(factors) < 2:
         raise StudyArgumentError(f"a refinement ratio needs at least two distinct deltas, got {ladder}")
     root = StreamKey.coerce(seed)
     started = time.perf_counter()
-    config = SimulationConfig(model, hurst, fine_mesh, particles, root.child(0))
+    config = SimulationConfig(model, hurst, fine_mesh, particles, root)
     records = run_coupled_meshes(config, factors, snapshots="thin")
     points = []
     for delta, factor in zip(ladder, factors):
@@ -356,7 +361,8 @@ def covariance_check(
     Gaussian product-moment identity Var(xy) = C_xx * C_yy + C_xy^2; on the
     Toeplitz covariance it depends on the lag only.  Besides the sample,
     the check holds one n x n matrix, the empirical second moments, and
-    works through it one pair of diagonals at a time.
+    reads one diagonal of it per lag: the matrix is exactly symmetric, so
+    lag -k repeats lag k.
     """
     hurst = HurstParameter.coerce(hurst)
     mesh = UniformMesh(horizon, steps)
@@ -370,24 +376,11 @@ def covariance_check(
     empirical = increments.T @ increments
     del increments
     empirical /= paths
-    # Lag k's entries (i, i - k) and (i, i + k) in row-major order: row i's
-    # (lower, upper) pair, where rows below k have no lower entry, rows from
-    # n - k on no upper one, and lag 0 has its one entry in the upper column.
-    pairs = np.empty((steps, 2))
-    valid = np.empty((steps, 2), dtype=bool)
     points = []
     for lag in range(steps):
-        pairs[lag:, 0] = np.diagonal(empirical, -lag)
-        pairs[: steps - lag, 1] = np.diagonal(empirical, lag)
-        valid.fill(False)
-        valid[lag:, 0] = lag > 0
-        valid[: steps - lag, 1] = True
-        row_major = pairs[valid]
-        mean = float(row_major.mean())
-        row_major -= gamma[lag]
-        z = np.abs(row_major, out=row_major)
-        z /= stderr[lag]
-        points.append((lag, float(gamma[lag]), mean, float(z.max())))
+        diagonal = np.diagonal(empirical, lag)
+        z = np.abs(diagonal - gamma[lag]) / stderr[lag]
+        points.append((lag, float(gamma[lag]), float(diagonal.mean()), float(z.max())))
     return CovarianceCheckReport(
         hurst=hurst.value,
         steps=steps,

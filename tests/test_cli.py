@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, config precedence, output layout."""
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -61,6 +62,13 @@ class TestParseConfig:
         cfg.write_text("command = simulate\nwidget = 3\n")
         with pytest.raises(ConfigError, match="widget"):
             parse_config(["--config", str(cfg)])
+
+    def test_repeated_file_key(self, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("command = simulate\nhurst = 0.3\nhurst = 0.7\n")
+        for flags in ([], ["--hurst", "0.5"]):  # a flag does not mend the file
+            with pytest.raises(ConfigError, match=re.escape(f"{cfg}:3: config key 'hurst' is set twice")):
+                parse_config(["--config", str(cfg), *flags])
 
     def test_missing_command(self):
         with pytest.raises(ConfigError, match="command"):
@@ -143,6 +151,9 @@ class TestMainExitCodes:
             (None, ["--command", "chaos", "--particle-counts", "50"], 2),
             (None, ["--command", "moments", "--deltas", "2^-5"], 2),
             (None, ["--command", "moments", "--deltas", "2^-5,2^-5"], 2),
+            (None, ["--command", "convergence", "--deltas", "2^-3,2^-3,2^-4"], 2),
+            (None, ["--command", "moments", "--deltas", "2^-3,2^-4,2^-4"], 2),
+            ("command = simulate\nhurst = 0.3\nhurst = 0.7\n", [], 2),
             (
                 None,
                 [
@@ -163,8 +174,9 @@ class TestMainExitCodes:
         ],
         ids=[
             "unknown-model-in-file", "sampler-key-in-file", "delta-off-reference-mesh",
-            "decreasing-counts", "one-count", "one-delta", "one-distinct-delta", "blow-up",
-            "blow-up-in-worker",
+            "decreasing-counts", "one-count", "one-delta", "one-distinct-delta",
+            "repeated-delta-convergence", "repeated-delta-moments", "repeated-key-in-file",
+            "blow-up", "blow-up-in-worker",
         ],
     )
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys, config_text, flags, expected_code):

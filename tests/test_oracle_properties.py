@@ -41,8 +41,9 @@ def _covariance_check_oracle(hurst, steps, paths, seed, sampler_cls):
     """The audit on full n x n arrays: per-lag mean and max |z|, and the overall max |z|.
 
     Holds the expected covariance, the standard errors and the z-scores
-    entrywise and groups the flat entries by lag with a stable argsort, so
-    each lag's entries are summed in row-major order.
+    entrywise, checks that the empirical matrix is exactly symmetric, and
+    groups the flat entries on and above the diagonal by lag j - i with a
+    stable argsort, so each lag's entries are summed in row-major order.
     """
     mesh = UniformMesh(1.0, steps)
     expected = _toeplitz_gather(hurst, mesh)
@@ -50,13 +51,16 @@ def _covariance_check_oracle(hurst, steps, paths, seed, sampler_cls):
     generator = sampler_cls(HurstParameter(hurst), mesh)
     increments = generator.sample_ensemble(1, streams)[:, :, 0]
     empirical = increments.T @ increments / paths
+    assert np.array_equal(empirical, empirical.T)  # so lag -k repeats lag k
     diag = np.diag(expected)
     stderr = np.sqrt((np.outer(diag, diag) + expected**2) / paths)
     z = np.abs(empirical - expected) / stderr
     index = np.arange(steps)
-    by_lag = np.argsort(np.abs(index[:, None] - index[None, :]).ravel(), kind="stable")
-    empirical_by_lag, z_by_lag = empirical.ravel()[by_lag], z.ravel()[by_lag]
-    counts = np.concatenate([[steps], 2 * (steps - index[1:])])  # n entries at lag 0, 2(n - k) at lag k
+    lags = index[None, :] - index[:, None]
+    upper = lags >= 0
+    by_lag = np.argsort(lags[upper], kind="stable")
+    empirical_by_lag, z_by_lag = empirical[upper][by_lag], z[upper][by_lag]
+    counts = steps - index  # n - k entries at lag k
     ends = np.cumsum(counts)
     points = tuple(
         (lag, float(expected[0, lag]), float(empirical_by_lag[start:end].mean()),

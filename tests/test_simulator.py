@@ -2,6 +2,8 @@
 
 import io
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,9 +149,30 @@ class TestRun:
 
         sampler = CirculantSampler(0.7, config.mesh)
         for i in range(6):
-            increments = sampler.sample_ensemble(1, [config.stream().child(1, i)])[0]
+            increments = sampler.sample_ensemble(1, [StreamKey(13).child(0, 1, i)])[0]
             expected = x0 + xi * increments.sum()
             assert record.terminal[i, 0] == pytest.approx(expected, rel=1e-12)
+
+    def test_every_run_is_a_batch_of_replications(self):
+        # replication m is rooted at child(m) of the seed, alone or in any batch
+        config = SimulationConfig(
+            preset_mean_deviation(initial_spread=1.0), 0.7, UniformMesh(1.0, 16), 4, 42
+        )
+        default = run(config).terminal
+        assert default.tobytes() == run(replace(config, replications=range(1))).terminal.tobytes()
+        n = config.particles
+        for batch_size in (1, 3):
+            batch = run(replace(config, replications=range(batch_size))).terminal
+            for m in range(batch_size):
+                alone = run(replace(config, replications=range(m, m + 1))).terminal
+                assert alone.tobytes() == batch[m * n : (m + 1) * n].tobytes(), (batch_size, m)
+
+    @pytest.mark.parametrize("replications", [None, range(0), range(3, 3), range(-1, 1), [0], 1],
+                             ids=["none", "empty", "empty-at-3", "negative", "list", "int"])
+    def test_replications_must_be_a_nonempty_range(self, replications):
+        with pytest.raises(ValueError, match=re.escape(f"got {replications!r}")):
+            SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 2, 0,
+                             replications=replications)
 
     def test_exchangeability(self):
         # particle marginals are identically distributed across indices

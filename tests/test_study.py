@@ -18,7 +18,6 @@ from mvfbm.model import (
     preset_mean_reverting,
 )
 from mvfbm.simulator import NumericalBlowup, SimulationConfig, run
-from mvfbm.streams import StreamKey
 from mvfbm.study import (
     EXACT_SCHEME_ATOL,
     StudyArgumentError,
@@ -156,7 +155,7 @@ class TestStrongErrorStudy:
 
     @pytest.mark.parametrize(
         "deltas, match",
-        [((2.0**-3,), "two distinct"), ((2.0**-3, 2.0**-3), "two distinct"),
+        [((2.0**-3,), "two distinct"), ((2.0**-3, 2.0**-3), "delta 0.125 is repeated"),
          ((2.0**-3, REFERENCE), "reference delta")],
         ids=["one-delta", "one-distinct-delta", "reference-delta"],
     )
@@ -332,11 +331,14 @@ class TestMomentBoundCheck:
         with pytest.raises(StudyArgumentError):
             moment_bound_check(preset_mean_reverting(), 0.5, DELTAS, 4, order=1.0, seed=0)
 
-    @pytest.mark.parametrize("deltas", [(2.0**-3,), (2.0**-3, 2.0**-3)],
-                             ids=["one-delta", "one-distinct-delta"])
-    def test_ratioless_ladder_rejected_before_any_run(self, monkeypatch, deltas):
+    @pytest.mark.parametrize(
+        "deltas, match",
+        [((2.0**-3,), "two distinct deltas"), ((2.0**-3, 2.0**-3), "delta 0.125 is repeated")],
+        ids=["one-delta", "one-distinct-delta"],
+    )
+    def test_ratioless_ladder_rejected_before_any_run(self, monkeypatch, deltas, match):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
-        with pytest.raises(StudyArgumentError, match="two distinct deltas"):
+        with pytest.raises(StudyArgumentError, match=match):
             moment_bound_check(preset_mean_reverting(), 0.5, deltas, 4, order=2.0, seed=0)
 
 
@@ -515,12 +517,13 @@ class TestBatching:
         solo = {}
         for m in range(replications):  # each replication, run alone on the reference mesh
             config = SimulationConfig(
-                model, 0.7, UniformMesh(1.0, BATCH_STEPS), BATCH_PARTICLES, StreamKey(31).child(m)
+                model, 0.7, UniformMesh(1.0, BATCH_STEPS), BATCH_PARTICLES, 31,
+                replications=range(m, m + 1),
             )
             try:
                 run(config, snapshots="terminal")
             except NumericalBlowup as alone:
-                assert alone.replication == 0
+                assert alone.replication == m
                 solo[m] = (alone.step, alone.particle)
         first = min(solo, key=lambda m: (solo[m][0], m))
         # Every batching and worker count names the earliest (step, replication).
