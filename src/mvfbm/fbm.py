@@ -18,6 +18,8 @@ compare the circulant sampler against, and no run uses it.
 
 Both draw from :class:`~mvfbm.streams.StreamKey` addresses, one independent
 stream per path component, and are deterministic given (H, mesh, d, stream).
+The circulant sampler seeds all streams of a call in one vectorized pass,
+bit-identical to ``StreamKey.generator()``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .streams import StreamKey
+from .streams import StreamKey, child_seed_words, seeded_generator
 
 __all__ = [
     "HurstParameter",
@@ -102,10 +104,19 @@ class UniformMesh:
 
 
 def _fgn_autocovariance(hurst: HurstParameter, delta: float, lags: np.ndarray) -> np.ndarray:
-    """gamma(k) for increment lags k >= 0, in units of delta^{2H}."""
+    """gamma(k) for increment lags k >= 0, in units of delta^{2H}.
+
+    Every driver and every covariance starts here, so this is where a mesh
+    whose increment variance delta^{2H} overflows a float is rejected."""
     two_h = 2.0 * hurst.value
+    try:
+        variance = float(delta) ** two_h
+    except OverflowError:
+        raise CirculantEmbeddingError(
+            f"fGn variance delta^(2H) overflows a float for delta={delta:g}, H={hurst.value}"
+        ) from None
     k = np.asarray(lags, dtype=float)
-    return 0.5 * delta**two_h * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
+    return 0.5 * variance * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
 
 
 def increment_covariance_matrix(hurst: "float | HurstParameter", mesh: UniformMesh) -> np.ndarray:
@@ -123,7 +134,8 @@ class CovarianceFactorizationError(RuntimeError):
 
 
 class CirculantEmbeddingError(RuntimeError):
-    """Circulant embedding had an eigenvalue negative beyond round-off."""
+    """The mesh's fGn covariance cannot be embedded: its variance overflows a
+    float, or the circulant has an eigenvalue negative beyond round-off."""
 
 
 class CholeskySampler:
@@ -188,6 +200,9 @@ class CirculantSampler:
         Component j of a path draws 2m normals z from its stream's child(j):
         z[0] and z[1] feed the two real Fourier modes (frequencies 0 and m),
         z[2k] and z[2k+1] the real and imaginary parts of mode k, 0 < k < m.
+        The child(j) streams of the call are seeded in one pass, bit-identical
+        to ``stream.child(j).generator()``, and each generator is built just
+        before its draw.
         ``out``, if given, is a (len(streams), n, d) array, possibly a
         strided view, that receives the increments and is returned.  The
         FFT runs over blocks of rows of a fixed byte size, so its work arrays
@@ -202,19 +217,20 @@ class CirculantSampler:
         if out is None:
             out = np.empty((len(streams), self.mesh.steps, dimension))
         scale = self._mode_scale()
+        seeds = child_seed_words(streams, dimension)
         rows = max(1, _FFT_BLOCK_BYTES // (16 * (m + 1)))
         for start in range(0, len(streams), rows):
-            block = streams[start : start + rows]
-            modes = np.empty((len(block), m + 1), dtype=complex)
+            block = seeds[:, start : start + rows]  # (d, rows, 4)
+            modes = np.empty((block.shape[1], m + 1), dtype=complex)
             parts = modes.view(float)  # (rows, 2m + 2): re/im of mode 0, 1, .., m
             for j in range(dimension):
-                for p, stream in enumerate(block):
-                    stream.child(j).generator().standard_normal(2 * m, out=parts[p, : 2 * m])
+                for p, words in enumerate(block[j]):
+                    seeded_generator(words).standard_normal(2 * m, out=parts[p, : 2 * m])
                 parts[:, 2 * m] = parts[:, 1]
                 parts[:, 1] = parts[:, 2 * m + 1] = 0.0
                 parts *= scale
                 fgn = np.fft.irfft(modes, n=2 * m, axis=1, norm="forward")
-                out[start : start + len(block), :, j] = fgn[:, : self.mesh.steps]
+                out[start : start + len(modes), :, j] = fgn[:, : self.mesh.steps]
         return out
 
     def _mode_scale(self) -> np.ndarray:

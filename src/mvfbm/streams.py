@@ -6,18 +6,23 @@ the stream a worker sees depends only on its address and not on scheduling
 order or worker count.
 
 Gaussian variates come from ``numpy.random.Generator.standard_normal`` on a
-PCG64 bit generator seeded through ``SeedSequence(seed, spawn_key=path)``.
-The draw order inside each consumer is fixed and documented there; golden
-values are stable within one build.
+PCG64 bit generator seeded through ``SeedSequence(seed, spawn_key=path)``,
+which :meth:`StreamKey.generator` builds.  ``child_seed_words`` runs that
+hash (O'Neill 2014), a fixed chain of 32-bit multiply/xor steps, over many
+keys in one vectorized pass; its generators are bit-identical to
+``StreamKey.generator()``.  The draw order inside each consumer is fixed
+and documented there; golden values are stable within one build.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["StreamKey"]
+__all__ = ["StreamKey", "child_seed_words", "seeded_generator"]
 
 
 @dataclass(frozen=True)
@@ -46,3 +51,83 @@ class StreamKey:
         if isinstance(seed, StreamKey):
             return seed
         return cls(int(seed))
+
+
+# numpy's SeedSequence constants; its pool has 4 words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+def _entropy(seed: int, path: Sequence[int]) -> list[int]:
+    """SeedSequence's entropy: the uint32 words, least significant first, of
+    the seed, zero-padded to the pool size, then of each path index.  numpy
+    pads only before a spawn key, but a shorter entropy hashes as if padded."""
+    words = []
+    for n in (seed, *path):
+        words.append(n & _MASK)
+        while n := n >> 32:
+            words.append(n & _MASK)
+        words += [0] * (4 - len(words))  # a no-op past the seed
+    return words
+
+
+def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One SeedSequence hash step on uint32 words; returns them and the next constant."""
+    following = const * mult & _MASK
+    value = (value ^ const) * following
+    return value ^ (value >> 16), following
+
+
+def _pool_state(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix_entropy, then generate_state(4, np.uint64), per column
+    of the (L, K) uint32 entropy, L >= 4; returns the (K, 4) uint64 words."""
+    const, pool = _INIT_A, []
+    for word in entropy[:4]:
+        word, const = _hash(word, const, _MULT_A)
+        pool.append(word)
+    # mix each pool word into the others, then each further entropy word into all of them
+    for src in range(len(entropy)):
+        for dst in range(4):
+            if src != dst:
+                word, const = _hash(pool[src] if src < 4 else entropy[src], const, _MULT_A)
+                mixed = pool[dst] * _MIX_L - word * _MIX_R
+                pool[dst] = mixed ^ (mixed >> 16)
+    const, state = _INIT_B, np.empty((entropy.shape[1], 8), np.uint32)
+    for i in range(8):  # the pool, cycled
+        state[:, i], const = _hash(pool[i % 4], const, _MULT_B)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def child_seed_words(keys: Sequence[StreamKey], components: int) -> np.ndarray:
+    """PCG64 seed words of every ``keys[p].child(j)``, j < components, shape
+    (components, len(keys), 4), as SeedSequence(seed, spawn_key=path + (j,))
+    .generate_state(4, np.uint64) gives them: hashed in one pass per entropy
+    length, since the length changes the hash."""
+    _fixed_seed_sequence()  # import numpy.random before the hash's temporaries: a lower peak RSS
+    rows = [_entropy(key.seed, (*key.path, j)) for j in range(components) for key in keys]
+    words = np.empty((len(rows), 4), np.uint64)
+    for length in {len(row) for row in rows}:
+        members = [i for i, row in enumerate(rows) if len(row) == length]
+        words[members] = _pool_state(np.array([rows[i] for i in members], np.uint32).T)
+    return words.reshape(components, len(keys), 4)
+
+
+def seeded_generator(words: np.ndarray) -> np.random.Generator:
+    """The generator whose PCG64 is seeded by four ``child_seed_words`` words;
+    PCG64's own code does the 128-bit seeding."""
+    return np.random.Generator(np.random.PCG64(_fixed_seed_sequence()(words)))
+
+
+@functools.cache
+def _fixed_seed_sequence() -> type:
+    """A SeedSequence stand-in that hands PCG64 given words.  Built on first
+    use, so importing the package does not import numpy.random."""
+
+    class FixedSeedSequence(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return FixedSeedSequence

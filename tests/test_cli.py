@@ -171,12 +171,29 @@ class TestMainExitCodes:
                 ],
                 1,
             ),
+            (None, ["--command", "simulate", "--horizon", "1e308", "--steps", "4", "--particles", "3"], 1),
+            (
+                None,
+                ["--command", "fbm-check", "--horizon", "1e200", "--hurst", "0.9", "--steps", "4",
+                 "--paths", "2"],
+                1,
+            ),
+            (
+                None,
+                [
+                    "--command", "convergence", "--horizon", "1e200", "--hurst", "0.9",
+                    "--particles", "3", "--replications", "2", "--deltas", "2.5e199,1.25e199",
+                    "--reference-delta", "6.25e198",
+                ],
+                1,
+            ),
         ],
         ids=[
             "unknown-model-in-file", "sampler-key-in-file", "delta-off-reference-mesh",
             "decreasing-counts", "one-count", "one-delta", "one-distinct-delta",
             "repeated-delta-convergence", "repeated-delta-moments", "repeated-key-in-file",
-            "blow-up", "blow-up-in-worker",
+            "blow-up", "blow-up-in-worker", "variance-overflow-simulate",
+            "variance-overflow-fbm-check", "variance-overflow-convergence",
         ],
     )
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys, config_text, flags, expected_code):
@@ -186,6 +203,7 @@ class TestMainExitCodes:
             flags = ["--config", str(tmp_path / "run.cfg"), *flags]
         code, _, err = run_cli([*flags, "--outdir", str(outdir), "--label", "failed"], capsys)
         assert code == expected_code, err
+        assert err.count("\n") == 1 and err.startswith(("error: ", "numerical failure: "))
         assert list(outdir.glob("**/*")) == []
 
     def test_default_run_directories_never_overwrite(self, tmp_path, capsys, monkeypatch):

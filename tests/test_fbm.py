@@ -280,6 +280,14 @@ class TestCirculantEmbedding:
         assert "numerical failure: circulant embedding not PSD" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_variance_fails_typed(self):
+        # delta^{2H} = (2.5e199)^1.8 is beyond float range; delta^{2H} at H = 0.1 is not
+        mesh = UniformMesh(1e200, 4)
+        for build in (CirculantSampler, CholeskySampler, increment_covariance_matrix):
+            with pytest.raises(CirculantEmbeddingError, match=r"delta=2\.5e\+199, H=0\.9"):
+                build(0.9, mesh)
+        assert np.isfinite(increment_covariance_matrix(0.1, mesh)).all()
+
 
 class TestRestriction:
     def test_factor_one_is_identity(self):

@@ -2,7 +2,11 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +39,10 @@ def test_package_reexports_only_module_exports():
 def test_importing_main_module_does_not_run_the_cli():
     module = importlib.import_module("mvfbm.__main__")
     assert callable(module.main)
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random costs 12-18 ms of start-up; only a run that draws may load it
+    code = "import mvfbm.cli, sys; assert 'numpy.random' not in sys.modules"
+    src = str(Path(mvfbm.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

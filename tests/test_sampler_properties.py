@@ -1,5 +1,5 @@
-"""Property tests of the exact driver path: coarse restriction, the circulant
-embedding's covariance and sampling.
+"""Property tests of the exact driver path: stream seeding, coarse
+restriction, the circulant embedding's covariance and sampling.
 
 The examples come from the derandomized profile in conftest.py.
 """
@@ -23,7 +23,21 @@ from mvfbm.fbm import (
 )
 from mvfbm.streams import StreamKey
 
+from test_streams import assert_bulk_matches_numpy
+
 hursts = st.floats(0.01, 0.99)
+
+seeds = st.one_of(
+    st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**200)
+)
+indices = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**100))
+keys = st.builds(StreamKey, seeds, st.lists(indices, max_size=6).map(tuple))
+
+
+@given(keys=st.lists(keys, min_size=1, max_size=12), components=st.integers(1, 3))
+def test_bulk_seeding_is_numpy_seed_sequence(keys, components):
+    # mixed seed sizes and path lengths in one call, each with the component appended
+    assert_bulk_matches_numpy(keys, components)
 
 
 def _python_block_sums(x: np.ndarray, factor: int) -> np.ndarray:
