@@ -34,14 +34,20 @@ from .model import (
     preset_unstable_cubic,
     validate,
 )
-from .reports import ChaosReport, ConvergenceReport, CovarianceCheckReport, MomentReport, SimulateReport
+from .reports import (
+    ChaosReport,
+    ConvergenceReport,
+    CovarianceCheckReport,
+    MomentReport,
+    NonFiniteError,
+    SimulateReport,
+)
 from .simulator import (
     NumericalBlowup,
     SimulationConfig,
     TrajectoryRecord,
     run,
     run_coupled_meshes,
-    write_trajectory_csv,
 )
 from .streams import StreamKey
 from .study import (

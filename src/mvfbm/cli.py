@@ -15,7 +15,8 @@ rejected.  A run that succeeds writes ``report.csv``, ``report.json``,
 ``config.echo`` and optionally ``plot.svg`` into its own directory under
 ``--outdir``; a run that fails creates no directory.
 
-Exit codes: 0 success, 1 numerical failure, 2 configuration failure
+Exit codes: 0 success, 1 numerical failure (``NumericalBlowup``,
+``CirculantEmbeddingError`` or ``NonFiniteError``), 2 configuration failure
 (``ConfigError``, ``RegimeViolation`` or ``StudyArgumentError``).  Any other
 exception is a defect and propagates as itself.
 """
@@ -23,23 +24,18 @@ exception is a defect and propagates as itself.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from .fbm import CirculantEmbeddingError, UniformMesh
 from .model import PRESET_NAMES, RegimeViolation, preset_by_name
-from .reports import Report, SimulateReport, render_loglog_svg
-from .simulator import (
-    SNAPSHOT_POLICIES,
-    NumericalBlowup,
-    SimulationConfig,
-    run,
-    write_trajectory_csv,
-)
+from .reports import NonFiniteError, Report, SimulateReport, render_loglog_svg
+from .simulator import SNAPSHOT_POLICIES, NumericalBlowup, SimulationConfig, run
 from .study import (
     StudyArgumentError,
     chaos_study,
@@ -65,12 +61,12 @@ def _simulate(config: RunConfig) -> tuple[Report, str | None]:
     model, mesh = _model_for(config), UniformMesh(config.horizon, config.steps)
     sim = SimulationConfig(model, config.hurst, mesh, config.particles, config.seed)
     record = run(sim, snapshots=config.snapshots)
-    trajectory = io.StringIO()
-    write_trajectory_csv(record, trajectory)
+    with np.errstate(over="ignore"):  # the report rejects a statistic that overflowed
+        mean, std = float(record.terminal.mean()), float(record.terminal.std())
     report = SimulateReport(
         model=config.model, hurst=config.hurst, particles=config.particles, steps=config.steps,
-        terminal_mean=float(record.terminal.mean()), terminal_std=float(record.terminal.std()),
-        trajectory_csv=trajectory.getvalue(), wall_time=time.perf_counter() - started,
+        terminal_mean=mean, terminal_std=std, record=record,
+        wall_time=time.perf_counter() - started,
     )
     return report, None
 
@@ -381,7 +377,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except (ConfigError, RegimeViolation, StudyArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalBlowup, CirculantEmbeddingError) as exc:
+    except (NumericalBlowup, CirculantEmbeddingError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,14 +108,18 @@ def _fgn_autocovariance(hurst: HurstParameter, delta: float, lags: np.ndarray) -
     """gamma(k) for increment lags k >= 0, in units of delta^{2H}.
 
     Every driver and every covariance starts here, so this is where a mesh
-    whose increment variance delta^{2H} overflows a float is rejected."""
+    whose increment variance delta^{2H} overflows a float, or underflows to
+    zero or a subnormal float, is rejected."""
     two_h = 2.0 * hurst.value
     try:
         variance = float(delta) ** two_h
     except OverflowError:
+        variance = math.inf
+    if not sys.float_info.min <= variance < math.inf:
+        flow = "overflows" if variance > 1.0 else "underflows"
         raise CirculantEmbeddingError(
-            f"fGn variance delta^(2H) overflows a float for delta={delta:g}, H={hurst.value}"
-        ) from None
+            f"fGn variance delta^(2H) {flow} a float for delta={delta:g}, H={hurst.value}"
+        )
     k = np.asarray(lags, dtype=float)
     return 0.5 * variance * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
 
@@ -134,8 +139,9 @@ class CovarianceFactorizationError(RuntimeError):
 
 
 class CirculantEmbeddingError(RuntimeError):
-    """The mesh's fGn covariance cannot be embedded: its variance overflows a
-    float, or the circulant has an eigenvalue negative beyond round-off."""
+    """The mesh's fGn covariance cannot be embedded: its variance leaves the
+    normal float range, or the circulant has an eigenvalue negative beyond
+    round-off."""
 
 
 class CholeskySampler:

@@ -10,8 +10,12 @@ in the JSON mirror.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
-from typing import ClassVar, Iterable, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from .simulator import TrajectoryRecord
 
 __all__ = [
     "Report",
@@ -20,6 +24,7 @@ __all__ = [
     "MomentReport",
     "CovarianceCheckReport",
     "SimulateReport",
+    "NonFiniteError",
     "SCHEMA_VERSION",
     "render_csv",
     "render_json",
@@ -48,7 +53,19 @@ def render_csv(metadata: dict, columns: Sequence[str], rows: Iterable[Sequence])
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+class NonFiniteError(RuntimeError):
+    """A report, or a quantity it is computed from, would hold a number that
+    is not finite; names the report and the field."""
+
+
+def _non_finite(value) -> list[float]:
+    """The floats in ``value`` (a number or nested tuples) that are not finite."""
+    if isinstance(value, tuple):
+        return [bad for v in value for bad in _non_finite(v)]
+    return [value] if isinstance(value, float) and not math.isfinite(value) else []
 
 
 @dataclass(frozen=True)
@@ -60,6 +77,8 @@ class Report:
     order; tuples are ``;``-joined in the CSV and lists in the JSON.  The
     ``points`` rows become the CSV data rows under ``COLUMNS`` and a list
     of objects in the JSON, which alone carries ``wall_time_seconds``.
+    A report holds finite numbers only: building one with a NaN or an
+    infinity raises NonFiniteError.
     """
 
     KIND: ClassVar[str] = ""
@@ -67,6 +86,12 @@ class Report:
     NOT_METADATA: ClassVar[tuple[str, ...]] = ("points", "wall_time")
 
     wall_time: float = field(compare=False, default=0.0, kw_only=True)
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            bad = _non_finite(getattr(self, f.name))
+            if bad:
+                raise NonFiniteError(f"{self.KIND} report field {f.name!r} holds {bad[0]}")
 
     def _named_values(self) -> dict:
         """``report`` and every field not in ``NOT_METADATA``, in field order."""
@@ -208,7 +233,7 @@ class SimulateReport(Report):
     """Terminal statistics of one ensemble run; its CSV is the trajectory export."""
 
     KIND = "simulate"
-    NOT_METADATA = ("trajectory_csv", "wall_time")
+    NOT_METADATA = ("record", "wall_time")
 
     model: str
     hurst: float
@@ -216,10 +241,19 @@ class SimulateReport(Report):
     steps: int
     terminal_mean: float
     terminal_std: float
-    trajectory_csv: str = field(repr=False)
+    record: TrajectoryRecord = field(repr=False, compare=False)
 
     def to_csv(self) -> str:
-        return self.trajectory_csv
+        """Every retained snapshot: header k,t,particle,component_1..d."""
+        record = self.record
+        dimension = record.terminal.shape[1]
+        columns = ["k", "t", "particle"] + [f"component_{j + 1}" for j in range(dimension)]
+        rows = (
+            [k, float(record.mesh.node(k)), i, *state]
+            for k, states in zip(record.snapshot_indices, record.snapshots)
+            for i, state in enumerate(states.tolist())
+        )
+        return render_csv({}, columns, rows)
 
     def summary(self) -> str:
         return (
@@ -237,8 +271,6 @@ _MARGIN = 60.0
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    import math
-
     if hi <= lo:
         return [lo]
     span = hi - lo
@@ -262,8 +294,6 @@ def render_loglog_svg(
     y_label: str = "log2(error)",
 ) -> str:
     """Log-log scatter with fitted and reference lines, as standalone SVG."""
-    import math
-
     lx = [math.log2(x) for x in xs]
     ly = [math.log2(y) for y in ys]
     x_lo, x_hi = min(lx), max(lx)

@@ -29,7 +29,6 @@ import numpy as np
 from .fbm import HurstParameter, UniformMesh, block_sums, make_sampler
 from .measure import EmpiricalMeasure
 from .model import ModelSpec, validate
-from .reports import render_csv
 from .streams import StreamKey
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "SNAPSHOT_POLICIES",
     "run",
     "run_coupled_meshes",
-    "write_trajectory_csv",
 ]
 
 # Stream namespaces under a replication's root key: child(0) seeds the
@@ -252,14 +250,3 @@ def run_coupled_meshes(
         for f, mesh in meshes.items()
     }
 
-
-def write_trajectory_csv(record: TrajectoryRecord, out) -> None:
-    """Export every retained snapshot: header k,t,particle,component_1..d."""
-    dimension = record.terminal.shape[1]
-    columns = ["k", "t", "particle"] + [f"component_{j + 1}" for j in range(dimension)]
-    rows = (
-        [k, float(record.mesh.node(k)), i, *state]
-        for k, states in zip(record.snapshot_indices, record.snapshots)
-        for i, state in enumerate(states.tolist())
-    )
-    out.write(render_csv({}, columns, rows))

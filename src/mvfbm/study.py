@@ -20,6 +20,7 @@ subsample from ``child(2, a, m)``.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -31,7 +32,7 @@ import numpy as np
 from .fbm import HurstParameter, UniformMesh, increment_covariance_matrix, make_sampler
 from .measure import EmpiricalMeasure, coupled_upper_bound, wasserstein_1d_exact
 from .model import ModelSpec
-from .reports import ChaosReport, ConvergenceReport, CovarianceCheckReport, MomentReport
+from .reports import ChaosReport, ConvergenceReport, CovarianceCheckReport, MomentReport, NonFiniteError
 from .simulator import NumericalBlowup, SimulationConfig, run, run_coupled_meshes
 from .streams import StreamKey
 
@@ -322,11 +323,11 @@ def moment_bound_check(
     records = run_coupled_meshes(config, factors, snapshots="thin")
     points = []
     for delta, factor in zip(ladder, factors):
-        record = records[factor]
-        moments = [
-            float(np.mean(np.linalg.norm(states, axis=1) ** order))
-            for states in record.snapshots
-        ]
+        with np.errstate(over="ignore"):  # the report rejects a moment that overflowed
+            moments = [
+                float(np.mean(np.linalg.norm(states, axis=1) ** order))
+                for states in records[factor].snapshots
+            ]
         points.append((delta, max(moments), moments[-1]))  # the thin plan keeps step n last
     # the origin is a fixed point of the scheme on every mesh or on none: 0 -> 0 is ratio 1
     ratios = tuple(
@@ -369,6 +370,15 @@ def covariance_check(
     root = StreamKey.coerce(seed)
     started = time.perf_counter()
     gamma = increment_covariance_matrix(hurst, mesh)[0].copy()
+    # |gamma(k)| <= gamma(0), so every standard error lies between
+    # sqrt(gamma(0)^2 / paths) and sqrt(2 gamma(0)^2 / paths)
+    variance = float(gamma[0])
+    if not (variance * variance / paths >= sys.float_info.min
+            and math.isfinite(2.0 * variance * variance)):
+        raise NonFiniteError(
+            f"fbm-check standard errors leave the float range for delta={mesh.delta:g}, "
+            f"H={hurst.value}: gamma(0)^2 = {variance * variance:g}"
+        )
     stderr = np.sqrt((gamma[0] * gamma[0] + gamma**2) / paths)
     generator = make_sampler(hurst, mesh)
     streams = [root.child(p) for p in range(paths)]

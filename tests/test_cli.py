@@ -187,6 +187,47 @@ class TestMainExitCodes:
                 ],
                 1,
             ),
+            (
+                None,
+                ["--command", "simulate", "--model", "mean-reverting", "--horizon", "1e-300",
+                 "--hurst", "0.9", "--steps", "4", "--particles", "3"],
+                1,
+            ),
+            (
+                None,
+                ["--command", "fbm-check", "--horizon", "1e-300", "--hurst", "0.9", "--steps", "4",
+                 "--paths", "2"],
+                1,
+            ),
+            (
+                None,
+                ["--command", "fbm-check", "--horizon", "1e160", "--hurst", "0.9", "--steps", "4",
+                 "--paths", "2"],
+                1,
+            ),
+            (
+                None,
+                ["--command", "fbm-check", "--horizon", "1e-100", "--hurst", "0.9", "--steps", "4",
+                 "--paths", "2"],
+                1,
+            ),
+            (
+                None,
+                [
+                    "--command", "moments", "--model", "mean-reverting", "--rate", "0",
+                    "--horizon", "1e100", "--hurst", "0.9", "--deltas", "2.5e99,1.25e99",
+                    "--particles", "8",
+                ],
+                1,
+            ),
+            (
+                None,
+                [
+                    "--command", "simulate", "--model", "mean-reverting", "--rate", "1e20",
+                    "--horizon", "4", "--steps", "16", "--particles", "2", "--hurst", "0.5",
+                ],
+                1,
+            ),
         ],
         ids=[
             "unknown-model-in-file", "sampler-key-in-file", "delta-off-reference-mesh",
@@ -194,6 +235,9 @@ class TestMainExitCodes:
             "repeated-delta-convergence", "repeated-delta-moments", "repeated-key-in-file",
             "blow-up", "blow-up-in-worker", "variance-overflow-simulate",
             "variance-overflow-fbm-check", "variance-overflow-convergence",
+            "variance-underflow-simulate", "variance-underflow-fbm-check",
+            "stderr-overflow-fbm-check", "stderr-underflow-fbm-check",
+            "non-finite-moments", "non-finite-simulate-std",
         ],
     )
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys, config_text, flags, expected_code):

@@ -288,6 +288,19 @@ class TestCirculantEmbedding:
                 build(0.9, mesh)
         assert np.isfinite(increment_covariance_matrix(0.1, mesh)).all()
 
+    @pytest.mark.parametrize(
+        "horizon,hurst,delta",
+        [(1e-300, 0.9, r"2\.5e-301"), (4e-310, 0.5, r"1e-310")],
+        ids=["rounds-to-zero", "subnormal"],
+    )
+    def test_underflowing_variance_fails_typed(self, horizon, hurst, delta):
+        # zero drivers, or drivers with a few bits of precision, are no fBm
+        mesh = UniformMesh(horizon, 4)
+        for build in (CirculantSampler, CholeskySampler, increment_covariance_matrix):
+            message = rf"underflows a float for delta={delta}, H={hurst}"
+            with pytest.raises(CirculantEmbeddingError, match=message):
+                build(hurst, mesh)
+
 
 class TestRestriction:
     def test_factor_one_is_identity(self):

@@ -1,10 +1,14 @@
 """Serialization formats: CSV framing, JSON mirror, SVG output."""
 
 import json
+import math
 import xml.etree.ElementTree as ET
+
+import pytest
 
 from mvfbm.reports import (
     ConvergenceReport,
+    NonFiniteError,
     SCHEMA_VERSION,
     render_csv,
     render_json,
@@ -71,6 +75,20 @@ def test_exact_scheme_summary():
 def test_json_sorted_and_parseable():
     payload = json.loads(render_json({"b": 1, "a": [1, 2]}))
     assert payload == {"a": [1, 2], "b": 1}
+
+
+def test_json_rejects_nan():
+    with pytest.raises(ValueError):
+        render_json({"a": math.nan})
+
+
+@pytest.mark.parametrize(
+    "overrides,field",
+    [({"slope": math.inf}, "slope"), ({"points": ((0.125, 0.05), (0.0625, math.nan))}, "points")],
+)
+def test_report_rejects_non_finite_numbers(overrides, field):
+    with pytest.raises(NonFiniteError, match=f"convergence report field '{field}'"):
+        _report(**overrides)
 
 
 def test_svg_well_formed_and_annotated():

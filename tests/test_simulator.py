@@ -1,6 +1,5 @@
 """Stepping oracle, coupling, determinism, and exchangeability checks."""
 
-import io
 import math
 import re
 from dataclasses import replace
@@ -16,6 +15,7 @@ from mvfbm.model import (
     preset_mean_reverting,
     preset_unstable_cubic,
 )
+from mvfbm.reports import SimulateReport
 from mvfbm.simulator import (
     NumericalBlowup,
     ParticleEnsemble,
@@ -24,7 +24,6 @@ from mvfbm.simulator import (
     em_step,
     run,
     run_coupled_meshes,
-    write_trajectory_csv,
 )
 from mvfbm.streams import StreamKey
 
@@ -250,12 +249,18 @@ class TestCoupledMeshes:
             run_coupled_meshes(config, [5])
 
 
+def _trajectory_csv(config, snapshots):
+    """The simulate report's CSV: the trajectory export of one run."""
+    record = run(config, snapshots=snapshots)
+    return SimulateReport(
+        model=config.model.name, hurst=config.hurst.value, particles=config.particles,
+        steps=config.mesh.steps, terminal_mean=0.0, terminal_std=0.0, record=record,
+    ).to_csv()
+
+
 def test_trajectory_csv_terminal_only():
     config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 8), 3, 12)
-    record = run(config, snapshots="terminal")
-    buffer = io.StringIO()
-    write_trajectory_csv(record, buffer)
-    lines = buffer.getvalue().splitlines()
+    lines = _trajectory_csv(config, "terminal").splitlines()
     assert lines[0] == "# schema_version=1"
     assert lines[1] == "k,t,particle,component_1"
     assert len(lines) == 2 + 3  # one row per particle at the terminal node
@@ -264,10 +269,7 @@ def test_trajectory_csv_terminal_only():
 
 def test_trajectory_csv_full():
     config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 2, 12)
-    record = run(config, snapshots="full")
-    buffer = io.StringIO()
-    write_trajectory_csv(record, buffer)
-    lines = buffer.getvalue().splitlines()
+    lines = _trajectory_csv(config, "full").splitlines()
     assert len(lines) == 2 + 5 * 2
 
 
@@ -285,9 +287,7 @@ def test_trajectory_csv_policies_are_rows_of_the_full_export():
     config = SimulationConfig(model, 0.7, UniformMesh(1.0, 130), 3, 8)
 
     def export(policy):
-        buffer = io.StringIO()
-        write_trajectory_csv(run(config, snapshots=policy), buffer)
-        return buffer.getvalue().splitlines(keepends=True)
+        return _trajectory_csv(config, policy).splitlines(keepends=True)
 
     full = export("full")
     assert full[1] == "k,t,particle,component_1,component_2\n"
