@@ -1,0 +1,168 @@
+"""Test oracles, each defined once, and the test models that several modules share.
+
+An oracle is a direct, slow-but-obvious computation that a library result
+is checked against.  The models are module-level, so pool workers can
+unpickle them.
+"""
+
+import functools
+import itertools
+import math
+from statistics import NormalDist
+
+import numpy as np
+
+from mvfbm.fbm import UniformMesh, increment_covariance_matrix
+from mvfbm.measure import EmpiricalMeasure
+from mvfbm.model import ConstantDiffusion, ModelSpec
+from mvfbm.streams import StreamKey, child_seed_words, seeded_generator
+
+
+@functools.cache
+def _permutations(n: int) -> np.ndarray:
+    """Every permutation of range(n), one per row: (n!, n)."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+
+
+def brute_force_w1d(a: np.ndarray, b: np.ndarray, theta: float) -> float:
+    """W_theta between the uniform measures on the atoms a and b (n <= 8): the
+    least transport cost over every permutation of b, not the sorted matching."""
+    costs = np.mean(np.abs(a - b[_permutations(len(b))]) ** theta, axis=1)
+    return float(costs.min() ** (1.0 / theta))
+
+
+def moment_distance_to_dirac0(mu: EmpiricalMeasure, order: float = 2.0) -> float:
+    """Exact W_theta from mu to the Dirac mass at the origin.
+
+    Every transport plan to a point mass is forced, so the distance is the
+    theta-th root of the theta-th moment: ((1/N) sum_j |x_j|^theta)^(1/theta).
+    """
+    if order < 2.0:
+        raise ValueError(f"Wasserstein order must be >= 2, got {order}")
+    norms = np.linalg.norm(mu.atoms, axis=1)
+    return float(np.mean(norms**order) ** (1.0 / order))
+
+
+def w2_to_gaussian(atoms: np.ndarray, mean: float, variance: float) -> float:
+    """Exact W_2 from the uniform measure on the 1-d atoms to N(mean, variance).
+
+    The optimal plan sends the i-th smallest atom to the quantiles on
+    [i/N, (i+1)/N].  There the standard quantile z(u) integrates to
+    phi(z(i/N)) - phi(z((i+1)/N)), phi the normal density, and the squared
+    quantile integrates to mean^2 + variance over [0, 1].
+    """
+    x = np.sort(np.ravel(atoms))
+    n, standard = len(x), NormalDist()
+    density = np.array([0.0, *(standard.pdf(standard.inv_cdf(i / n)) for i in range(1, n)), 0.0])
+    quantile_integrals = mean / n + math.sqrt(variance) * (density[:-1] - density[1:])
+    squared = float(np.mean(x**2) - 2.0 * x @ quantile_integrals + mean**2 + variance)
+    return math.sqrt(max(squared, 0.0))
+
+
+def mean_reverting_limit_variance(hurst: float, mesh: UniformMesh, rate: float, xi: float) -> float:
+    """Variance of the N -> infinity terminal law of the scheme for the
+    mean-reverting preset from a point mass x0.
+
+    The ensemble mean stays at x0 in the limit, so a particle ends at
+    x0 + xi sum_k a_k dB_k with a_k = (1 - r delta)^(n - 1 - k): the variance
+    is xi^2 a^T Gamma a, Gamma the increment covariance.
+    """
+    a = (1.0 - rate * mesh.delta) ** (mesh.steps - 1 - np.arange(mesh.steps))
+    return xi**2 * float(a @ increment_covariance_matrix(hurst, mesh) @ a)
+
+
+def increment_ensemble(sampler, paths: int, seed: int) -> np.ndarray:
+    """(paths, steps) increments of one component, path p drawn from child(p) of the seed."""
+    root = StreamKey(seed)
+    return sampler.sample_ensemble(1, [root.child(p) for p in range(paths)])[:, :, 0]
+
+
+def path_values(increments: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Path values at the mesh nodes along the time ``axis``, starting from B_0 = 0."""
+    zero = np.zeros_like(np.take(increments, [0], axis=axis))
+    return np.concatenate([zero, np.cumsum(increments, axis=axis)], axis=axis)
+
+
+def increment_law_zscores(increments: np.ndarray, mesh: UniformMesh, hurst: float,
+                          rng: np.random.Generator, pairs: int = 10) -> list[tuple]:
+    """(i, j, z) at random node pairs i < j: the mean of |B_tj - B_ti|^2 over the
+    (paths, steps) increments against |tj - ti|^{2H}, in standard errors
+    sqrt(2 / paths) |tj - ti|^{2H} of the squared gap of a Gaussian."""
+    paths, values = increments.shape[0], path_values(increments, axis=1)
+    scores = []
+    for _ in range(pairs):
+        i, j = sorted(rng.choice(mesh.steps + 1, size=2, replace=False))
+        gap = values[:, j] - values[:, i]
+        expected = (mesh.node(j) - mesh.node(i)) ** (2 * hurst)
+        stderr = math.sqrt(2.0 / paths) * expected
+        scores.append((i, j, abs(float(np.mean(gap**2)) - expected) / stderr))
+    return scores
+
+
+def empirical_covariance(increments: np.ndarray) -> np.ndarray:
+    """The (steps, steps) second moments of (paths, steps) mean-zero increments."""
+    return increments.T @ increments / increments.shape[0]
+
+
+def covariance_stderr(expected: np.ndarray, paths: int) -> np.ndarray:
+    """Standard errors of the empirical product moments of Gaussian increments
+    with covariance C: Var(x_i x_j) = C_ii C_jj + C_ij^2 (Isserlis)."""
+    diag = np.diag(expected)
+    return np.sqrt((np.outer(diag, diag) + expected**2) / paths)
+
+
+def covariance_zscores(increments: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """|empirical - expected| covariance in standard errors, entry by entry."""
+    empirical = empirical_covariance(increments)
+    return np.abs(empirical - expected) / covariance_stderr(expected, increments.shape[0])
+
+
+def two_sample_zscores(a: np.ndarray, b: np.ndarray, expected: np.ndarray):
+    """Gaps between two independent (paths, steps) ensembles of one law, in
+    standard errors of the difference: the means, and the second moments."""
+    paths = a.shape[0]
+    mean_z = np.abs(a.mean(axis=0) - b.mean(axis=0)) / np.sqrt(2.0 * np.diag(expected) / paths)
+    moment_gap = np.abs(empirical_covariance(a) - empirical_covariance(b))
+    return mean_z, moment_gap / (math.sqrt(2.0) * covariance_stderr(expected, paths))
+
+
+def numpy_draws(seed: int, spawn_key: tuple) -> np.ndarray:
+    """Eight normals from numpy's own SeedSequence at (seed, spawn_key)."""
+    sequence = np.random.SeedSequence(seed, spawn_key=spawn_key)
+    return np.random.default_rng(sequence).standard_normal(8)
+
+
+def assert_bulk_matches_numpy(keys, components):
+    """The bulk seed words of every key and component draw numpy's own bits."""
+    words = child_seed_words(keys, components)
+    assert words.shape == (components, len(keys), 4)
+    for j in range(components):
+        for p, key in enumerate(keys):
+            got = seeded_generator(words[j, p]).standard_normal(8)
+            assert got.tobytes() == numpy_draws(key.seed, key.path + (j,)).tobytes(), (key, j)
+
+
+def zero_drift(states, mu):
+    return np.zeros_like(states)
+
+
+def reverting_drift(states, mu):
+    return mu.mean() - states
+
+
+def _planar_initial(rng, count):
+    return 0.4 * rng.standard_normal((count, 2))
+
+
+def mean_shifted_sigma(mu):
+    """sigma(mu) = 1 + mean(mu) / 2, (R, 1, 1): one 1 x 1 sigma per replication."""
+    return 1.0 + 0.5 * mu.mean()
+
+
+def planar_model() -> ModelSpec:
+    """A 2-d mean-reverting model with a non-diagonal constant diffusion."""
+    return ModelSpec(
+        name="planar", dimension=2, drift=reverting_drift,
+        diffusion=ConstantDiffusion(np.array([[1.0, 0.3], [-0.2, 0.7]])),
+        initial=_planar_initial,
+    )

@@ -16,7 +16,6 @@ A slope does not see drivers that are off by a constant factor; criterion
 chi-square law.
 """
 
-import itertools
 import math
 import time
 
@@ -36,10 +35,10 @@ from mvfbm.model import (
     preset_mean_deviation,
     preset_mean_reverting,
 )
-from mvfbm.streams import StreamKey
 from mvfbm.study import chaos_study, moment_bound_check, strong_error_study
 from mvfbm.cli import main as cli_main
-from test_measure import moment_distance_to_dirac0
+from oracles import (brute_force_w1d, covariance_zscores, increment_ensemble, increment_law_zscores,
+                     mean_shifted_sigma, moment_distance_to_dirac0, two_sample_zscores)
 
 DESK_DELTAS = (2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8)
 DESK_REFERENCE = 2.0**-10
@@ -47,23 +46,19 @@ DESK_PARTICLES = 200
 DESK_REPLICATIONS = 50
 
 
-def _mean_shifted_sigma(mu: EmpiricalMeasure) -> np.ndarray:
-    # sigma(mu) = 1 + mean(mu) / 2: 3/2 on the point mass at 1, and the
-    # ensemble mean grows like e^t, so the noise never switches off
-    return 1.0 + 0.5 * mu.mean()
-
-
 def _measure_noise_model() -> ModelSpec:
     """Mean-deviation drift 2x - mean(mu) with a non-vanishing measure noise.
 
-    Both coefficients are Lipschitz with constant at most 2 in (x, mu).
+    sigma(mu) = 1 + mean(mu) / 2 is 3/2 on the point mass at 1, and the
+    ensemble mean grows like e^t, so the noise never switches off.  Both
+    coefficients are Lipschitz with constant at most 2 in (x, mu).
     Module-level coefficients keep the spec picklable.
     """
     return ModelSpec(
         name="mean-deviation-measure-noise",
         dimension=1,
         drift=preset_mean_deviation().drift,
-        diffusion=MeasureDiffusion(_mean_shifted_sigma),
+        diffusion=MeasureDiffusion(mean_shifted_sigma),
         initial=1.0,
     )
 
@@ -71,11 +66,6 @@ def _measure_noise_model() -> ModelSpec:
 def _verdict(criterion: str, passed: bool, detail: str) -> bool:
     print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} -- {detail}")
     return passed
-
-
-def _ensemble_increments(sampler, paths: int, seed: int) -> np.ndarray:
-    root = StreamKey(seed)
-    return sampler.sample_ensemble(1, [root.child(p) for p in range(paths)])[:, :, 0]
 
 
 def test_criterion_1_fbm_exactness():
@@ -88,35 +78,18 @@ def test_criterion_1_fbm_exactness():
     worst_cross = 0.0
     for hurst in (0.3, 0.5, 0.7, 0.9):
         expected = increment_covariance_matrix(hurst, mesh)
-        diag = np.diag(expected)
-        stderr = np.sqrt((np.outer(diag, diag) + expected**2) / paths)
         samples = {}
         for name, sampler in (
             ("cholesky", CholeskySampler(hurst, mesh)),
             ("circulant", CirculantSampler(hurst, mesh)),
         ):
-            increments = _ensemble_increments(sampler, paths, seed=1401)
-            empirical = increments.T @ increments / paths
-            z_max = float((np.abs(empirical - expected) / stderr).max())
+            increments = increment_ensemble(sampler, paths, seed=1401)
+            z_max = float(covariance_zscores(increments, expected).max())
             worst = max(worst, z_max)
             assert z_max < 5.0, f"H={hurst} {name}: covariance off by {z_max:.2f} se"
             samples[name] = increments
-        cross_cov = float(
-            (
-                np.abs(
-                    samples["cholesky"].T @ samples["cholesky"] / paths
-                    - samples["circulant"].T @ samples["circulant"] / paths
-                )
-                / (math.sqrt(2.0) * stderr)
-            ).max()
-        )
-        mean_se = np.sqrt(diag / paths)
-        cross_mean = float(
-            (
-                np.abs(samples["cholesky"].mean(axis=0) - samples["circulant"].mean(axis=0))
-                / (math.sqrt(2.0) * mean_se)
-            ).max()
-        )
+        mean_z, moment_z = two_sample_zscores(samples["cholesky"], samples["circulant"], expected)
+        cross_cov, cross_mean = float(moment_z.max()), float(mean_z.max())
         worst_cross = max(worst_cross, cross_cov, cross_mean)
         assert cross_cov < 5.0 and cross_mean < 5.0
     elapsed = time.perf_counter() - started
@@ -136,16 +109,8 @@ def test_criterion_2_increment_law():
     worst = 0.0
     for hurst in (0.3, 0.7):
         mesh = UniformMesh(1.0, 128)
-        increments = _ensemble_increments(CirculantSampler(hurst, mesh), paths, seed=77)
-        values = np.concatenate(
-            [np.zeros((paths, 1)), np.cumsum(increments, axis=1)], axis=1
-        )
-        for _ in range(10):
-            i, j = sorted(rng.choice(mesh.steps + 1, size=2, replace=False))
-            gap = values[:, j] - values[:, i]
-            expected = (mesh.node(j) - mesh.node(i)) ** (2 * hurst)
-            stderr = math.sqrt(2.0 / paths) * expected
-            z = abs(float(np.mean(gap**2)) - expected) / stderr
+        increments = increment_ensemble(CirculantSampler(hurst, mesh), paths, seed=77)
+        for i, j, z in increment_law_zscores(increments, mesh, hurst, rng):
             worst = max(worst, z)
             assert z < 5.0, f"H={hurst}, nodes ({i},{j}): off by {z:.2f} se"
     assert _verdict("2 (increment law)", worst < 5.0, f"max deviation {worst:.2f} se")
@@ -325,11 +290,7 @@ def test_criterion_8_measure_oracles():
         mu, nu = EmpiricalMeasure(a), EmpiricalMeasure(b)
         exact = wasserstein_1d_exact(mu, nu, theta)
         assert exact <= coupled_upper_bound(mu, nu, theta) + 1e-12
-        best = min(
-            float(np.mean(np.abs(a[:, 0] - b[list(perm), 0]) ** theta))
-            for perm in itertools.permutations(range(n))
-        ) ** (1.0 / theta)
-        worst_oracle = max(worst_oracle, abs(exact - best))
+        worst_oracle = max(worst_oracle, abs(exact - brute_force_w1d(a[:, 0], b[:, 0], theta)))
         zeros = EmpiricalMeasure(np.zeros((n, 1)))
         worst_dirac = max(
             worst_dirac,

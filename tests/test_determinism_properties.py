@@ -19,13 +19,12 @@ import mvfbm.fbm
 import mvfbm.study
 from mvfbm.model import preset_mean_deviation, preset_mean_reverting
 from mvfbm.study import strong_error_study
-
-from test_study import _planar_model
+from oracles import planar_model
 
 # Each model with the lowest H its diffusion kind admits.
 MODELS = [
     (preset_mean_reverting(initial_spread=0.5), 0.05),  # d = 1, constant sigma
-    (_planar_model(), 0.05),  # d = 2, a matrix product per replication
+    (planar_model(), 0.05),  # d = 2, a matrix product per replication
     (preset_mean_deviation(initial_spread=0.5), 0.5),  # d = 1, one sigma per particle
 ]
 

@@ -23,6 +23,8 @@ from mvfbm.fbm import (
     make_sampler,
 )
 from mvfbm.streams import StreamKey
+from oracles import (covariance_zscores, increment_ensemble, increment_law_zscores, path_values,
+                     two_sample_zscores)
 
 # The runtime sampler and the dense reference it is checked against.
 SAMPLERS = {"cholesky": CholeskySampler, "circulant": CirculantSampler}
@@ -132,25 +134,6 @@ def _path(sampler_cls, hurst: float, mesh: UniformMesh, dimension: int, stream: 
     return sampler_cls(hurst, mesh).sample_ensemble(dimension, [stream])[0]
 
 
-def _values(increments: np.ndarray) -> np.ndarray:
-    """Path values at the mesh nodes, (steps + 1, d), starting from B_0 = 0."""
-    return np.concatenate([np.zeros((1, increments.shape[1])), np.cumsum(increments, axis=0)])
-
-
-def _increment_ensemble(sampler, paths: int, seed: int = 77) -> np.ndarray:
-    root = StreamKey(seed)
-    streams = [root.child(p) for p in range(paths)]
-    return sampler.sample_ensemble(1, streams)[:, :, 0]
-
-
-def _covariance_zscores(increments: np.ndarray, expected: np.ndarray) -> np.ndarray:
-    paths = increments.shape[0]
-    empirical = increments.T @ increments / paths
-    diag = np.diag(expected)
-    stderr = np.sqrt((np.outer(diag, diag) + expected**2) / paths)
-    return np.abs(empirical - expected) / stderr
-
-
 class TestSamplers:
     PATHS = 10_000
 
@@ -159,8 +142,8 @@ class TestSamplers:
     def test_empirical_covariance_matches(self, name, hurst):
         mesh = UniformMesh(1.0, 64)
         sampler = SAMPLERS[name](hurst, mesh)
-        increments = _increment_ensemble(sampler, self.PATHS)
-        z = _covariance_zscores(increments, increment_covariance_matrix(hurst, mesh))
+        increments = increment_ensemble(sampler, self.PATHS, seed=77)
+        z = covariance_zscores(increments, increment_covariance_matrix(hurst, mesh))
         assert z.max() < 5.0, f"covariance deviates {z.max():.2f} standard errors"
 
     @pytest.mark.parametrize("name", ["cholesky", "circulant"])
@@ -186,13 +169,14 @@ class TestSamplers:
         paths = sampler.sample_ensemble(2, [root.child(p) for p in range(4000)])  # (P, n, 2)
         cross = np.mean(paths[:, :, 0] * paths[:, :, 1], axis=0)
         scale = mesh.delta ** (2 * 0.7)
-        assert np.abs(cross).max() < 5 * scale / math.sqrt(4000) * 1.5
+        # Var(xy) = scale^2 for independent components, so the standard error is exact
+        assert np.abs(cross).max() < 5 * scale / math.sqrt(4000)
 
     def test_lag_one_covariance_hand_value(self):
         # H = 0.8: Cov(dB_0, dB_1)/delta^{2H} = (1/2)(2^{1.6} - 2)
         mesh = UniformMesh(1.0, 8)
         sampler = CholeskySampler(0.8, mesh)
-        increments = _increment_ensemble(sampler, self.PATHS)
+        increments = increment_ensemble(sampler, self.PATHS, seed=77)
         expected = 0.5 * (2**1.6 - 2.0)
         normalized = increments[:, 0] * increments[:, 1] / mesh.delta**1.6
         stderr = normalized.std(ddof=1) / math.sqrt(self.PATHS)
@@ -203,7 +187,7 @@ class TestSamplers:
         hurst, paths = 0.7, 10_000
         mesh = UniformMesh(1.0, 256)
         sampler = CirculantSampler(hurst, mesh)
-        increments = _increment_ensemble(sampler, paths)
+        increments = increment_ensemble(sampler, paths, seed=77)
         terminal = increments.sum(axis=1)
         expected = 1.0
         stderr = math.sqrt(2.0 / paths) * expected
@@ -217,7 +201,7 @@ class TestSamplers:
     def test_brownian_lag_one_correlation_vanishes(self):
         mesh = UniformMesh(1.0, 64)
         sampler = CirculantSampler(0.5, mesh)
-        increments = _increment_ensemble(sampler, self.PATHS)
+        increments = increment_ensemble(sampler, self.PATHS, seed=77)
         lag1 = np.mean(increments[:, :-1] * increments[:, 1:], axis=0) / mesh.delta
         stderr = 1.0 / math.sqrt(self.PATHS)
         assert np.abs(lag1).max() < 5 * stderr
@@ -225,31 +209,19 @@ class TestSamplers:
     def test_cross_sampler_moments_agree(self):
         hurst, paths = 0.7, 10_000
         mesh = UniformMesh(1.0, 32)
-        chol = _increment_ensemble(CholeskySampler(hurst, mesh), paths, seed=3)
-        circ = _increment_ensemble(CirculantSampler(hurst, mesh), paths, seed=4)
-        cov = increment_covariance_matrix(hurst, mesh)
-        diag = np.diag(cov)
-        se_mean = np.sqrt(diag / paths)
-        assert np.abs(chol.mean(axis=0) - circ.mean(axis=0)).max() < 5 * math.sqrt(2) * se_mean.max()
-        se_cov = np.sqrt((np.outer(diag, diag) + cov**2) / paths)
-        gap = np.abs(chol.T @ chol / paths - circ.T @ circ / paths)
-        assert (gap / se_cov).max() < 5 * math.sqrt(2)
+        chol = increment_ensemble(CholeskySampler(hurst, mesh), paths, seed=3)
+        circ = increment_ensemble(CirculantSampler(hurst, mesh), paths, seed=4)
+        mean_z, moment_z = two_sample_zscores(chol, circ, increment_covariance_matrix(hurst, mesh))
+        assert mean_z.max() < 5.0 and moment_z.max() < 5.0
 
     def test_increment_second_moment_law(self):
         # E|B_t - B_s|^2 = |t - s|^{2H} over random node pairs
         rng = np.random.default_rng(123)
-        paths = 10_000
         for hurst in (0.3, 0.7):
             mesh = UniformMesh(1.0, 128)
-            increments = _increment_ensemble(CirculantSampler(hurst, mesh), paths, seed=9)
-            cumulative = np.cumsum(increments, axis=1)
-            values = np.concatenate([np.zeros((paths, 1)), cumulative], axis=1)
-            for _ in range(10):
-                i, j = sorted(rng.choice(mesh.steps + 1, size=2, replace=False))
-                gap = values[:, j] - values[:, i]
-                expected = (mesh.node(j) - mesh.node(i)) ** (2 * hurst)
-                stderr = math.sqrt(2.0 / paths) * expected
-                assert abs(np.mean(gap**2) - expected) < 5 * stderr
+            increments = increment_ensemble(CirculantSampler(hurst, mesh), 10_000, seed=9)
+            scores = increment_law_zscores(increments, mesh, hurst, rng)
+            assert all(z < 5.0 for _, _, z in scores), scores
 
 
 class TestCirculantEmbedding:
@@ -320,7 +292,8 @@ class TestRestriction:
     def test_same_continuous_path(self):
         increments = _path(CirculantSampler, 0.8, UniformMesh(1.0, 64), 2, StreamKey(21))
         coarse = block_sums(increments, 8)
-        assert np.allclose(_values(coarse), _values(increments)[::8], rtol=1e-12, atol=1e-14)
+        fine = path_values(increments)[::8]
+        assert np.allclose(path_values(coarse), fine, rtol=1e-12, atol=1e-14)
 
     def test_terminal_value_preserved(self):
         increments = _path(CholeskySampler, 0.4, UniformMesh(1.0, 32), 1, StreamKey(2))

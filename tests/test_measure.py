@@ -1,33 +1,12 @@
 """Distance identities, inequalities, and the brute-force transport oracle."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
 from mvfbm.measure import EmpiricalMeasure, coupled_upper_bound, wasserstein_1d_exact
-
-
-def moment_distance_to_dirac0(mu: EmpiricalMeasure, order: float = 2.0) -> float:
-    """Exact W_theta from mu to the Dirac mass at the origin.
-
-    Every transport plan to a point mass is forced, so the distance is the
-    theta-th root of the theta-th moment: ((1/N) sum_j |x_j|^theta)^(1/theta).
-    """
-    if order < 2.0:
-        raise ValueError(f"Wasserstein order must be >= 2, got {order}")
-    norms = np.linalg.norm(mu.atoms, axis=1)
-    return float(np.mean(norms**order) ** (1.0 / order))
-
-
-def brute_force_w1d(a: np.ndarray, b: np.ndarray, theta: float) -> float:
-    """Minimize the transport cost over every atom permutation (N <= 8)."""
-    best = math.inf
-    for perm in itertools.permutations(range(len(b))):
-        cost = np.mean(np.abs(a - b[list(perm)]) ** theta)
-        best = min(best, cost)
-    return best ** (1.0 / theta)
+from oracles import brute_force_w1d, moment_distance_to_dirac0
 
 
 def test_order_requires_two():

@@ -21,6 +21,7 @@ from mvfbm.model import (
     validate,
 )
 from mvfbm.streams import StreamKey
+from oracles import zero_drift
 
 
 def _measure(*values):
@@ -105,10 +106,6 @@ class TestValidate:
                     assert h >= 0.5 or isinstance(model.diffusion, ConstantDiffusion)
 
 
-def _zero_drift(states, mu):
-    return np.zeros_like(states)
-
-
 def test_state_measure_reduces_to_measure_only():
     """One sigma steps to the same bytes whichever diffusion kind declares it."""
     from mvfbm.simulator import ParticleEnsemble, em_step
@@ -130,7 +127,7 @@ def test_state_measure_reduces_to_measure_only():
             stepped = {
                 kind: em_step(
                     ParticleEnsemble(states, replications=replications),
-                    ModelSpec(kind, d, _zero_drift, diffusion, 0.0),
+                    ModelSpec(kind, d, zero_drift, diffusion, 0.0),
                     0.1,
                     increments,
                 ).states.tobytes()
@@ -175,7 +172,7 @@ def test_initial_sampler_shape_checked():
     model = ModelSpec(
         name="bad-init",
         dimension=2,
-        drift=_zero_drift,
+        drift=zero_drift,
         diffusion=ConstantDiffusion(np.eye(2)),
         initial=lambda rng, count: rng.normal(size=(count, 1)),
     )

@@ -24,8 +24,8 @@ from mvfbm.fbm import (
     increment_covariance_matrix,
 )
 from mvfbm.measure import EmpiricalMeasure
-from mvfbm.streams import StreamKey
 from mvfbm.study import covariance_check
+from oracles import covariance_zscores, empirical_covariance, increment_ensemble
 
 hursts = st.floats(0.05, 0.95)
 
@@ -47,14 +47,10 @@ def _covariance_check_oracle(hurst, steps, paths, seed, sampler_cls):
     """
     mesh = UniformMesh(1.0, steps)
     expected = _toeplitz_gather(hurst, mesh)
-    streams = [StreamKey(seed).child(p) for p in range(paths)]
-    generator = sampler_cls(HurstParameter(hurst), mesh)
-    increments = generator.sample_ensemble(1, streams)[:, :, 0]
-    empirical = increments.T @ increments / paths
+    increments = increment_ensemble(sampler_cls(HurstParameter(hurst), mesh), paths, seed)
+    empirical = empirical_covariance(increments)
     assert np.array_equal(empirical, empirical.T)  # so lag -k repeats lag k
-    diag = np.diag(expected)
-    stderr = np.sqrt((np.outer(diag, diag) + expected**2) / paths)
-    z = np.abs(empirical - expected) / stderr
+    z = covariance_zscores(increments, expected)
     index = np.arange(steps)
     lags = index[None, :] - index[:, None]
     upper = lags >= 0

@@ -22,8 +22,7 @@ from mvfbm.fbm import (
     make_sampler,
 )
 from mvfbm.streams import StreamKey
-
-from test_streams import assert_bulk_matches_numpy
+from oracles import assert_bulk_matches_numpy
 
 hursts = st.floats(0.01, 0.99)
 

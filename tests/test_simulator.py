@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mvfbm.fbm
 from mvfbm.fbm import UniformMesh
 from mvfbm.model import (
     ConstantDiffusion,
@@ -26,17 +27,15 @@ from mvfbm.simulator import (
     run_coupled_meshes,
 )
 from mvfbm.streams import StreamKey
-
-
-def _zero_drift(states, mu):
-    return np.zeros_like(states)
+from mvfbm.study import fit_loglog_slope
+from oracles import mean_reverting_limit_variance, reverting_drift, w2_to_gaussian, zero_drift
 
 
 def _null_model(dimension=1):
     return ModelSpec(
         name="null",
         dimension=dimension,
-        drift=_zero_drift,
+        drift=zero_drift,
         diffusion=ConstantDiffusion(np.zeros((dimension, dimension))),
         initial=np.zeros(dimension),
     )
@@ -166,6 +165,21 @@ class TestRun:
                 alone = run(replace(config, replications=range(m, m + 1))).terminal
                 assert alone.tobytes() == batch[m * n : (m + 1) * n].tobytes(), (batch_size, m)
 
+    @pytest.mark.parametrize("replications", [1, 3])
+    def test_first_particles_are_the_smaller_run(self, monkeypatch, replications):
+        # particle i's start and driver do not depend on N, so with no interaction
+        # the first N rows of replication m in an M-particle batch are the
+        # N-particle run of m, whichever FFT blocks the rows fall in
+        small, large, steps = 7, 23, 32
+        monkeypatch.setattr(mvfbm.fbm, "_FFT_BLOCK_BYTES", 5 * 16 * (steps + 1))  # 5 rows a block
+        config = SimulationConfig(preset_mean_reverting(rate=0.0, initial_spread=0.5), 0.7,
+                                  UniformMesh(1.0, steps), large, 2024,
+                                  replications=range(replications))
+        batch = run(config).terminal
+        for m in range(replications):
+            alone = run(replace(config, particles=small, replications=range(m, m + 1))).terminal
+            assert alone.tobytes() == batch[m * large : m * large + small].tobytes(), m
+
     @pytest.mark.parametrize("replications", [None, range(0), range(3, 3), range(-1, 1), [0], 1],
                              ids=["none", "empty", "empty-at-3", "negative", "list", "int"])
     def test_replications_must_be_a_nonempty_range(self, replications):
@@ -212,6 +226,32 @@ class TestRun:
         blowup = excinfo.value
         assert (blowup.step, blowup.replication, blowup.particle) == (1, 0, 1)
         assert blowup.mesh_steps == 1
+
+
+# Variance of the N -> infinity terminal law for n = 128 steps, r = xi = 1.
+MEAN_FIELD_VARIANCE = {0.3: 0.4643630, 0.7: 0.4169138}
+
+
+@pytest.mark.parametrize("hurst", sorted(MEAN_FIELD_VARIANCE))
+def test_mean_reverting_preset_approaches_its_mean_field_law(hurst):
+    """The exact W_2 from each replication's terminal ensemble to the scheme's
+    N -> infinity law N(x0, xi^2 a^T Gamma a) falls like N^(-1/2) up to a
+    sqrt(log log N) factor (Bobkov & Ledoux 2019), which flattens the
+    fitted slope to about -0.44 over N = 50..800."""
+    mesh, replications = UniformMesh(1.0, 128), 20
+    variance = mean_reverting_limit_variance(hurst, mesh, rate=1.0, xi=1.0)
+    assert abs(variance - MEAN_FIELD_VARIANCE[hurst]) < 1e-6
+    model = preset_mean_reverting(xi=1.0, rate=1.0, initial=1.0)
+    points = []
+    for n in (50, 100, 200, 400, 800):
+        config = SimulationConfig(model, hurst, mesh, n, 99, replications=range(replications))
+        terminal = run(config).terminal.reshape(replications, n)
+        distances = np.array([w2_to_gaussian(x, 1.0, variance) for x in terminal])
+        points.append((n, distances.mean(), distances.std(ddof=1) / math.sqrt(replications)))
+    slope, _ = fit_loglog_slope([(n, d) for n, d, _ in points])
+    (_, first, first_se), (_, last, last_se) = points[0], points[-1]
+    assert first - last > math.hypot(first_se, last_se), points
+    assert -0.65 <= slope <= -0.35, (slope, points)
 
 
 class TestCoupledMeshes:
@@ -273,14 +313,10 @@ def test_trajectory_csv_full():
     assert len(lines) == 2 + 5 * 2
 
 
-def _planar_drift(states, mu):
-    return mu.mean() - states
-
-
 def test_trajectory_csv_policies_are_rows_of_the_full_export():
     # d = 2: a kept snapshot writes the same bytes under every policy
     model = ModelSpec(
-        name="planar", dimension=2, drift=_planar_drift,
+        name="planar", dimension=2, drift=reverting_drift,
         diffusion=ConstantDiffusion(np.array([[1.0, 0.5], [0.0, 2.0]])),
         initial=np.array([1.0, -1.0]),
     )

@@ -10,24 +10,12 @@ bit, for every seed size and every path.
 import numpy as np
 import pytest
 
-from mvfbm.streams import StreamKey, _entropy, _pool_state, child_seed_words, seeded_generator
+from mvfbm.streams import StreamKey, _entropy, _pool_state, seeded_generator
+from oracles import assert_bulk_matches_numpy, numpy_draws
 
 # 0, one word, two words, three words, and five words (longer than the pool)
 SEEDS = (0, 2024, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 12345, 2**130 + 7)
 PATHS = ((), (0,), (3, 1), (2**32, 1, 5), (7, 2**40, 0, 2**64 + 1), (1, 2, 3, 4, 5), (9, 8, 7, 6, 5, 2**32))
-
-
-def _numpy_draws(seed, spawn_key):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key)).standard_normal(8)
-
-
-def assert_bulk_matches_numpy(keys, components):
-    words = child_seed_words(keys, components)
-    assert words.shape == (components, len(keys), 4)
-    for j in range(components):
-        for p, key in enumerate(keys):
-            got = seeded_generator(words[j, p]).standard_normal(8)
-            assert got.tobytes() == _numpy_draws(key.seed, key.path + (j,)).tobytes(), (key, j)
 
 
 def test_mixed_seeds_and_paths_in_one_call():
@@ -39,4 +27,4 @@ def test_mixed_seeds_and_paths_in_one_call():
 def test_padding_without_a_spawn_key_hashes_the_same(seed):
     # numpy zero-pads the seed's words to the pool size only before a spawn key
     words = _pool_state(np.array([_entropy(seed, ())], np.uint32).T)[0]
-    assert seeded_generator(words).standard_normal(8).tobytes() == _numpy_draws(seed, ()).tobytes()
+    assert seeded_generator(words).standard_normal(8).tobytes() == numpy_draws(seed, ()).tobytes()

@@ -1,7 +1,6 @@
 """Experiment harness: slope fitting, studies, determinism, parallelism."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -11,11 +10,11 @@ import mvfbm.simulator
 import mvfbm.study
 from mvfbm.fbm import CirculantSampler, UniformMesh, make_sampler
 from mvfbm.model import (
-    ConstantDiffusion,
     MeasureDiffusion,
     ModelSpec,
     preset_mean_deviation,
     preset_mean_reverting,
+    preset_unstable_cubic,
 )
 from mvfbm.simulator import NumericalBlowup, SimulationConfig, run
 from mvfbm.study import (
@@ -27,6 +26,7 @@ from mvfbm.study import (
     moment_bound_check,
     strong_error_study,
 )
+from oracles import mean_shifted_sigma, planar_model, reverting_drift
 
 DELTAS = (2.0**-3, 2.0**-4, 2.0**-5)
 REFERENCE = 2.0**-7
@@ -360,35 +360,11 @@ class TestCovarianceCheck:
 # --------------------------------------------------------------------------
 
 
-def _reverting_drift(states, mu):
-    return mu.mean() - states
-
-
-def _mean_scaled_sigma(mu):
-    return 1.0 + 0.5 * mu.mean()  # (R, 1, 1): one 1 x 1 sigma per replication
-
-
 def _measure_noise_model():
     return ModelSpec(
-        name="measure-noise", dimension=1, drift=_reverting_drift,
-        diffusion=MeasureDiffusion(_mean_scaled_sigma), initial=1.0,
+        name="measure-noise", dimension=1, drift=reverting_drift,
+        diffusion=MeasureDiffusion(mean_shifted_sigma), initial=1.0,
     )
-
-
-def _planar_model():
-    return ModelSpec(
-        name="planar", dimension=2, drift=_reverting_drift,
-        diffusion=ConstantDiffusion(np.array([[1.0, 0.3], [-0.2, 0.7]])),
-        initial=partial(_spread_initial, dimension=2),
-    )
-
-
-def _spread_initial(rng, count, dimension=1, mean=0.0, spread=0.4):
-    return mean + spread * rng.standard_normal((count, dimension))
-
-
-def _cubic_drift(states, mu):
-    return states**3
 
 
 BATCH_PARTICLES = 12
@@ -432,10 +408,10 @@ class TestBatching:
             (preset_mean_deviation(initial_spread=0.5), 0.7, BATCH_PARTICLES),  # per-particle sigma
             (preset_mean_reverting(xi=1.0, rate=1.0), 0.3, BATCH_PARTICLES),  # constant sigma
             (_measure_noise_model(), 0.7, BATCH_PARTICLES),  # one sigma per replication
-            (_planar_model(), 0.6, BATCH_PARTICLES),  # d = 2: a matrix product per replication
+            (planar_model(), 0.6, BATCH_PARTICLES),  # d = 2: a matrix product per replication
             # One particle per replication: a product over all rows at once
             # would round differently here than replication by replication.
-            (_planar_model(), 0.6, 1),
+            (planar_model(), 0.6, 1),
         ],
         ids=["state-measure", "constant", "measure", "planar", "planar-one-particle"],
     )
@@ -453,7 +429,7 @@ class TestBatching:
 
     @pytest.mark.parametrize(
         "model",
-        [preset_mean_deviation(initial_spread=0.5), _planar_model()],  # 1d-exact, coupling-bound
+        [preset_mean_deviation(initial_spread=0.5), planar_model()],  # 1d-exact, coupling-bound
         ids=["state-measure", "planar"],
     )
     def test_chaos_bytes_independent_of_batching(self, monkeypatch, model):
@@ -496,10 +472,7 @@ class TestBatching:
 
     @pytest.mark.parametrize("workers", [1, 2])  # a worker's blow-up must reach the caller
     def test_blowup_in_a_batched_run_names_the_replication(self, monkeypatch, workers):
-        model = ModelSpec(
-            name="cubic-spread", dimension=1, drift=_cubic_drift,
-            diffusion=ConstantDiffusion(np.array([[0.1]])), initial=_spread_initial,
-        )
+        model = preset_unstable_cubic(initial=0.0, initial_spread=0.4)
         replications = 12
         named = set()
         for budget in (1, 4, replications):  # replications per batch
