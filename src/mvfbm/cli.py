@@ -221,7 +221,10 @@ class RunConfig:
     paths: int = _option(10_000, int, "sample paths (fbm-check)", valid=_AT_LEAST_2)
     seed: int = _option(2024, int, "master seed", valid=(lambda s: s >= 0, "must be >= 0"))
     snapshots: str = _option("terminal", str, "trajectory retention (simulate)", SNAPSHOT_POLICIES)
-    workers: int = _option(1, int, "parallel workers for replications", valid=_AT_LEAST_1)
+    workers: int = _option(
+        1, int, "parallel worker processes for replications; each process's driver sampler "
+        "uses usable-cores // workers threads (at least 1)", valid=_AT_LEAST_1,
+    )
     outdir: str = _option("runs", str, "output directory root (default runs/)")
     label: str = _option("", str, "run directory name (default <command>-<timestamp>)")
     emit_plot: bool = _option(False, _boolean, "write plot.svg")

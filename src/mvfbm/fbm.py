@@ -19,14 +19,20 @@ compare the circulant sampler against, and no run uses it.
 Both draw from :class:`~mvfbm.streams.StreamKey` addresses, one independent
 stream per path component, and are deterministic given (H, mesh, d, stream).
 The circulant sampler seeds all streams of a call in one vectorized pass,
-bit-identical to ``StreamKey.generator()``.
+bit-identical to ``StreamKey.generator()``.  It deals its FFT blocks to up
+to ``threads`` threads, by default one per usable core: numpy releases the
+interpreter lock inside the normal draws and the FFT, and each path's
+variates do not depend on which thread or block computes them, so the
+thread count never changes a bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,11 +58,19 @@ __all__ = [
 # larger is a defect and fails hard: clamping it would bias the law.
 _EIGENVALUE_ROUNDOFF = 1e-10
 
-# Bytes of complex modes one Davies-Harte FFT block may hold (63 paths at
-# n = 1024, 15 at n = 4096).  Bounds the mode and output work arrays however
-# many paths a call draws; row r's variates do not depend on which rows
-# share its block.
+# Bytes of complex modes that the FFT blocks of one sampler call may hold
+# together; each of its t threads works on blocks of 1/t of this budget.
+# Bounds the mode and output work arrays however many paths a call draws;
+# row r's variates do not depend on which rows share its block.
 _FFT_BLOCK_BYTES = 2**20
+
+
+def usable_cores() -> int:
+    """The cores this process may run on (its CPU affinity, where the
+    platform reports one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -199,8 +213,9 @@ class CirculantSampler:
             )
         self._sqrt_eigenvalues = np.sqrt(np.clip(eigenvalues, 0.0, None))  # modes 0..m
 
-    def sample_ensemble(self, dimension: int, streams: Sequence[StreamKey],
-                        *, out: "np.ndarray | None" = None) -> np.ndarray:
+    def sample_ensemble(self, dimension: int, streams: Sequence[StreamKey], *,
+                        out: "np.ndarray | None" = None,
+                        threads: "int | None" = None) -> np.ndarray:
         """Increments of one path per stream, shape (len(streams), n, d).
 
         Component j of a path draws 2m normals z from its stream's child(j):
@@ -211,32 +226,57 @@ class CirculantSampler:
         before its draw.
         ``out``, if given, is a (len(streams), n, d) array, possibly a
         strided view, that receives the increments and is returned.  The
-        FFT runs over blocks of rows of a fixed byte size, so its work arrays
-        stay small however many paths are drawn.
+        FFT runs over blocks of rows whose work arrays share a fixed byte
+        budget, so they stay small however many paths are drawn.
+        ``threads`` (default: ``usable_cores()``) caps the threads the
+        blocks are dealt to, round-robin; with one, no thread is started.
 
         The normals land in the float view of the m+1 complex modes, where
         only z[1] has to move.  Scaled and conjugated they are the Hermitian
         half of the spectrum w of the classical fft(w).real / sqrt(2m), so
         an unnormalized irfft of the half gives the same variates.
         """
-        m = self._half_size
+        m, n = self._half_size, self.mesh.steps
+        shape = (len(streams), n, dimension)
         if out is None:
-            out = np.empty((len(streams), self.mesh.steps, dimension))
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise ValueError(f"out has shape {out.shape}, expected {shape}")
+        threads = usable_cores() if threads is None else threads
+        if threads < 1:
+            raise ValueError(f"threads must be at least 1, got {threads}")
         scale = self._mode_scale()
         seeds = child_seed_words(streams, dimension)
-        rows = max(1, _FFT_BLOCK_BYTES // (16 * (m + 1)))
-        for start in range(0, len(streams), rows):
-            block = seeds[:, start : start + rows]  # (d, rows, 4)
-            modes = np.empty((block.shape[1], m + 1), dtype=complex)
+        rows = max(1, _FFT_BLOCK_BYTES // threads // (16 * (m + 1)))
+        starts = range(0, len(streams), rows)
+        lanes = max(1, min(threads, len(starts)))
+        # one set of work arrays per thread, allocated here: arrays that the
+        # threads allocate come from per-thread malloc arenas and raise peak RSS
+        size = min(rows, len(streams))
+        buffers = [(np.empty((size, m + 1), dtype=complex), np.empty((size, 2 * m)))
+                   for _ in range(lanes)]
+
+        def fill(lane: int) -> None:
+            modes, fgn = buffers[lane]
             parts = modes.view(float)  # (rows, 2m + 2): re/im of mode 0, 1, .., m
-            for j in range(dimension):
-                for p, words in enumerate(block[j]):
-                    seeded_generator(words).standard_normal(2 * m, out=parts[p, : 2 * m])
-                parts[:, 2 * m] = parts[:, 1]
-                parts[:, 1] = parts[:, 2 * m + 1] = 0.0
-                parts *= scale
-                fgn = np.fft.irfft(modes, n=2 * m, axis=1, norm="forward")
-                out[start : start + len(modes), :, j] = fgn[:, : self.mesh.steps]
+            for start in starts[lane::lanes]:
+                block = seeds[:, start : start + rows]  # (d, k, 4)
+                k = block.shape[1]
+                for j in range(dimension):
+                    for p, words in enumerate(block[j]):
+                        seeded_generator(words).standard_normal(2 * m, out=parts[p, : 2 * m])
+                    parts[:k, 2 * m] = parts[:k, 1]
+                    parts[:k, 1] = parts[:k, 2 * m + 1] = 0.0
+                    parts[:k] *= scale
+                    np.fft.irfft(modes[:k], n=2 * m, axis=1, norm="forward", out=fgn[:k])
+                    out[start : start + k, :, j] = fgn[:k, :n]
+
+        if lanes == 1:
+            fill(0)
+        else:
+            with ThreadPoolExecutor(max_workers=lanes) as pool:
+                for done in [pool.submit(fill, lane) for lane in range(lanes)]:
+                    done.result()
         return out
 
     def _mode_scale(self) -> np.ndarray:

@@ -176,18 +176,20 @@ def _snapshot_plan(steps: int, policy: str) -> set[int]:
     raise ValueError(f"unknown snapshot policy {policy!r}; choose from {SNAPSHOT_POLICIES}")
 
 
-def _drivers(config: SimulationConfig) -> np.ndarray:
+def _drivers(config: SimulationConfig, threads: "int | None") -> np.ndarray:
     """Per-particle exact fBm increments of the whole batch, shape (steps, R*N, d).
 
-    The sampler of (H, mesh) serves the batch; particle i of replication m
-    draws from child(1, i) of the replication's root.
+    The sampler of (H, mesh) serves the batch on up to ``threads`` threads;
+    particle i of replication m draws from child(1, i) of the replication's
+    root.
     """
     sampler = make_sampler(config.hurst, config.mesh)
     streams = [root.child(_NS_NOISE, i) for root in config.roots() for i in range(config.particles)]
     drivers = np.empty((config.mesh.steps, len(streams), config.model.dimension))
     # the sampler writes its (R*N, steps, d) rows straight into the step-major array,
     # so the batch never holds a second, transposed copy of its drivers
-    sampler.sample_ensemble(config.model.dimension, streams, out=np.swapaxes(drivers, 0, 1))
+    sampler.sample_ensemble(config.model.dimension, streams, out=np.swapaxes(drivers, 0, 1),
+                            threads=threads)
     return drivers
 
 
@@ -231,7 +233,8 @@ def run(config: SimulationConfig, snapshots: str = "terminal") -> TrajectoryReco
 
 
 def run_coupled_meshes(
-    config: SimulationConfig, factors: Sequence[int], snapshots: str = "terminal"
+    config: SimulationConfig, factors: Sequence[int], snapshots: str = "terminal", *,
+    threads: "int | None" = None,
 ) -> dict[int, TrajectoryRecord]:
     """Run the scheme on nested meshes sharing one set of fine drivers.
 
@@ -239,11 +242,12 @@ def run_coupled_meshes(
     count.  Factor 1 (the reference run) is always included and runs first.
     All runs share the initial ensemble and the same continuous drivers,
     restricted to each coarse mesh, so terminal differences measure pure
-    discretization error.
+    discretization error.  ``threads`` caps the driver sampler's threads
+    (default: one per usable core); it never changes a bit.
     """
     meshes = {f: config.mesh.coarsen(f) for f in sorted(set(int(f) for f in factors) | {1})}
     initial = _initial_states(config)
-    fine_drivers = _drivers(config)  # (steps, R*N, d)
+    fine_drivers = _drivers(config, threads)  # (steps, R*N, d)
     return {
         f: _evolve(replace(config, mesh=mesh), initial,
                    fine_drivers if f == 1 else block_sums(fine_drivers, f), snapshots)

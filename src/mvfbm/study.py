@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fbm import HurstParameter, UniformMesh, increment_covariance_matrix, make_sampler
+from .fbm import HurstParameter, UniformMesh, increment_covariance_matrix, make_sampler, usable_cores
 from .measure import EmpiricalMeasure, coupled_upper_bound, wasserstein_1d_exact
 from .model import ModelSpec
 from .reports import ChaosReport, ConvergenceReport, CovarianceCheckReport, MomentReport, NonFiniteError
@@ -121,11 +121,12 @@ def _batches(config: SimulationConfig, replications: int, workers: int) -> list[
     ]
 
 
-def _batch_terminals(factors: Sequence[int],
+def _batch_terminals(factors: Sequence[int], threads: int,
                      config: SimulationConfig) -> "list[np.ndarray] | NumericalBlowup":
-    """The batch's terminal states on each factor's mesh, or its blow-up."""
+    """The batch's terminal states on each factor's mesh, or its blow-up;
+    its drivers are drawn on up to ``threads`` threads."""
     try:
-        records = run_coupled_meshes(config, factors, snapshots="terminal")
+        records = run_coupled_meshes(config, factors, snapshots="terminal", threads=threads)
     except NumericalBlowup as exc:
         return exc
     return [records[f].terminal for f in factors]
@@ -140,9 +141,11 @@ def _run_batches(configs: Sequence[SimulationConfig], factors: Sequence[int],
     batched or spread over workers: the finest mesh first, then the smallest
     particle count, step and replication.
     """
-    task = partial(_batch_terminals, tuple(factors))
     # a forked pool starts all of its workers at once: start no more than there are batches
     workers = min(workers, len(configs))
+    # the workers share the usable cores.  A sampler call joins its threads before it
+    # returns, so the pool forks a process that runs a single thread
+    task = partial(_batch_terminals, tuple(factors), max(1, usable_cores() // workers))
     if workers <= 1:
         results = [task(config) for config in configs]
     else:

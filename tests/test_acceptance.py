@@ -251,7 +251,6 @@ def test_criterion_7_moment_bounds():
     rough = moment_bound_check(
         preset_mean_reverting(xi=1.0, rate=1.0), 0.3, ladder, particles=200, order=2.0, seed=5151
     )
-    xi = x0 = hurst = None
     xi, x0, hurst, particles = 1.0, 1.0, 0.7, 4000
     drift_free = moment_bound_check(
         preset_mean_reverting(xi=xi, rate=0.0, initial=x0),

@@ -1,6 +1,6 @@
 """Property test of the determinism contract: a study's report bytes do not
-depend on how its replications are batched or on how many rows the sampler
-puts into one FFT block.
+depend on how its replications are batched, on how many rows the sampler
+puts into one FFT block, or on how many threads the sampler runs.
 
 Worker counts are covered by the workers-2 case of TestBatching in
 test_study.py: forking a process pool for every example would be too slow.
@@ -50,17 +50,20 @@ def studies(draw):
         "seed": draw(st.integers(0, 2**32 - 1)),
         "batch": draw(st.integers(1, replications)),
         "fft_rows": draw(st.integers(1, 5)),
+        "threads": draw(st.integers(1, 3)),
     }
 
 
-def _report_csv(study, batch, fft_rows=None):
-    """The study's CSV with ``batch`` replications per batch and, if given,
-    ``fft_rows`` paths per FFT block."""
+def _report_csv(study, batch, fft_rows=None, threads=1):
+    """The study's CSV with ``batch`` replications per batch, ``threads``
+    sampler threads (its one worker sees that many usable cores) and, if
+    given, an FFT budget of ``fft_rows`` paths."""
     steps, particles = study["steps"], study["particles"]
     budget = batch * particles * steps * study["model"].dimension * 8
     fft_bytes = mvfbm.fbm._FFT_BLOCK_BYTES if fft_rows is None else fft_rows * 16 * (steps + 1)
     with mock.patch.object(mvfbm.study, "_BATCH_BYTES", budget), \
-            mock.patch.object(mvfbm.fbm, "_FFT_BLOCK_BYTES", fft_bytes):
+            mock.patch.object(mvfbm.fbm, "_FFT_BLOCK_BYTES", fft_bytes), \
+            mock.patch.object(mvfbm.study, "usable_cores", lambda: threads):
         return strong_error_study(
             study["model"], study["hurst"], particles, study["replications"],
             [f / steps for f in study["factors"]], 1.0 / steps, study["seed"],
@@ -70,4 +73,5 @@ def _report_csv(study, batch, fft_rows=None):
 @settings(max_examples=25)
 @given(study=studies())
 def test_report_bytes_independent_of_batch_budget_and_fft_block(study):
-    assert _report_csv(study, study["batch"], study["fft_rows"]) == _report_csv(study, 1)
+    assert (_report_csv(study, study["batch"], study["fft_rows"], study["threads"])
+            == _report_csv(study, 1))

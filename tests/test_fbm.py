@@ -6,6 +6,7 @@ tightly.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -272,6 +273,60 @@ class TestCirculantEmbedding:
             message = rf"underflows a float for delta={delta}, H={hurst}"
             with pytest.raises(CirculantEmbeddingError, match=message):
                 build(hurst, mesh)
+
+
+class TestThreads:
+    """The sampler's threads change no bit and hide no failure.  Every test
+    passes ``threads`` itself, so it holds whatever cores the host has."""
+
+    STEPS, PATHS = 32, 29  # 29 paths: no block size used here divides them
+
+    def _sample(self, dimension, threads, out=None):
+        sampler = CirculantSampler(0.3, UniformMesh(1.0, self.STEPS))
+        streams = [StreamKey(2024, (0, 1, i)) for i in range(self.PATHS)]
+        return sampler.sample_ensemble(dimension, streams, out=out, threads=threads)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("block_rows", [1, 6, None], ids=["1-row", "6-rows", "default"])
+    def test_bytes_independent_of_threads(self, monkeypatch, dimension, block_rows):
+        # a 6-row budget splits into blocks of 6, 3 and 2 rows at 1, 2 and 3 threads
+        if block_rows is not None:
+            monkeypatch.setattr(mvfbm.fbm, "_FFT_BLOCK_BYTES", block_rows * 16 * (self.STEPS + 1))
+        before = threading.active_count()
+        expected = self._sample(dimension, threads=1).tobytes()
+        for threads in (1, 2, 3):
+            assert self._sample(dimension, threads).tobytes() == expected, threads
+            # the strided step-major view that the simulator's _drivers passes
+            drivers = np.empty((self.STEPS, self.PATHS, dimension))
+            view = np.swapaxes(drivers, 0, 1)
+            assert self._sample(dimension, threads, out=view) is view
+            assert view.tobytes() == expected, threads
+        assert threading.active_count() == before  # every call joins its threads
+
+    def test_thread_failure_reaches_caller_as_itself(self, monkeypatch):
+        monkeypatch.setattr(mvfbm.fbm, "_FFT_BLOCK_BYTES", 2 * 16 * (self.STEPS + 1))
+        failure = ArithmeticError("raised in a sampler thread")
+        callers = set()
+
+        def failing(words):
+            callers.add(threading.current_thread())
+            raise failure
+
+        monkeypatch.setattr(mvfbm.fbm, "seeded_generator", failing)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as raised:
+            self._sample(1, threads=2)
+        assert raised.value is failure
+        assert callers and threading.main_thread() not in callers
+        assert threading.active_count() == before
+
+    def test_wrong_out_shape_raises_value_error(self):
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=r"out has shape \(29, 32, 2\), expected \(29, 32, 1\)"):
+            self._sample(1, threads=2, out=np.empty((self.PATHS, self.STEPS, 2)))
+        with pytest.raises(ValueError, match="threads must be at least 1, got 0"):
+            self._sample(1, threads=0)
+        assert threading.active_count() == before
 
 
 class TestRestriction:
