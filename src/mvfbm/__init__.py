@@ -15,7 +15,6 @@ from .fbm import (
     UniformMesh,
     block_sums,
     increment_covariance_matrix,
-    make_sampler,
 )
 from .measure import (
     EmpiricalMeasure,

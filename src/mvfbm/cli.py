@@ -120,16 +120,13 @@ _COMMAND_RUNNERS = {
 }
 COMMANDS = tuple(_COMMAND_RUNNERS)
 
-_DESK_DELTAS = (2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8)
-
 # Defaults each profile puts under the flags and file values.
 _PROFILE_SETTINGS = {
-    "desk": {"deltas": _DESK_DELTAS},
+    "desk": {},
     # Full-scale profile: finer reference mesh and the larger ensemble.
     "paper-fig1": {
         "particles": 1000,
         "replications": 100,
-        "deltas": _DESK_DELTAS,
         "reference_delta": 2.0**-12,
     },
 }
@@ -204,7 +201,8 @@ class RunConfig:
     horizon: float = _option(1.0, _number, "time horizon T (default 1)", valid=_POSITIVE)
     steps: int = _option(128, int, "mesh steps for simulate/chaos/fbm-check", valid=_AT_LEAST_1)
     deltas: tuple[float, ...] = _option(
-        (), _numbers, "comma list of step sizes, e.g. 2^-5,2^-6 (convergence/moments)",
+        (2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8), _numbers,
+        "comma list of step sizes, e.g. 2^-5,2^-6 (convergence/moments)",
         valid=(lambda ds: all(d > 0 for d in ds), "must be positive"),
     )
     reference_delta: float = _option(

@@ -11,8 +11,8 @@ Gaussian sequence (fractional Gaussian noise) with autocovariance
     gamma(k) = delta^{2H} * ((k+1)^{2H} - 2 k^{2H} + |k-1|^{2H}) / 2.
 
 Davies-Harte circulant embedding (``CirculantSampler``, O(n log n); see
-Dieker 2004) draws every driver: ``make_sampler`` hands out the memoized
-sampler of (H, mesh).  ``CholeskySampler`` factors the dense increment
+Dieker 2004) draws every driver, from a sampler built where it draws: setup
+is one size-2n FFT.  ``CholeskySampler`` factors the dense increment
 covariance in O(n^3); it is the reference implementation that the tests
 compare the circulant sampler against, and no run uses it.
 
@@ -28,7 +28,6 @@ thread count never changes a bit.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import sys
@@ -48,7 +47,6 @@ __all__ = [
     "CirculantSampler",
     "CovarianceFactorizationError",
     "CirculantEmbeddingError",
-    "make_sampler",
     "block_sums",
 ]
 
@@ -211,7 +209,14 @@ class CirculantSampler:
                 f"eigenvalue {eigenvalues.min():.3e} contradicts the nonnegative minimal "
                 "embedding of Dietrich & Newsam (1997): a defect in the eigenvalue computation"
             )
-        self._sqrt_eigenvalues = np.sqrt(np.clip(eigenvalues, 0.0, None))  # modes 0..m
+        # per-part factors of the interleaved modes 0..m: sqrt(lambda_k / 2m), with
+        # an extra 1/sqrt(2) and the conjugating sign on modes 1..m-1
+        m = self._half_size
+        scale = np.zeros(2 * m + 2)
+        scale[0::2] = np.sqrt(np.clip(eigenvalues, 0.0, None)) / np.sqrt(2.0 * m)
+        scale[2 : 2 * m : 2] /= np.sqrt(2.0)
+        scale[3 : 2 * m : 2] = -scale[2 : 2 * m : 2]
+        self._scale = scale
 
     def sample_ensemble(self, dimension: int, streams: Sequence[StreamKey], *,
                         out: "np.ndarray | None" = None,
@@ -245,7 +250,6 @@ class CirculantSampler:
         threads = usable_cores() if threads is None else threads
         if threads < 1:
             raise ValueError(f"threads must be at least 1, got {threads}")
-        scale = self._mode_scale()
         seeds = child_seed_words(streams, dimension)
         rows = max(1, _FFT_BLOCK_BYTES // threads // (16 * (m + 1)))
         starts = range(0, len(streams), rows)
@@ -267,7 +271,7 @@ class CirculantSampler:
                         seeded_generator(words).standard_normal(2 * m, out=parts[p, : 2 * m])
                     parts[:k, 2 * m] = parts[:k, 1]
                     parts[:k, 1] = parts[:k, 2 * m + 1] = 0.0
-                    parts[:k] *= scale
+                    parts[:k] *= self._scale
                     np.fft.irfft(modes[:k], n=2 * m, axis=1, norm="forward", out=fgn[:k])
                     out[start : start + k, :, j] = fgn[:k, :n]
 
@@ -279,17 +283,6 @@ class CirculantSampler:
                     done.result()
         return out
 
-    def _mode_scale(self) -> np.ndarray:
-        """Per-part factors of the interleaved modes: sqrt(lambda_k / 2m), with
-        an extra 1/sqrt(2) and the conjugating sign on modes 1..m-1."""
-        m = self._half_size
-        amplitude = self._sqrt_eigenvalues / np.sqrt(2.0 * m)
-        scale = np.zeros(2 * m + 2)
-        scale[0::2] = amplitude
-        scale[2 : 2 * m : 2] /= np.sqrt(2.0)
-        scale[3 : 2 * m : 2] = -scale[2 : 2 * m : 2]
-        return scale
-
 
 def _embedding_eigenvalues(hurst: HurstParameter, mesh: UniformMesh) -> np.ndarray:
     """Eigenvalues of modes 0..m of the size-2m circulant embedding of the
@@ -297,13 +290,6 @@ def _embedding_eigenvalues(hurst: HurstParameter, mesh: UniformMesh) -> np.ndarr
     gamma = _fgn_autocovariance(hurst, mesh.delta, np.arange(mesh.steps + 1))
     first_row = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2m, symmetric
     return np.fft.rfft(first_row).real
-
-
-@functools.lru_cache(maxsize=4)
-def make_sampler(hurst: "float | HurstParameter", mesh: UniformMesh) -> CirculantSampler:
-    """The driver sampler of (H, mesh).  Samplers are immutable, so the four
-    most recently asked for are kept and handed out again."""
-    return CirculantSampler(hurst, mesh)
 
 
 def block_sums(increments: np.ndarray, factor: int) -> np.ndarray:

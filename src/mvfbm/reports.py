@@ -271,8 +271,8 @@ _MARGIN = 60.0
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
+    """Multiples of a whole step in [lo, hi].  The plot pads each axis so that
+    hi - lo >= 1, and the step is at most the span, so there is at least one."""
     span = hi - lo
     step = max(1.0, round(span / 5.0))
     first = math.ceil(lo / step) * step
@@ -281,7 +281,7 @@ def _ticks(lo: float, hi: float) -> list[float]:
     while t <= hi + 1e-9:
         out.append(t)
         t += step
-    return out or [lo]
+    return out
 
 
 def render_loglog_svg(

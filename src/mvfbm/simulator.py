@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fbm import HurstParameter, UniformMesh, block_sums, make_sampler
+from .fbm import CirculantSampler, HurstParameter, UniformMesh, block_sums
 from .measure import EmpiricalMeasure
 from .model import ModelSpec, validate
 from .streams import StreamKey
@@ -179,11 +179,11 @@ def _snapshot_plan(steps: int, policy: str) -> set[int]:
 def _drivers(config: SimulationConfig, threads: "int | None") -> np.ndarray:
     """Per-particle exact fBm increments of the whole batch, shape (steps, R*N, d).
 
-    The sampler of (H, mesh) serves the batch on up to ``threads`` threads;
-    particle i of replication m draws from child(1, i) of the replication's
-    root.
+    A sampler of (H, mesh), built for this batch, draws it on up to
+    ``threads`` threads; particle i of replication m draws from child(1, i)
+    of the replication's root.
     """
-    sampler = make_sampler(config.hurst, config.mesh)
+    sampler = CirculantSampler(config.hurst, config.mesh)
     streams = [root.child(_NS_NOISE, i) for root in config.roots() for i in range(config.particles)]
     drivers = np.empty((config.mesh.steps, len(streams), config.model.dimension))
     # the sampler writes its (R*N, steps, d) rows straight into the step-major array,

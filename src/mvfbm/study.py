@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fbm import HurstParameter, UniformMesh, increment_covariance_matrix, make_sampler, usable_cores
+from .fbm import CirculantSampler, HurstParameter, UniformMesh, increment_covariance_matrix, usable_cores
 from .measure import EmpiricalMeasure, coupled_upper_bound, wasserstein_1d_exact
 from .model import ModelSpec
 from .reports import ChaosReport, ConvergenceReport, CovarianceCheckReport, MomentReport, NonFiniteError
@@ -383,9 +383,8 @@ def covariance_check(
             f"H={hurst.value}: gamma(0)^2 = {variance * variance:g}"
         )
     stderr = np.sqrt((gamma[0] * gamma[0] + gamma**2) / paths)
-    generator = make_sampler(hurst, mesh)
     streams = [root.child(p) for p in range(paths)]
-    increments = generator.sample_ensemble(1, streams)[:, :, 0]
+    increments = CirculantSampler(hurst, mesh).sample_ensemble(1, streams)[:, :, 0]
     empirical = increments.T @ increments
     del increments
     empirical /= paths

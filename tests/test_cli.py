@@ -90,11 +90,28 @@ class TestParseConfig:
             (["--xi=-4^0.5"], "xi"),
             (["--initial-spread=-0.5"], "initial-spread"),
             (["--seed", "-1"], "seed"),
+            (["--deltas", ","], r"deltas: ',' \(empty list\)"),
         ],
     )
     def test_validation_names_field(self, flags, key):
         with pytest.raises(ConfigError, match=key):
             parse_config(["--command", "simulate"] + flags)
+
+    @pytest.mark.parametrize(
+        "config_text,message",
+        [
+            ("command = simulate\nemit-plot = maybe\n", "emit-plot: 'maybe' (not a boolean)"),
+            ("command = simulate\nhurst 0.5\n", "run.cfg:2: expected 'key = value', got 'hurst 0.5'"),
+            (None, "cannot read config file"),
+        ],
+        ids=["not-a-boolean", "no-equals-sign", "missing-file"],
+    )
+    def test_malformed_config_file(self, tmp_path, config_text, message):
+        cfg = tmp_path / "run.cfg"
+        if config_text is not None:
+            cfg.write_text(config_text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(["--config", str(cfg)])
 
 
 class TestMainExitCodes:
@@ -154,6 +171,10 @@ class TestMainExitCodes:
             (None, ["--command", "convergence", "--deltas", "2^-3,2^-3,2^-4"], 2),
             (None, ["--command", "moments", "--deltas", "2^-3,2^-4,2^-4"], 2),
             ("command = simulate\nhurst = 0.3\nhurst = 0.7\n", [], 2),
+            (None, ["--command", "convergence", "--deltas", ","], 2),
+            ("command = simulate\nemit-plot = maybe\n", [], 2),
+            ("command = simulate\nhurst 0.5\n", [], 2),
+            (None, ["--config", "no-such-directory/run.cfg"], 2),
             (
                 None,
                 [
@@ -233,6 +254,8 @@ class TestMainExitCodes:
             "unknown-model-in-file", "sampler-key-in-file", "delta-off-reference-mesh",
             "decreasing-counts", "one-count", "one-delta", "one-distinct-delta",
             "repeated-delta-convergence", "repeated-delta-moments", "repeated-key-in-file",
+            "empty-delta-list", "not-a-boolean-in-file", "no-equals-sign-in-file",
+            "missing-config-file",
             "blow-up", "blow-up-in-worker", "variance-overflow-simulate",
             "variance-overflow-fbm-check", "variance-overflow-convergence",
             "variance-underflow-simulate", "variance-underflow-fbm-check",

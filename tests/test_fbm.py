@@ -6,6 +6,7 @@ tightly.
 """
 
 import math
+import os
 import threading
 
 import numpy as np
@@ -17,11 +18,11 @@ from mvfbm.fbm import (
     CirculantEmbeddingError,
     CirculantSampler,
     CholeskySampler,
+    CovarianceFactorizationError,
     HurstParameter,
     UniformMesh,
     block_sums,
     increment_covariance_matrix,
-    make_sampler,
 )
 from mvfbm.streams import StreamKey
 from oracles import (covariance_zscores, increment_ensemble, increment_law_zscores, path_values,
@@ -196,8 +197,8 @@ class TestSamplers:
 
     def test_brownian_embedding_is_flat(self):
         mesh = UniformMesh(1.0, 32)
-        sampler = CirculantSampler(0.5, mesh)
-        assert np.allclose(sampler._sqrt_eigenvalues**2, mesh.delta, rtol=1e-10)
+        eigenvalues = mvfbm.fbm._embedding_eigenvalues(HurstParameter(0.5), mesh)
+        assert np.allclose(eigenvalues, mesh.delta, rtol=1e-10)
 
     def test_brownian_lag_one_correlation_vanishes(self):
         mesh = UniformMesh(1.0, 64)
@@ -243,7 +244,6 @@ class TestCirculantEmbedding:
             return eigenvalues
 
         monkeypatch.setattr(mvfbm.fbm, "_embedding_eigenvalues", negative)
-        make_sampler.cache_clear()  # a cached sampler would skip the check
         with pytest.raises(CirculantEmbeddingError, match="not PSD for H=0.7, n=16") as excinfo:
             CirculantSampler(0.7, UniformMesh(1.0, 16))
         assert "Dietrich & Newsam" in str(excinfo.value)
@@ -252,6 +252,14 @@ class TestCirculantEmbedding:
         assert main(args) == 1
         assert "numerical failure: circulant embedding not PSD" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_cholesky_factorization_fails_typed(self, monkeypatch):
+        def not_positive_definite(matrix):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+        with pytest.raises(CovarianceFactorizationError, match="not numerically PSD for H=0.7, n=16"):
+            CholeskySampler(0.7, UniformMesh(1.0, 16))
 
     def test_overflowing_variance_fails_typed(self):
         # delta^{2H} = (2.5e199)^1.8 is beyond float range; delta^{2H} at H = 0.1 is not
@@ -319,6 +327,13 @@ class TestThreads:
         assert raised.value is failure
         assert callers and threading.main_thread() not in callers
         assert threading.active_count() == before
+
+    def test_cores_fall_back_to_the_cpu_count(self, monkeypatch):
+        # platforms without CPU affinity report every core the machine has
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, cores in ((3, 3), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert mvfbm.fbm.usable_cores() == cores
 
     def test_wrong_out_shape_raises_value_error(self):
         before = threading.active_count()

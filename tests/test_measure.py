@@ -26,6 +26,13 @@ def test_atoms_shape_normalized():
     assert mu.size == 3 and mu.dimension == 1
 
 
+@pytest.mark.parametrize("shape", [(0, 1), (2, 0, 1), (2, 2, 2, 2)],
+                         ids=["no-atoms", "batch-of-no-atoms", "four-axes"])
+def test_atoms_must_be_a_nonempty_measure_or_batch(shape):
+    with pytest.raises(ValueError, match=r"atoms must be a nonempty \(N, d\) or \(R, N, d\) array"):
+        EmpiricalMeasure(np.zeros(shape))
+
+
 class TestDistanceToOrigin:
     def test_all_at_origin(self):
         mu = EmpiricalMeasure(np.zeros((5, 2)))
@@ -88,6 +95,8 @@ class TestCoupledUpperBound:
             coupled_upper_bound(mu, EmpiricalMeasure(np.zeros((4, 1))))
         with pytest.raises(ValueError):
             coupled_upper_bound(mu, EmpiricalMeasure(np.zeros((3, 2))))
+        with pytest.raises(ValueError, match=r"distances take one \(N, d\) measure, not a batch"):
+            coupled_upper_bound(EmpiricalMeasure(np.zeros((2, 3, 1))), mu)
 
 
 class TestExact1d:

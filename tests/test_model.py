@@ -163,6 +163,11 @@ def test_preset_by_name_unknown():
         preset_by_name("nope")
 
 
+def test_dimension_must_be_positive():
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+        ModelSpec("empty", 0, zero_drift, ConstantDiffusion(np.eye(1)), 0.0)
+
+
 def test_constant_diffusion_must_be_square():
     with pytest.raises(ValueError):
         ConstantDiffusion(np.zeros((2, 3)))

@@ -19,7 +19,6 @@ from mvfbm.fbm import (
     _fgn_autocovariance,
     block_sums,
     increment_covariance_matrix,
-    make_sampler,
 )
 from mvfbm.streams import StreamKey
 from oracles import assert_bulk_matches_numpy
@@ -107,14 +106,3 @@ def test_circulant_matches_the_classical_fft(hurst, steps, rows, dimension, seed
     got = CirculantSampler(hurst, mesh).sample_ensemble(dimension, streams)
     expected = _classical_increments(hurst, mesh, dimension, streams)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-
-
-@given(hurst=hursts, steps=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
-def test_memoized_sampler_gives_fresh_bytes(hurst, steps, seed):
-    mesh = UniformMesh(1.0, steps)
-    streams = [StreamKey(seed).child(p) for p in range(3)]
-    memoized = make_sampler(hurst, mesh)
-    assert make_sampler(hurst, mesh) is memoized
-    fresh = CirculantSampler(hurst, mesh)
-    got = memoized.sample_ensemble(2, streams)
-    assert got.tobytes() == fresh.sample_ensemble(2, streams).tobytes()

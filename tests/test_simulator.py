@@ -187,6 +187,15 @@ class TestRun:
             SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 2, 0,
                              replications=replications)
 
+    def test_particle_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="particle count must be >= 1, got 0"):
+            SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 0, 0)
+
+    def test_unknown_snapshot_policy_rejected(self):
+        config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 2, 0)
+        with pytest.raises(ValueError, match="unknown snapshot policy 'bogus'"):
+            run(config, snapshots="bogus")
+
     def test_exchangeability(self):
         # particle marginals are identically distributed across indices
         model = preset_mean_reverting(xi=1.0, rate=1.0)

@@ -28,3 +28,8 @@ def test_padding_without_a_spawn_key_hashes_the_same(seed):
     # numpy zero-pads the seed's words to the pool size only before a spawn key
     words = _pool_state(np.array([_entropy(seed, ())], np.uint32).T)[0]
     assert seeded_generator(words).standard_normal(8).tobytes() == numpy_draws(seed, ()).tobytes()
+
+
+def test_negative_index_rejected():
+    with pytest.raises(ValueError, match=r"stream indices must be nonnegative, got \(-1,\)"):
+        StreamKey(1).child(-1)

@@ -8,7 +8,7 @@ import pytest
 import mvfbm.fbm
 import mvfbm.simulator
 import mvfbm.study
-from mvfbm.fbm import CirculantSampler, UniformMesh, make_sampler
+from mvfbm.fbm import CirculantSampler, UniformMesh
 from mvfbm.model import (
     MeasureDiffusion,
     ModelSpec,
@@ -151,6 +151,13 @@ class TestStrongErrorStudy:
                 deltas=[0.3],
                 reference_delta=REFERENCE,
                 seed=0,
+            )
+
+    def test_reference_delta_must_divide_the_horizon(self):
+        with pytest.raises(StudyArgumentError, match="delta 0.3 does not divide the horizon 1.0"):
+            strong_error_study(
+                preset_mean_reverting(), 0.5, particles=4, replications=2,
+                deltas=[0.6, 0.9], reference_delta=0.3, seed=0,
             )
 
     @pytest.mark.parametrize(
@@ -457,7 +464,6 @@ class TestBatching:
             builds.append(args)
             build(sampler, *args)
 
-        make_sampler.cache_clear()
         monkeypatch.setattr(mvfbm.simulator, "em_step", counting_step)
         monkeypatch.setattr(CirculantSampler, "__init__", counting_build)
         strong_error_study(
@@ -468,7 +474,7 @@ class TestBatching:
         assert steps_per_batch == 128 + 8 + 16 + 32
         batch_sizes = [7, 7, 2]  # 16 replications under a 7-replication budget
         assert rows == [n * BATCH_PARTICLES for n in batch_sizes for _ in range(steps_per_batch)]
-        assert len(builds) == 1  # one sampler per (H, mesh), shared by the three batches
+        assert len(builds) == len(batch_sizes)  # one sampler per batch, built where it draws
 
     @pytest.mark.parametrize("workers", [1, 2])  # a worker's blow-up must reach the caller
     def test_blowup_in_a_batched_run_names_the_replication(self, monkeypatch, workers):
