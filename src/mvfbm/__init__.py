@@ -11,7 +11,6 @@ from .fbm import (
     CirculantSampler,
     CholeskySampler,
     CovarianceFactorizationError,
-    HurstParameter,
     UniformMesh,
     block_sums,
     increment_covariance_matrix,

@@ -57,7 +57,6 @@ class ConfigError(ValueError):
 
 
 def _simulate(config: RunConfig) -> tuple[Report, str | None]:
-    started = time.perf_counter()
     model, mesh = _model_for(config), UniformMesh(config.horizon, config.steps)
     sim = SimulationConfig(model, config.hurst, mesh, config.particles, config.seed)
     record = run(sim, snapshots=config.snapshots)
@@ -66,7 +65,6 @@ def _simulate(config: RunConfig) -> tuple[Report, str | None]:
     report = SimulateReport(
         model=config.model, hurst=config.hurst, particles=config.particles, steps=config.steps,
         terminal_mean=mean, terminal_std=std, record=record,
-        wall_time=time.perf_counter() - started,
     )
     return report, None
 
@@ -350,12 +348,16 @@ _ARTIFACT_NAMES = ("config.echo", "report.csv", "report.json", "plot.svg")
 def dispatch(config: RunConfig) -> int:
     """Run the configured command, then write its artifacts; returns exit code 0.
 
-    The run directory is created only once the command has returned, so a
-    run that fails leaves no directory behind.  A run that reuses a
-    directory first removes every artifact an earlier run left there.
+    The command's wall time, from its start to its report and plot, is
+    measured here once and written to ``report.json`` alone.  The run
+    directory is created only once the command has returned, so a run that
+    fails leaves no directory behind.  A run that reuses a directory first
+    removes every artifact an earlier run left there.
     """
+    start = time.perf_counter()
     report, plot = _COMMAND_RUNNERS[config.command](config)
-    artifacts = {"report.csv": report.to_csv(), "report.json": report.to_json()}
+    wall_time = time.perf_counter() - start
+    artifacts = {"report.csv": report.to_csv(), "report.json": report.to_json(wall_time)}
     if plot is not None:
         artifacts["plot.svg"] = plot
     directory = _run_directory(config)

@@ -16,6 +16,11 @@ is one size-2n FFT.  ``CholeskySampler`` factors the dense increment
 covariance in O(n^3); it is the reference implementation that the tests
 compare the circulant sampler against, and no run uses it.
 
+The Hurst index H is a plain float: :func:`check_hurst` converts it and
+rejects it outside (0, 1) where every covariance starts, in
+``_fgn_autocovariance``, and where it enters a simulation config, a model
+check or a covariance audit.
+
 Both draw from :class:`~mvfbm.streams.StreamKey` addresses, one independent
 stream per path component, and are deterministic given (H, mesh, d, stream).
 The circulant sampler seeds all streams of a call in one vectorized pass,
@@ -40,7 +45,7 @@ import numpy as np
 from .streams import StreamKey, child_seed_words, seeded_generator
 
 __all__ = [
-    "HurstParameter",
+    "check_hurst",
     "UniformMesh",
     "increment_covariance_matrix",
     "CholeskySampler",
@@ -71,21 +76,13 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
-class HurstParameter:
-    """Validated Hurst index, H strictly inside (0, 1)."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.value < 1.0):
-            raise ValueError(f"Hurst parameter must lie in (0, 1), got {self.value}")
-
-    @classmethod
-    def coerce(cls, value: "float | HurstParameter") -> "HurstParameter":
-        if isinstance(value, HurstParameter):
-            return value
-        return cls(float(value))
+def check_hurst(hurst: float) -> float:
+    """H as a plain float, strictly inside (0, 1).  The conversion keeps a
+    numpy scalar from reaching a report, whose CSV would write its repr."""
+    h = float(hurst)
+    if not 0.0 < h < 1.0:
+        raise ValueError(f"Hurst parameter must lie in (0, 1), got {h}")
+    return h
 
 
 @dataclass(frozen=True)
@@ -116,13 +113,14 @@ class UniformMesh:
         return UniformMesh(self.horizon, self.steps // factor)
 
 
-def _fgn_autocovariance(hurst: HurstParameter, delta: float, lags: np.ndarray) -> np.ndarray:
+def _fgn_autocovariance(hurst: float, delta: float, lags: np.ndarray) -> np.ndarray:
     """gamma(k) for increment lags k >= 0, in units of delta^{2H}.
 
     Every driver and every covariance starts here, so this is where a mesh
     whose increment variance delta^{2H} overflows a float, or underflows to
-    zero or a subnormal float, is rejected."""
-    two_h = 2.0 * hurst.value
+    zero or a subnormal float, or an H outside (0, 1), is rejected."""
+    h = check_hurst(hurst)
+    two_h = 2.0 * h
     try:
         variance = float(delta) ** two_h
     except OverflowError:
@@ -130,17 +128,16 @@ def _fgn_autocovariance(hurst: HurstParameter, delta: float, lags: np.ndarray) -
     if not sys.float_info.min <= variance < math.inf:
         flow = "overflows" if variance > 1.0 else "underflows"
         raise CirculantEmbeddingError(
-            f"fGn variance delta^(2H) {flow} a float for delta={delta:g}, H={hurst.value}"
+            f"fGn variance delta^(2H) {flow} a float for delta={delta:g}, H={h}"
         )
     k = np.asarray(lags, dtype=float)
     return 0.5 * variance * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
 
 
-def increment_covariance_matrix(hurst: "float | HurstParameter", mesh: UniformMesh) -> np.ndarray:
+def increment_covariance_matrix(hurst: float, mesh: UniformMesh) -> np.ndarray:
     """Exact covariance of the n mesh increments (symmetric Toeplitz, n x n)."""
-    h = HurstParameter.coerce(hurst)
     n = mesh.steps
-    gamma = _fgn_autocovariance(h, mesh.delta, np.arange(n))
+    gamma = _fgn_autocovariance(hurst, mesh.delta, np.arange(n))
     # window n - 1 - i of gamma[n-1], .., gamma[1], gamma[0], .., gamma[n-1] is row i
     mirrored = np.concatenate([gamma[::-1], gamma[1:]])
     return np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
@@ -163,15 +160,14 @@ class CholeskySampler:
     circulant sampler against, for moderate meshes; no run uses it.
     """
 
-    def __init__(self, hurst: "float | HurstParameter", mesh: UniformMesh) -> None:
-        self.hurst = HurstParameter.coerce(hurst)
+    def __init__(self, hurst: float, mesh: UniformMesh) -> None:
         self.mesh = mesh
-        cov = increment_covariance_matrix(self.hurst, mesh)
+        cov = increment_covariance_matrix(hurst, mesh)
         try:
             self._factor = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise CovarianceFactorizationError(
-                f"increment covariance not numerically PSD for H={self.hurst.value}, "
+                f"increment covariance not numerically PSD for H={float(hurst)}, "
                 f"n={mesh.steps}"
             ) from exc
 
@@ -198,14 +194,13 @@ class CirculantSampler:
     CirculantEmbeddingError.
     """
 
-    def __init__(self, hurst: "float | HurstParameter", mesh: UniformMesh) -> None:
-        self.hurst = HurstParameter.coerce(hurst)
+    def __init__(self, hurst: float, mesh: UniformMesh) -> None:
         self.mesh = mesh
         self._half_size = mesh.steps
-        eigenvalues = _embedding_eigenvalues(self.hurst, mesh)
+        eigenvalues = _embedding_eigenvalues(hurst, mesh)
         if eigenvalues.min() < -_EIGENVALUE_ROUNDOFF * eigenvalues.max():
             raise CirculantEmbeddingError(
-                f"circulant embedding not PSD for H={self.hurst.value}, n={mesh.steps}: "
+                f"circulant embedding not PSD for H={float(hurst)}, n={mesh.steps}: "
                 f"eigenvalue {eigenvalues.min():.3e} contradicts the nonnegative minimal "
                 "embedding of Dietrich & Newsam (1997): a defect in the eigenvalue computation"
             )
@@ -284,7 +279,7 @@ class CirculantSampler:
         return out
 
 
-def _embedding_eigenvalues(hurst: HurstParameter, mesh: UniformMesh) -> np.ndarray:
+def _embedding_eigenvalues(hurst: float, mesh: UniformMesh) -> np.ndarray:
     """Eigenvalues of modes 0..m of the size-2m circulant embedding of the
     mesh's fGn autocovariance (m = n)."""
     gamma = _fgn_autocovariance(hurst, mesh.delta, np.arange(mesh.steps + 1))

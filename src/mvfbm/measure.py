@@ -37,7 +37,7 @@ class EmpiricalMeasure:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_mean", None)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("EmpiricalMeasure is immutable")
 
     @property

@@ -37,7 +37,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .fbm import HurstParameter
+from .fbm import check_hurst
 from .measure import EmpiricalMeasure
 
 __all__ = [
@@ -129,17 +129,17 @@ class RegimeViolation(ValueError):
     """Model/Hurst combination outside the known well-posedness regimes."""
 
 
-def validate(model: ModelSpec, hurst: "float | HurstParameter") -> None:
+def validate(model: ModelSpec, hurst: float) -> None:
     """Reject (model, H) outside the known well-posedness regimes.
 
     Below H = 1/2 well-posedness is only available for constant diffusion;
     a measure- or state-dependent sigma there is rejected.  H = 1/2 and
     H > 1/2 accept every diffusion kind.
     """
-    h = HurstParameter.coerce(hurst)
-    if h.value < 0.5 and not isinstance(model.diffusion, ConstantDiffusion):
+    h = check_hurst(hurst)
+    if h < 0.5 and not isinstance(model.diffusion, ConstantDiffusion):
         raise RegimeViolation(
-            f"H={h.value} < 1/2 requires a constant diffusion coefficient "
+            f"H={h} < 1/2 requires a constant diffusion coefficient "
             f"(model {model.name!r} uses {type(model.diffusion).__name__}); "
             "below H=1/2 the solution theory only covers sigma independent of the measure"
         )

@@ -3,8 +3,8 @@
 CSV files open with ``# schema_version=1`` and a ``# key=value`` metadata
 block, then a header row and data rows.  Floats are written with ``repr``
 (shortest round-trip form) so identical results serialize to identical
-bytes; volatile fields such as wall time never enter the CSV and live only
-in the JSON mirror.
+bytes.  A report is a pure value of its inputs; the one volatile number,
+the command's wall time, is passed to ``to_json`` and never enters the CSV.
 """
 
 from __future__ import annotations
@@ -73,19 +73,18 @@ class Report:
     """Base of every report: CSV and JSON are rendered from the dataclass fields.
 
     The CSV metadata block and the JSON mirror hold ``report`` (the class's
-    ``KIND``) and every field but ``points`` and ``wall_time``, in field
-    order; tuples are ``;``-joined in the CSV and lists in the JSON.  The
-    ``points`` rows become the CSV data rows under ``COLUMNS`` and a list
-    of objects in the JSON, which alone carries ``wall_time_seconds``.
+    ``KIND``) and every field but ``points``, in field order; tuples are
+    ``;``-joined in the CSV and lists in the JSON.  The ``points`` rows
+    become the CSV data rows under ``COLUMNS`` and a list of objects in the
+    JSON.  A report holds no timing: ``to_json`` is given the wall time and
+    alone writes it, as ``wall_time_seconds``.
     A report holds finite numbers only: building one with a NaN or an
     infinity raises NonFiniteError.
     """
 
     KIND: ClassVar[str] = ""
     COLUMNS: ClassVar[tuple[str, ...]] = ()
-    NOT_METADATA: ClassVar[tuple[str, ...]] = ("points", "wall_time")
-
-    wall_time: float = field(compare=False, default=0.0, kw_only=True)
+    NOT_METADATA: ClassVar[tuple[str, ...]] = ("points",)
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -107,14 +106,14 @@ class Report:
     def to_csv(self) -> str:
         return render_csv(self.metadata(), self.COLUMNS, self.points)
 
-    def to_json(self) -> str:
+    def to_json(self, wall_time: float) -> str:
         payload = {
             name: list(value) if isinstance(value, tuple) else value
             for name, value in self._named_values().items()
         }
         if self.COLUMNS:
             payload["points"] = [dict(zip(self.COLUMNS, row)) for row in self.points]
-        payload["wall_time_seconds"] = self.wall_time
+        payload["wall_time_seconds"] = wall_time
         return render_json(payload)
 
 
@@ -233,7 +232,7 @@ class SimulateReport(Report):
     """Terminal statistics of one ensemble run; its CSV is the trajectory export."""
 
     KIND = "simulate"
-    NOT_METADATA = ("record", "wall_time")
+    NOT_METADATA = ("record",)
 
     model: str
     hurst: float

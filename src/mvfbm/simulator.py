@@ -21,12 +21,12 @@ resolutions estimate the strong discretization error directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .fbm import CirculantSampler, HurstParameter, UniformMesh, block_sums
+from .fbm import CirculantSampler, UniformMesh, block_sums, check_hurst
 from .measure import EmpiricalMeasure
 from .model import ModelSpec, validate
 from .streams import StreamKey
@@ -98,7 +98,7 @@ class ParticleEnsemble:
 @dataclass(frozen=True)
 class SimulationConfig:
     model: ModelSpec
-    hurst: HurstParameter
+    hurst: float
     mesh: UniformMesh
     particles: int
     seed: "int | StreamKey"
@@ -111,7 +111,7 @@ class SimulationConfig:
         reps = self.replications
         if not isinstance(reps, range) or not reps or min(reps) < 0:
             raise ValueError(f"replications must be a nonempty range of indices >= 0, got {reps!r}")
-        object.__setattr__(self, "hurst", HurstParameter.coerce(self.hurst))
+        object.__setattr__(self, "hurst", check_hurst(self.hurst))
         validate(self.model, self.hurst)
 
     def roots(self) -> list[StreamKey]:
@@ -201,12 +201,11 @@ def _initial_states(config: SimulationConfig) -> np.ndarray:
     ])
 
 
-def _evolve(config: SimulationConfig, initial: np.ndarray, drivers: np.ndarray,
-            snapshots: str) -> TrajectoryRecord:
-    """Step the batch over the mesh, keep the planned snapshots, and raise the
-    first non-finite state as a NumericalBlowup naming its step, replication
-    and particle."""
-    mesh = config.mesh
+def _evolve(config: SimulationConfig, mesh: UniformMesh, initial: np.ndarray,
+            drivers: np.ndarray, snapshots: str) -> TrajectoryRecord:
+    """Step the batch over ``mesh``, whose steps are the rows of ``drivers``,
+    keep the planned snapshots, and raise the first non-finite state as a
+    NumericalBlowup naming its step, replication and particle."""
     keep = _snapshot_plan(mesh.steps, snapshots)
     ensemble = ParticleEnsemble(initial, len(config.replications))
     kept = [initial.copy()] if 0 in keep else []
@@ -249,7 +248,7 @@ def run_coupled_meshes(
     initial = _initial_states(config)
     fine_drivers = _drivers(config, threads)  # (steps, R*N, d)
     return {
-        f: _evolve(replace(config, mesh=mesh), initial,
+        f: _evolve(config, mesh, initial,
                    fine_drivers if f == 1 else block_sums(fine_drivers, f), snapshots)
         for f, mesh in meshes.items()
     }

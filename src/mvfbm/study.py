@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -29,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fbm import CirculantSampler, HurstParameter, UniformMesh, increment_covariance_matrix, usable_cores
+from .fbm import CirculantSampler, UniformMesh, check_hurst, increment_covariance_matrix, usable_cores
 from .measure import EmpiricalMeasure, coupled_upper_bound, wasserstein_1d_exact
 from .model import ModelSpec
 from .reports import ChaosReport, ConvergenceReport, CovarianceCheckReport, MomentReport, NonFiniteError
@@ -162,7 +161,7 @@ def _run_batches(configs: Sequence[SimulationConfig], factors: Sequence[int],
 
 def strong_error_study(
     model: ModelSpec,
-    hurst: "float | HurstParameter",
+    hurst: float,
     particles: int,
     replications: int,
     deltas: Sequence[float],
@@ -181,6 +180,8 @@ def strong_error_study(
     """
     if replications < 2:
         raise StudyArgumentError(f"need at least 2 replications, got {replications}")
+    if workers < 1:
+        raise StudyArgumentError(f"need at least 1 worker, got {workers}")
     deltas, fine_mesh, factors = _ladder(deltas, reference_delta, horizon)
     if 1 in factors:
         raise StudyArgumentError(f"delta {reference_delta} is the reference delta: its error is 0")
@@ -188,7 +189,6 @@ def strong_error_study(
         raise StudyArgumentError(f"a slope needs at least two distinct deltas, got {deltas}")
     root = StreamKey.coerce(seed)
     config = SimulationConfig(model, hurst, fine_mesh, particles, root)
-    started = time.perf_counter()
     batches = _batches(config, replications, workers)
     # per factor, per replication in order: the sum over particles of squared terminal gaps
     sums: list[list[float]] = [[] for _ in factors]
@@ -205,7 +205,7 @@ def strong_error_study(
         slope, stderr = fit_loglog_slope(points)
     return ConvergenceReport(
         model=model.name,
-        hurst=config.hurst.value,
+        hurst=config.hurst,
         horizon=horizon,
         particles=particles,
         replications=replications,
@@ -215,13 +215,12 @@ def strong_error_study(
         slope=slope,
         slope_stderr=stderr,
         exact_scheme=exact,
-        wall_time=time.perf_counter() - started,
     )
 
 
 def chaos_study(
     model: ModelSpec,
-    hurst: "float | HurstParameter",
+    hurst: float,
     mesh: UniformMesh,
     particle_counts: Sequence[int],
     replications: int,
@@ -248,6 +247,8 @@ def chaos_study(
         raise StudyArgumentError(f"particle counts must be strictly increasing, got {counts}")
     if theta < 2.0:
         raise StudyArgumentError(f"transport order theta must be >= 2, got {theta}")
+    if workers < 1:
+        raise StudyArgumentError(f"need at least 1 worker, got {workers}")
     root = StreamKey.coerce(seed)
     reference_count = 4 * max(counts)
     template = SimulationConfig(model, hurst, mesh, reference_count, root.child(0))
@@ -255,7 +256,6 @@ def chaos_study(
         estimator, distance = "1d-exact", wasserstein_1d_exact
     else:
         estimator, distance = "coupling-bound", coupled_upper_bound
-    started = time.perf_counter()
     reference = run(template, snapshots="terminal").terminal
     batches = [
         batch
@@ -285,7 +285,7 @@ def chaos_study(
     )
     return ChaosReport(
         model=model.name,
-        hurst=template.hurst.value,
+        hurst=template.hurst,
         horizon=mesh.horizon,
         steps=mesh.steps,
         replications=replications,
@@ -295,13 +295,12 @@ def chaos_study(
         seed=root.seed,
         points=tuple(points),
         non_increasing=non_increasing,
-        wall_time=time.perf_counter() - started,
     )
 
 
 def moment_bound_check(
     model: ModelSpec,
-    hurst: "float | HurstParameter",
+    hurst: float,
     deltas: Sequence[float],
     particles: int,
     order: float,
@@ -316,12 +315,10 @@ def moment_bound_check(
     """
     if order < 2.0:
         raise StudyArgumentError(f"moment order must be >= 2, got {order}")
-    hurst = HurstParameter.coerce(hurst)
     ladder, fine_mesh, factors = _ladder(deltas, min(deltas), horizon)
     if len(factors) < 2:
         raise StudyArgumentError(f"a refinement ratio needs at least two distinct deltas, got {ladder}")
     root = StreamKey.coerce(seed)
-    started = time.perf_counter()
     config = SimulationConfig(model, hurst, fine_mesh, particles, root)
     records = run_coupled_meshes(config, factors, snapshots="thin")
     points = []
@@ -340,7 +337,7 @@ def moment_bound_check(
     passed = all(0.8 <= r <= 1.25 for r in ratios)
     return MomentReport(
         model=model.name,
-        hurst=hurst.value,
+        hurst=config.hurst,
         horizon=horizon,
         particles=particles,
         order=float(order),
@@ -348,12 +345,11 @@ def moment_bound_check(
         points=tuple(points),
         ratios=ratios,
         passed=passed,
-        wall_time=time.perf_counter() - started,
     )
 
 
 def covariance_check(
-    hurst: "float | HurstParameter",
+    hurst: float,
     steps: int,
     paths: int,
     seed: int,
@@ -368,10 +364,11 @@ def covariance_check(
     reads one diagonal of it per lag: the matrix is exactly symmetric, so
     lag -k repeats lag k.
     """
-    hurst = HurstParameter.coerce(hurst)
+    hurst = check_hurst(hurst)
+    if paths < 1:
+        raise StudyArgumentError(f"need at least 1 path, got {paths}")
     mesh = UniformMesh(horizon, steps)
     root = StreamKey.coerce(seed)
-    started = time.perf_counter()
     gamma = increment_covariance_matrix(hurst, mesh)[0].copy()
     # |gamma(k)| <= gamma(0), so every standard error lies between
     # sqrt(gamma(0)^2 / paths) and sqrt(2 gamma(0)^2 / paths)
@@ -380,7 +377,7 @@ def covariance_check(
             and math.isfinite(2.0 * variance * variance)):
         raise NonFiniteError(
             f"fbm-check standard errors leave the float range for delta={mesh.delta:g}, "
-            f"H={hurst.value}: gamma(0)^2 = {variance * variance:g}"
+            f"H={hurst}: gamma(0)^2 = {variance * variance:g}"
         )
     stderr = np.sqrt((gamma[0] * gamma[0] + gamma**2) / paths)
     streams = [root.child(p) for p in range(paths)]
@@ -394,11 +391,10 @@ def covariance_check(
         z = np.abs(diagonal - gamma[lag]) / stderr[lag]
         points.append((lag, float(gamma[lag]), float(diagonal.mean()), float(z.max())))
     return CovarianceCheckReport(
-        hurst=hurst.value,
+        hurst=hurst,
         steps=steps,
         paths=paths,
         seed=root.seed,
         points=tuple(points),
         max_abs_z=float(np.max([point[3] for point in points])),
-        wall_time=time.perf_counter() - started,
     )

@@ -19,9 +19,9 @@ from mvfbm.fbm import (
     CirculantSampler,
     CholeskySampler,
     CovarianceFactorizationError,
-    HurstParameter,
     UniformMesh,
     block_sums,
+    check_hurst,
     increment_covariance_matrix,
 )
 from mvfbm.streams import StreamKey
@@ -32,11 +32,11 @@ from oracles import (covariance_zscores, increment_ensemble, increment_law_zscor
 SAMPLERS = {"cholesky": CholeskySampler, "circulant": CirculantSampler}
 
 
-class TestHurstParameter:
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7])
+class TestCheckHurst:
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7, math.nan])
     def test_out_of_range_rejected(self, bad):
-        with pytest.raises(ValueError):
-            HurstParameter(bad)
+        with pytest.raises(ValueError, match=r"Hurst parameter must lie in \(0, 1\)"):
+            check_hurst(bad)
 
 
 class TestUniformMesh:
@@ -62,7 +62,7 @@ class TestUniformMesh:
 def fbm_covariance(hurst: float, t: float, s: float) -> float:
     """Covariance R_H(t, s) of fBm values at times t, s >= 0: the oracle of
     the increment covariance below."""
-    h = HurstParameter.coerce(hurst).value
+    h = check_hurst(hurst)
     if t < 0.0 or s < 0.0:
         raise ValueError(f"times must be nonnegative, got ({t}, {s})")
     two_h = 2.0 * h
@@ -197,7 +197,7 @@ class TestSamplers:
 
     def test_brownian_embedding_is_flat(self):
         mesh = UniformMesh(1.0, 32)
-        eigenvalues = mvfbm.fbm._embedding_eigenvalues(HurstParameter(0.5), mesh)
+        eigenvalues = mvfbm.fbm._embedding_eigenvalues(0.5, mesh)
         assert np.allclose(eigenvalues, mesh.delta, rtol=1e-10)
 
     def test_brownian_lag_one_correlation_vanishes(self):
@@ -232,9 +232,8 @@ class TestCirculantEmbedding:
     @pytest.mark.parametrize("hurst", [(2 * i + 1) / 100 for i in range(50)])  # 0.01 .. 0.99
     def test_minimal_embedding_is_nonnegative(self, hurst):
         # Dietrich & Newsam (1997): no H or n needs more than round-off clamping
-        h = HurstParameter(hurst)
         for n in self.SWEEP_STEPS:
-            eigenvalues = mvfbm.fbm._embedding_eigenvalues(h, UniformMesh(1.0, n))
+            eigenvalues = mvfbm.fbm._embedding_eigenvalues(hurst, UniformMesh(1.0, n))
             assert eigenvalues.min() >= -mvfbm.fbm._EIGENVALUE_ROUNDOFF * eigenvalues.max(), n
 
     def test_negative_eigenvalue_fails_hard(self, monkeypatch, tmp_path, capsys):

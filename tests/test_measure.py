@@ -33,6 +33,12 @@ def test_atoms_must_be_a_nonempty_measure_or_batch(shape):
         EmpiricalMeasure(np.zeros(shape))
 
 
+def test_atoms_cannot_be_reassigned():
+    mu = EmpiricalMeasure(np.zeros((3, 1)))
+    with pytest.raises(AttributeError, match="EmpiricalMeasure is immutable"):
+        mu.atoms = np.ones((3, 1))
+
+
 class TestDistanceToOrigin:
     def test_all_at_origin(self):
         mu = EmpiricalMeasure(np.zeros((5, 2)))

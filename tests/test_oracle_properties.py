@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from mvfbm.fbm import (
     CholeskySampler,
     CirculantSampler,
-    HurstParameter,
     UniformMesh,
     _fgn_autocovariance,
     increment_covariance_matrix,
@@ -32,7 +31,7 @@ hursts = st.floats(0.05, 0.95)
 
 def _toeplitz_gather(hurst: float, mesh: UniformMesh) -> np.ndarray:
     """The increment covariance as gamma gathered at |i - j|, index by index."""
-    gamma = _fgn_autocovariance(HurstParameter(hurst), mesh.delta, np.arange(mesh.steps))
+    gamma = _fgn_autocovariance(hurst, mesh.delta, np.arange(mesh.steps))
     index = np.arange(mesh.steps)
     return gamma[np.abs(index[:, None] - index[None, :])]
 
@@ -47,7 +46,7 @@ def _covariance_check_oracle(hurst, steps, paths, seed, sampler_cls):
     """
     mesh = UniformMesh(1.0, steps)
     expected = _toeplitz_gather(hurst, mesh)
-    increments = increment_ensemble(sampler_cls(HurstParameter(hurst), mesh), paths, seed)
+    increments = increment_ensemble(sampler_cls(hurst, mesh), paths, seed)
     empirical = empirical_covariance(increments)
     assert np.array_equal(empirical, empirical.T)  # so lag -k repeats lag k
     z = covariance_zscores(increments, expected)

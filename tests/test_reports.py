@@ -29,7 +29,6 @@ def _report(**overrides):
         slope=0.94,
         slope_stderr=0.01,
         exact_scheme=False,
-        wall_time=1.23,
     )
     base.update(overrides)
     return ConvergenceReport(**base)
@@ -56,14 +55,18 @@ def test_float_repr_roundtrip():
 def test_convergence_csv_excludes_wall_time():
     report = _report()
     assert "wall" not in report.to_csv()
-    payload = json.loads(report.to_json())
+    payload = json.loads(report.to_json(1.23))
     assert payload["wall_time_seconds"] == 1.23
 
 
 def test_convergence_csv_stable_across_wall_time():
-    a = _report(wall_time=0.5)
-    b = _report(wall_time=99.0)
-    assert a.to_csv() == b.to_csv()
+    report = _report()
+    fast = json.loads(report.to_json(0.5))
+    slow = json.loads(report.to_json(99.0))
+    assert fast.pop("wall_time_seconds") == 0.5
+    assert slow.pop("wall_time_seconds") == 99.0
+    assert fast == slow
+    assert report.to_csv() == _report().to_csv()
 
 
 def test_exact_scheme_summary():

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from mvfbm.fbm import (
     CirculantSampler,
-    HurstParameter,
     UniformMesh,
     _embedding_eigenvalues,
     _fgn_autocovariance,
@@ -71,9 +70,9 @@ def test_restriction_is_a_left_to_right_block_sum(factor, blocks, seed):
 def test_embedding_spectrum_is_the_exact_increment_covariance(hurst, steps):
     # the circulant's first row, back from its eigenvalues, is the fGn
     # autocovariance at lags 0..n-1: the sampler's law is exact
-    h, mesh = HurstParameter(hurst), UniformMesh(1.0, steps)
-    first_row = np.fft.irfft(_embedding_eigenvalues(h, mesh), n=2 * steps)[:steps]
-    expected = increment_covariance_matrix(h, mesh)[0]
+    mesh = UniformMesh(1.0, steps)
+    first_row = np.fft.irfft(_embedding_eigenvalues(hurst, mesh), n=2 * steps)[:steps]
+    expected = increment_covariance_matrix(hurst, mesh)[0]
     assert np.abs(first_row - expected).max() <= 1e-12 * expected[0]
 
 
@@ -81,7 +80,7 @@ def _classical_increments(hurst, mesh, dimension, streams):
     """The Davies-Harte construction as a complex 2m-point FFT (Dieker 2004)."""
     m = mesh.steps
     size = 2 * m
-    gamma = _fgn_autocovariance(HurstParameter(hurst), mesh.delta, np.arange(m + 1))
+    gamma = _fgn_autocovariance(hurst, mesh.delta, np.arange(m + 1))
     eigenvalues = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
     root = np.sqrt(np.clip(eigenvalues, 0.0, None))
     out = np.empty((len(streams), m, dimension))

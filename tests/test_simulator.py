@@ -302,7 +302,7 @@ def _trajectory_csv(config, snapshots):
     """The simulate report's CSV: the trajectory export of one run."""
     record = run(config, snapshots=snapshots)
     return SimulateReport(
-        model=config.model.name, hurst=config.hurst.value, particles=config.particles,
+        model=config.model.name, hurst=config.hurst, particles=config.particles,
         steps=config.mesh.steps, terminal_mean=0.0, terminal_std=0.0, record=record,
     ).to_csv()
 

@@ -161,17 +161,18 @@ class TestStrongErrorStudy:
             )
 
     @pytest.mark.parametrize(
-        "deltas, match",
-        [((2.0**-3,), "two distinct"), ((2.0**-3, 2.0**-3), "delta 0.125 is repeated"),
-         ((2.0**-3, REFERENCE), "reference delta")],
-        ids=["one-delta", "one-distinct-delta", "reference-delta"],
+        "deltas, workers, match",
+        [((2.0**-3,), 1, "two distinct"), ((2.0**-3, 2.0**-3), 1, "delta 0.125 is repeated"),
+         ((2.0**-3, REFERENCE), 1, "reference delta"),
+         (DELTAS, 0, "at least 1 worker, got 0"), (DELTAS, -1, "at least 1 worker, got -1")],
+        ids=["one-delta", "one-distinct-delta", "reference-delta", "no-workers", "negative-workers"],
     )
-    def test_unfittable_ladder_rejected_before_any_run(self, monkeypatch, deltas, match):
+    def test_unfittable_ladder_rejected_before_any_run(self, monkeypatch, deltas, workers, match):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
         with pytest.raises(StudyArgumentError, match=match):
             strong_error_study(
                 preset_mean_reverting(xi=1.0, rate=0.0), 0.5, particles=4, replications=2,
-                deltas=deltas, reference_delta=REFERENCE, seed=0,
+                deltas=deltas, reference_delta=REFERENCE, seed=0, workers=workers,
             )
 
     def test_minimum_replications(self):
@@ -269,16 +270,18 @@ class TestChaosStudy:
             chaos_study(preset_mean_reverting(), 0.5, self.MESH, [4, 8], 2, 1.5, 0)
 
     @pytest.mark.parametrize(
-        "counts, replications, match",
-        [([8], 2, "two particle counts"), ([4, 8], 0, "at least 1 replication")],
-        ids=["one-count", "no-replications"],
+        "counts, replications, workers, match",
+        [([8], 2, 1, "two particle counts"), ([4, 8], 0, 1, "at least 1 replication"),
+         ([4, 8], 2, 0, "at least 1 worker, got 0"), ([4, 8], 2, -1, "at least 1 worker, got -1")],
+        ids=["one-count", "no-replications", "no-workers", "negative-workers"],
     )
     def test_untrendable_arguments_rejected_before_any_run(self, monkeypatch, counts,
-                                                           replications, match):
+                                                           replications, workers, match):
         monkeypatch.setattr(mvfbm.study, "run", _must_not_run)
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
         with pytest.raises(StudyArgumentError, match=match):
-            chaos_study(preset_mean_reverting(), 0.5, self.MESH, counts, replications, 2.0, 0)
+            chaos_study(preset_mean_reverting(), 0.5, self.MESH, counts, replications, 2.0, 0,
+                        workers=workers)
 
     def test_deterministic_and_worker_independent(self):
         kwargs = dict(
@@ -360,6 +363,23 @@ class TestCovarianceCheck:
         a = covariance_check(0.7, steps=8, paths=500, seed=5)
         b = covariance_check(0.7, steps=8, paths=500, seed=5)
         assert a.to_csv() == b.to_csv()
+
+    def test_no_paths_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(CirculantSampler, "sample_ensemble", _must_not_run)
+        with pytest.raises(StudyArgumentError, match="at least 1 path, got 0"):
+            covariance_check(0.7, steps=8, paths=0, seed=5)
+
+
+@pytest.mark.parametrize("study_call", [
+    lambda h: strong_error_study(preset_mean_reverting(), h, 4, 2, DELTAS[:2], REFERENCE, 0),
+    lambda h: chaos_study(preset_mean_reverting(), h, UniformMesh(1.0, 8), [2, 4], 2, 2.0, 0),
+    lambda h: moment_bound_check(preset_mean_reverting(), h, DELTAS[:2], 4, 2.0, 0),
+    lambda h: covariance_check(h, steps=4, paths=8, seed=0),
+], ids=["convergence", "chaos", "moments", "fbm-check"])
+def test_numpy_hurst_is_written_as_a_float(study_call):
+    # under numpy 2 the repr of np.float64(0.3), which a CSV value is written with,
+    # is "np.float64(0.3)": the study must hand its report a plain float
+    assert "# hurst=0.3\n" in study_call(np.float64(0.3)).to_csv()
 
 
 # --------------------------------------------------------------------------
