@@ -12,7 +12,6 @@ from .fbm import (
     CholeskySampler,
     CovarianceFactorizationError,
     UniformMesh,
-    block_sums,
     increment_covariance_matrix,
 )
 from .measure import (

@@ -29,6 +29,10 @@ to ``threads`` threads, by default one per usable core: numpy releases the
 interpreter lock inside the normal draws and the FFT, and each path's
 variates do not depend on which thread or block computes them, so the
 thread count never changes a bit.
+
+Only the finest mesh of a ladder is drawn: the simulator steps each coarse
+mesh on left-to-right sums of blocks of the fine increments, which it adds
+up as it passes them, so no coarse driver array is built.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ __all__ = [
     "CirculantSampler",
     "CovarianceFactorizationError",
     "CirculantEmbeddingError",
-    "block_sums",
 ]
 
 # Relative tolerance below which a negative circulant eigenvalue is treated
@@ -285,17 +288,4 @@ def _embedding_eigenvalues(hurst: float, mesh: UniformMesh) -> np.ndarray:
     gamma = _fgn_autocovariance(hurst, mesh.delta, np.arange(mesh.steps + 1))
     first_row = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2m, symmetric
     return np.fft.rfft(first_row).real
-
-
-def block_sums(increments: np.ndarray, factor: int) -> np.ndarray:
-    """Sums of consecutive blocks of ``factor`` rows, each added left to right.
-
-    Row k is ((x[k*f] + x[k*f+1]) + ...) + x[k*f+f-1], element by element,
-    so its bits do not depend on the other axes' sizes.
-    """
-    blocks = increments.reshape(increments.shape[0] // factor, factor, *increments.shape[1:])
-    out = blocks[:, 0].copy()
-    for k in range(1, factor):
-        out += blocks[:, k]
-    return out
 

@@ -15,18 +15,20 @@ within one replication, so results are bitwise identical for any batch
 size, worker count or schedule.
 
 Coupled multi-mesh execution generates each driver once on the finest mesh
-and restricts it to the coarse meshes, so terminal differences between
+and advances every mesh in one pass over its steps, each coarse mesh on the
+block sums of the fine increments, so terminal differences between
 resolutions estimate the strong discretization error directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .fbm import CirculantSampler, UniformMesh, block_sums, check_hurst
+from .fbm import CirculantSampler, UniformMesh, check_hurst
 from .measure import EmpiricalMeasure
 from .model import ModelSpec, validate
 from .streams import StreamKey
@@ -54,8 +56,9 @@ class NumericalBlowup(RuntimeError):
 
     ``particle`` counts within its replication; ``replication`` is the
     replication index the run was given, and ``mesh_steps`` the step count
-    of the mesh it ran on.  A run stops at the first step where any of its
-    replications blows up and names the first non-finite row of that step.
+    of the mesh it ran on.  A run names the first non-finite row of the
+    first step where any of its replications blows up; a run of coupled
+    meshes names that of the smallest factor that blows up.
     A study whose batches blow up names the earliest failure of them all:
     the finest mesh first, then the smallest particle count, step and
     replication.  So which failure is named does not depend on
@@ -136,12 +139,15 @@ class TrajectoryRecord:
         return self.snapshots[-1]
 
 
-def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: float,
+def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: "float | np.ndarray",
             increments: np.ndarray) -> ParticleEnsemble:
     """Advance every particle of every replication one step against the frozen measures.
 
     Row i of ``increments`` is the driver increment of the particle in row i
-    of ``ensemble.states``.  The coefficients see the (R, N, d) view and the
+    of ``ensemble.states``, and ``delta`` is the step of every row, or an
+    (R*N, 1) column with one step per row, so that one call can advance
+    meshes of different widths; each row gets the bits of a float delta.
+    The coefficients see the (R, N, d) view and the
     batch of R measures.  sigma broadcasts against (R, N, d, d), so every
     diffusion kind goes through one noise product, computed per particle:
     each replication gets the bits it would get alone.  A non-finite result
@@ -201,24 +207,40 @@ def _initial_states(config: SimulationConfig) -> np.ndarray:
     ])
 
 
-def _evolve(config: SimulationConfig, mesh: UniformMesh, initial: np.ndarray,
-            drivers: np.ndarray, snapshots: str) -> TrajectoryRecord:
-    """Step the batch over ``mesh``, whose steps are the rows of ``drivers``,
-    keep the planned snapshots, and raise the first non-finite state as a
-    NumericalBlowup naming its step, replication and particle."""
-    keep = _snapshot_plan(mesh.steps, snapshots)
-    ensemble = ParticleEnsemble(initial, len(config.replications))
-    kept = [initial.copy()] if 0 in keep else []
-    for k, increments in enumerate(drivers, start=1):
-        # bench/layertrace.py patches this module-level call and reads .states from its first argument
-        ensemble = em_step(ensemble, config.model, mesh.delta, increments)
-        if not np.isfinite(ensemble.states).all():
-            bad = int(np.argwhere(~np.isfinite(ensemble.states))[0, 0])
-            slot, particle = divmod(bad, config.particles)
-            raise NumericalBlowup(k, particle, config.model.name, config.replications[slot], mesh.steps)
-        if k in keep:
-            kept.append(ensemble.states)
-    return TrajectoryRecord(mesh, sorted(keep), kept)
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """The maximal runs of consecutive true entries, as (start, stop) pairs."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(int), [0]))))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
+def _step_plan(factors: Sequence[int], deltas: Sequence[float], width: int) -> list[tuple]:
+    """What fine step k does to a ladder of slots, for k = 1 .. the least
+    common multiple of the factors, after which the pattern repeats.
+
+    Slot s holds the mesh of ``factors[s]``; a slot is ``width`` rows of the
+    stacked states.  Step k is (fresh, grow, runs): the slices of slots whose
+    increment restarts at fine row k, the slices that add fine row k to it,
+    and one (rows, delta, slot count) per maximal run of consecutive slots
+    whose mesh steps at k.  A run's delta is its slot's float, or a per-row
+    column when it spans several meshes.  The finest slot steps at every k:
+    alone, it steps on the fine row itself and keeps no increment.
+    """
+    f = np.asarray(factors)
+    column = np.repeat(np.asarray(deltas, dtype=float), width)[:, None]
+    plan = []
+    for k in range(1, math.lcm(*factors) + 1):
+        stepping = k % f == 0
+        fresh = (k - 1) % f == 0
+        fresh[0] = stepping[1:2].any()  # the finest slot's increment is needed in a run
+        grow = ~fresh
+        grow[0] = False
+        runs = [
+            (slice(lo * width, hi * width), deltas[lo] if hi - lo == 1 else column[lo * width : hi * width],
+             hi - lo)
+            for lo, hi in _runs(stepping)
+        ]
+        plan.append(([slice(*r) for r in _runs(fresh)], [slice(*r) for r in _runs(grow)], runs))
+    return plan
 
 
 def run(config: SimulationConfig, snapshots: str = "terminal") -> TrajectoryRecord:
@@ -238,18 +260,69 @@ def run_coupled_meshes(
     """Run the scheme on nested meshes sharing one set of fine drivers.
 
     ``config.mesh`` is the finest mesh; each factor must divide its step
-    count.  Factor 1 (the reference run) is always included and runs first.
-    All runs share the initial ensemble and the same continuous drivers,
-    restricted to each coarse mesh, so terminal differences measure pure
-    discretization error.  ``threads`` caps the driver sampler's threads
-    (default: one per usable core); it never changes a bit.
+    count, and factor 1 (the reference run) is always included.  All meshes
+    share the initial ensemble and the same continuous drivers, so terminal
+    differences measure pure discretization error.  They advance together
+    in one pass over the fine steps: the states of every mesh are stacked,
+    ascending factor, and a coarse mesh's increment is the left-to-right sum
+    of its block of fine increments, built in place as the pass reaches
+    them.  At each fine step every mesh whose step ends there advances, in
+    one ``em_step`` per run of consecutive such meshes.  Each mesh keeps
+    the snapshots of ``snapshots`` at its own step indices.  If meshes blow
+    up, the smallest factor's blow-up is raised, with its first non-finite
+    step and row.  ``threads`` caps the driver sampler's threads (default:
+    one per usable core); it never changes a bit.
     """
-    meshes = {f: config.mesh.coarsen(f) for f in sorted(set(int(f) for f in factors) | {1})}
+    ladder = sorted(set(int(f) for f in factors) | {1})
+    meshes = [config.mesh.coarsen(f) for f in ladder]
+    deltas = [mesh.delta for mesh in meshes]
+    width = config.particles * len(config.replications)
+    rows = [slice(slot * width, (slot + 1) * width) for slot in range(len(ladder))]
+    keep = [_snapshot_plan(mesh.steps, snapshots) for mesh in meshes]
+    shots: dict[int, list[int]] = {}  # fine step -> the slots that keep a snapshot there
+    for slot, (factor, kept_steps) in enumerate(zip(ladder, keep)):
+        for j in kept_steps:
+            shots.setdefault(j * factor, []).append(slot)
     initial = _initial_states(config)
-    fine_drivers = _drivers(config, threads)  # (steps, R*N, d)
-    return {
-        f: _evolve(config, mesh, initial,
-                   fine_drivers if f == 1 else block_sums(fine_drivers, f), snapshots)
-        for f, mesh in meshes.items()
-    }
-
+    drivers = _drivers(config, threads)  # (steps, R*N, d)
+    states = np.tile(initial, (len(ladder), 1))
+    increments = np.empty_like(states)
+    increment_slots = increments.reshape(len(ladder), width, -1)
+    kept: list[list[np.ndarray]] = [[initial.copy()] if 0 in k else [] for k in keep]
+    plan = _step_plan(ladder, deltas, width)
+    whole = slice(0, states.shape[0])
+    blowup = None
+    for k, row in enumerate(drivers, start=1):
+        fresh, grow, runs = plan[(k - 1) % len(plan)]
+        for slots in fresh:
+            increment_slots[slots] = row
+        for slots in grow:
+            increment_slots[slots] += row
+        for span, delta, count in runs:
+            # bench/layertrace.py patches this module-level call and reads .states from its first argument
+            ensemble = em_step(ParticleEnsemble(states[span], count * len(config.replications)),
+                               config.model, delta, row if span.stop == width else increments[span])
+            if span == whole:
+                states = ensemble.states
+            else:
+                states[span] = ensemble.states
+            if not np.isfinite(ensemble.states).all():
+                bad = span.start + int(np.argwhere(~np.isfinite(ensemble.states))[0, 0])
+                slot, offset = divmod(bad, width)
+                replication, particle = divmod(offset, config.particles)
+                blowup = NumericalBlowup(k // ladder[slot], particle, config.model.name,
+                                         config.replications[replication], meshes[slot].steps)
+                if slot == 0:
+                    raise blowup
+                # a smaller factor's blow-up would take precedence: step only those meshes on
+                plan = _step_plan(ladder[:slot], deltas[:slot], width)
+                break
+        # the last step's states are written no more and are kept as views: copies,
+        # 16 kB each in a desk batch, split the heap the next batch's drivers reuse,
+        # and a desk convergence run then peaks 13 MB higher
+        for slot in shots.get(k, ()):
+            kept[slot].append(states[rows[slot]] if k == len(drivers) else states[rows[slot]].copy())
+    if blowup is not None:
+        raise blowup
+    return {f: TrajectoryRecord(mesh, sorted(k), snaps)
+            for f, mesh, k, snaps in zip(ladder, meshes, keep, kept)}

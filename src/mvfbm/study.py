@@ -172,14 +172,18 @@ def strong_error_study(
 ) -> ConvergenceReport:
     """Terminal RMS error against a shared-driver fine-mesh reference run.
 
-    For each replication the drivers are generated once on the reference
-    mesh and restricted to every coarse mesh; the RMS over particles and
-    replications of |Y^(delta)_T - Y^(ref)_T| is reported per delta together
-    with the fitted log-log slope.  A scheme that reproduces the reference
+    For each batch of replications the drivers are generated once on the
+    reference mesh, and every mesh of the ladder advances in one pass over
+    them, a coarse mesh on the left-to-right block sums of the fine
+    increments; the RMS over particles and replications of
+    |Y^(delta)_T - Y^(ref)_T| is reported per delta together with the
+    fitted log-log slope.  A scheme that reproduces the reference
     exactly at every delta is flagged instead of fitted.
     """
     if replications < 2:
         raise StudyArgumentError(f"need at least 2 replications, got {replications}")
+    if particles < 1:
+        raise StudyArgumentError(f"need at least 1 particle, got {particles}")
     if workers < 1:
         raise StudyArgumentError(f"need at least 1 worker, got {workers}")
     deltas, fine_mesh, factors = _ladder(deltas, reference_delta, horizon)
@@ -245,6 +249,8 @@ def chaos_study(
         raise StudyArgumentError(f"need at least 1 replication, got {replications}")
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise StudyArgumentError(f"particle counts must be strictly increasing, got {counts}")
+    if counts[0] < 1:
+        raise StudyArgumentError(f"particle counts must be >= 1, got {counts}")
     if theta < 2.0:
         raise StudyArgumentError(f"transport order theta must be >= 2, got {theta}")
     if workers < 1:
@@ -315,6 +321,8 @@ def moment_bound_check(
     """
     if order < 2.0:
         raise StudyArgumentError(f"moment order must be >= 2, got {order}")
+    if particles < 1:
+        raise StudyArgumentError(f"need at least 1 particle, got {particles}")
     ladder, fine_mesh, factors = _ladder(deltas, min(deltas), horizon)
     if len(factors) < 2:
         raise StudyArgumentError(f"a refinement ratio needs at least two distinct deltas, got {ladder}")

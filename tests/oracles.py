@@ -15,6 +15,15 @@ import numpy as np
 from mvfbm.fbm import UniformMesh, increment_covariance_matrix
 from mvfbm.measure import EmpiricalMeasure
 from mvfbm.model import ConstantDiffusion, ModelSpec
+from mvfbm.simulator import (
+    NumericalBlowup,
+    ParticleEnsemble,
+    TrajectoryRecord,
+    _drivers,
+    _initial_states,
+    _snapshot_plan,
+    em_step,
+)
 from mvfbm.streams import StreamKey, child_seed_words, seeded_generator
 
 
@@ -124,6 +133,42 @@ def two_sample_zscores(a: np.ndarray, b: np.ndarray, expected: np.ndarray):
     mean_z = np.abs(a.mean(axis=0) - b.mean(axis=0)) / np.sqrt(2.0 * np.diag(expected) / paths)
     moment_gap = np.abs(empirical_covariance(a) - empirical_covariance(b))
     return mean_z, moment_gap / (math.sqrt(2.0) * covariance_stderr(expected, paths))
+
+
+def block_sums(increments: np.ndarray, factor: int) -> np.ndarray:
+    """Sums of consecutive blocks of ``factor`` rows, each added left to right:
+    row k is ((x[k*f] + x[k*f+1]) + ...) + x[k*f+f-1], element by element."""
+    blocks = increments.reshape(increments.shape[0] // factor, factor, *increments.shape[1:])
+    out = blocks[:, 0].copy()
+    for k in range(1, factor):
+        out += blocks[:, k]
+    return out
+
+
+def per_mesh_ladder(config, factors, snapshots: str = "terminal") -> dict:
+    """Coupled meshes run one after the other, finest first: each mesh steps
+    on the block sums of the shared fine drivers, one ``em_step`` per mesh
+    step, and a mesh that blows up raises its first non-finite step and row.
+    The same records as ``run_coupled_meshes``, {factor: TrajectoryRecord}."""
+    initial = _initial_states(config)
+    fine = _drivers(config, None)
+    records = {}
+    for factor in sorted(set(factors) | {1}):
+        mesh = config.mesh.coarsen(factor)
+        keep = _snapshot_plan(mesh.steps, snapshots)
+        ensemble = ParticleEnsemble(initial, len(config.replications))
+        kept = [initial.copy()] if 0 in keep else []
+        for k, increments in enumerate(block_sums(fine, factor), start=1):
+            ensemble = em_step(ensemble, config.model, mesh.delta, increments)
+            if not np.isfinite(ensemble.states).all():
+                bad = int(np.argwhere(~np.isfinite(ensemble.states))[0, 0])
+                slot, particle = divmod(bad, config.particles)
+                raise NumericalBlowup(k, particle, config.model.name,
+                                      config.replications[slot], mesh.steps)
+            if k in keep:
+                kept.append(ensemble.states)
+        records[factor] = TrajectoryRecord(mesh, sorted(keep), kept)
+    return records
 
 
 def numpy_draws(seed: int, spawn_key: tuple) -> np.ndarray:

@@ -20,13 +20,12 @@ from mvfbm.fbm import (
     CholeskySampler,
     CovarianceFactorizationError,
     UniformMesh,
-    block_sums,
     check_hurst,
     increment_covariance_matrix,
 )
 from mvfbm.streams import StreamKey
-from oracles import (covariance_zscores, increment_ensemble, increment_law_zscores, path_values,
-                     two_sample_zscores)
+from oracles import (block_sums, covariance_zscores, increment_ensemble, increment_law_zscores,
+                     path_values, two_sample_zscores)
 
 # The runtime sampler and the dense reference it is checked against.
 SAMPLERS = {"cholesky": CholeskySampler, "circulant": CirculantSampler}
@@ -344,6 +343,9 @@ class TestThreads:
 
 
 class TestRestriction:
+    """The block sums of the coupled-mesh oracle restrict a fine path to a
+    coarse mesh; ``TestCoupledMeshes`` checks the simulator against them."""
+
     def test_factor_one_is_identity(self):
         mesh = UniformMesh(1.0, 16)
         increments = _path(CirculantSampler, 0.6, mesh, 1, StreamKey(0))

@@ -1,8 +1,11 @@
-"""Property tests of the exact driver path: stream seeding, coarse
-restriction, the circulant embedding's covariance and sampling.
+"""Property tests of the exact driver path: stream seeding, the coarse
+increments the simulator steps on, the circulant embedding's covariance and
+sampling.
 
 The examples come from the derandomized profile in conftest.py.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,14 +14,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mvfbm.simulator
 from mvfbm.fbm import (
     CirculantSampler,
     UniformMesh,
     _embedding_eigenvalues,
     _fgn_autocovariance,
-    block_sums,
     increment_covariance_matrix,
 )
+from mvfbm.model import preset_mean_reverting
+from mvfbm.simulator import SimulationConfig, em_step, run_coupled_meshes
 from mvfbm.streams import StreamKey
 from oracles import assert_bulk_matches_numpy
 
@@ -50,6 +55,26 @@ def _python_block_sums(x: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
+def _coarse_increments(drivers: np.ndarray, factor: int) -> np.ndarray:
+    """The increments ``em_step`` receives for the mesh of ``factor`` when a
+    ladder runs on the given (steps, N) fine drivers, one row per coarse step."""
+    steps, particles = drivers.shape
+    config = SimulationConfig(preset_mean_reverting(xi=0.0, rate=0.0), 0.5,
+                              UniformMesh(1.0, steps), particles, 0)
+    reaching = particles * (2 if factor > 1 else 1)  # the calls that step the coarse mesh
+    received = []
+
+    def recording_step(ensemble, model, delta, increments):
+        if ensemble.states.shape[0] == reaching:
+            received.append(increments[-particles:, 0].copy())
+        return em_step(ensemble, model, delta, increments)
+
+    with mock.patch.object(mvfbm.simulator, "_drivers", lambda config, threads: drivers[:, :, None]), \
+            mock.patch.object(mvfbm.simulator, "em_step", recording_step):
+        run_coupled_meshes(config, [factor], threads=1)
+    return np.stack(received)
+
+
 @given(factor=st.integers(1, 40), blocks=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 def test_restriction_is_a_left_to_right_block_sum(factor, blocks, seed):
     rng = np.random.default_rng(seed)
@@ -57,13 +82,9 @@ def test_restriction_is_a_left_to_right_block_sum(factor, blocks, seed):
     # magnitudes spread over 16 decades, so any other grouping changes bits
     x = rng.standard_normal((steps, 7)) * 10.0 ** rng.integers(-8, 8, size=(steps, 7))
     expected = _python_block_sums(x, factor)
-    for columns in (1, 2, 7):
-        part = np.ascontiguousarray(x[:, :columns])
-        got = block_sums(part, factor)
+    for columns in (1, 2, 7):  # particles of the run
+        got = _coarse_increments(np.ascontiguousarray(x[:, :columns]), factor)
         assert got.tobytes() == expected[:, :columns].tobytes()
-        # the driver layout of a batch: (steps, rows, d)
-        drivers = block_sums(part.reshape(steps, columns, 1), factor)
-        assert drivers.tobytes() == expected[:, :columns].tobytes()
 
 
 @given(hurst=hursts, steps=st.integers(1, 600))

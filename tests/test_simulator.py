@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,9 @@ import mvfbm.fbm
 from mvfbm.fbm import UniformMesh
 from mvfbm.model import (
     ConstantDiffusion,
+    MeasureDiffusion,
     ModelSpec,
+    StateMeasureDiffusion,
     preset_mean_deviation,
     preset_mean_reverting,
     preset_unstable_cubic,
@@ -28,7 +31,8 @@ from mvfbm.simulator import (
 )
 from mvfbm.streams import StreamKey
 from mvfbm.study import fit_loglog_slope
-from oracles import mean_reverting_limit_variance, reverting_drift, w2_to_gaussian, zero_drift
+from oracles import (mean_reverting_limit_variance, per_mesh_ladder, reverting_drift, w2_to_gaussian,
+                     zero_drift)
 
 
 def _null_model(dimension=1):
@@ -296,6 +300,98 @@ class TestCoupledMeshes:
         config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 12), 2, 0)
         with pytest.raises(ValueError):
             run_coupled_meshes(config, [5])
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("kind", ["constant", "measure", "state-measure"])
+    @pytest.mark.parametrize("steps, factors", [(16, [2, 4, 8]), (12, [3, 4])],
+                             ids=["chain", "non-chain"])
+    def test_one_pass_matches_the_per_mesh_oracle(self, steps, factors, kind, dimension):
+        # a chain ladder steps a prefix of the meshes at each fine step; in {3, 4}
+        # the meshes of factor 3 and 4 step apart, and together at step 12.  On a
+        # horizon of 0.9, 3 times the fine delta is not the factor-3 mesh's delta
+        config = SimulationConfig(_noisy_model(kind, dimension), 0.7, UniformMesh(0.9, steps), 3,
+                                  17, replications=range(2, 5))
+        for policy in ("terminal", "thin", "full"):
+            records = run_coupled_meshes(config, factors, snapshots=policy)
+            expected = per_mesh_ladder(config, factors, snapshots=policy)
+            assert list(records) == list(expected) == [1, *factors]
+            for factor, record in records.items():
+                assert record.mesh == expected[factor].mesh
+                assert record.snapshot_indices == expected[factor].snapshot_indices
+                assert len(record.snapshots) == len(record.snapshot_indices)
+                for got, want in zip(record.snapshots, expected[factor].snapshots):
+                    assert got.tobytes() == want.tobytes(), (policy, factor)
+
+    def test_only_a_coarse_mesh_blows_up(self):
+        # explicit Euler for x' = -x^3 is stable while delta x^2 < 2: with x0 in [6, 7.5)
+        # the meshes of 64 and 32 steps stay finite and that of 16 steps blows up
+        config = SimulationConfig(_cubic_decay_model(lambda rng, n: 6.0 + 1.5 * rng.random((n, 1))),
+                                  0.7, UniformMesh(1.0, 64), 5, 8, replications=range(1, 4))
+        run_coupled_meshes(config, [2])
+        with pytest.raises(NumericalBlowup) as excinfo:
+            run_coupled_meshes(config, [2, 4])
+        with pytest.raises(NumericalBlowup) as alone:
+            run(replace(config, mesh=UniformMesh(1.0, 16)))
+        with pytest.raises(NumericalBlowup) as oracle:
+            per_mesh_ladder(config, [2, 4])
+        for expected in (alone.value, oracle.value):
+            assert _blowup_fields(excinfo.value) == _blowup_fields(expected)
+        assert _blowup_fields(excinfo.value) == (16, 7, 1, 1)
+
+    def test_smallest_factor_that_blows_up_is_named(self):
+        # just above the factor-2 threshold delta x0^2 = 2, that mesh blows up at
+        # fine step 40, after the factor-4 mesh has blown up at fine step 28
+        x0 = math.sqrt(128.0 * (1.0 + 1e-9))
+        config = SimulationConfig(_cubic_decay_model(x0), 0.7, UniformMesh(1.0, 128), 2, 8)
+        with pytest.raises(NumericalBlowup) as excinfo:
+            run_coupled_meshes(config, [2, 4])
+        for factor, fine_step in ((2, 40), (4, 28)):
+            with pytest.raises(NumericalBlowup) as alone:
+                run(replace(config, mesh=UniformMesh(1.0, 128 // factor)))
+            assert alone.value.step * factor == fine_step
+            if factor == 2:
+                assert _blowup_fields(excinfo.value) == _blowup_fields(alone.value)
+        assert _blowup_fields(excinfo.value) == (64, 20, 0, 0)
+        run(config)
+
+    def test_coarse_meshes_hold_no_driver_array(self):
+        # the fine drivers are the one driver array: a factor-2 mesh's own increments
+        # would add half of it
+        config = SimulationConfig(preset_mean_reverting(), 0.7, UniformMesh(1.0, 1024), 500, 5,
+                                  replications=range(2))
+        drivers = 1024 * 1000 * 8
+        tracemalloc.start()
+        try:
+            run_coupled_meshes(config, [2], threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert drivers < peak < drivers + drivers // 2
+
+
+def _noisy_model(kind, dimension):
+    """A mean-reverting model of the given diffusion kind and dimension,
+    started from a Gaussian cloud so that its noise enters at once."""
+    eye = np.eye(dimension)
+    diffusion = {
+        "constant": ConstantDiffusion(np.array([[1.0, 0.3], [-0.2, 0.7]])[:dimension, :dimension]),
+        "measure": MeasureDiffusion(lambda mu: eye + 0.5 * mu.mean()[..., None]),
+        "state-measure": StateMeasureDiffusion(
+            lambda states, mu: eye + 0.5 * (states - mu.mean())[..., None]),
+    }[kind]
+    return ModelSpec(name=f"{kind}-{dimension}d", dimension=dimension, drift=reverting_drift,
+                     diffusion=diffusion,
+                     initial=lambda rng, count: 0.5 * rng.standard_normal((count, dimension)))
+
+
+def _cubic_decay_model(initial):
+    """Drift -x^3 and no noise: its explicit Euler scheme is stable while delta x^2 < 2."""
+    return ModelSpec(name="cubic-decay", dimension=1, drift=lambda states, mu: -states**3,
+                     diffusion=ConstantDiffusion(np.zeros((1, 1))), initial=initial)
+
+
+def _blowup_fields(blowup):
+    return blowup.mesh_steps, blowup.step, blowup.replication, blowup.particle
 
 
 def _trajectory_csv(config, snapshots):

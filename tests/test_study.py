@@ -161,17 +161,20 @@ class TestStrongErrorStudy:
             )
 
     @pytest.mark.parametrize(
-        "deltas, workers, match",
-        [((2.0**-3,), 1, "two distinct"), ((2.0**-3, 2.0**-3), 1, "delta 0.125 is repeated"),
-         ((2.0**-3, REFERENCE), 1, "reference delta"),
-         (DELTAS, 0, "at least 1 worker, got 0"), (DELTAS, -1, "at least 1 worker, got -1")],
-        ids=["one-delta", "one-distinct-delta", "reference-delta", "no-workers", "negative-workers"],
+        "deltas, workers, particles, match",
+        [((2.0**-3,), 1, 4, "two distinct"), ((2.0**-3, 2.0**-3), 1, 4, "delta 0.125 is repeated"),
+         ((2.0**-3, REFERENCE), 1, 4, "reference delta"),
+         (DELTAS, 0, 4, "at least 1 worker, got 0"), (DELTAS, -1, 4, "at least 1 worker, got -1"),
+         (DELTAS, 1, 0, "at least 1 particle, got 0"), (DELTAS, 1, -3, "at least 1 particle, got -3")],
+        ids=["one-delta", "one-distinct-delta", "reference-delta", "no-workers", "negative-workers",
+             "no-particles", "negative-particles"],
     )
-    def test_unfittable_ladder_rejected_before_any_run(self, monkeypatch, deltas, workers, match):
+    def test_unfittable_ladder_rejected_before_any_run(self, monkeypatch, deltas, workers,
+                                                       particles, match):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
         with pytest.raises(StudyArgumentError, match=match):
             strong_error_study(
-                preset_mean_reverting(xi=1.0, rate=0.0), 0.5, particles=4, replications=2,
+                preset_mean_reverting(xi=1.0, rate=0.0), 0.5, particles=particles, replications=2,
                 deltas=deltas, reference_delta=REFERENCE, seed=0, workers=workers,
             )
 
@@ -272,8 +275,11 @@ class TestChaosStudy:
     @pytest.mark.parametrize(
         "counts, replications, workers, match",
         [([8], 2, 1, "two particle counts"), ([4, 8], 0, 1, "at least 1 replication"),
-         ([4, 8], 2, 0, "at least 1 worker, got 0"), ([4, 8], 2, -1, "at least 1 worker, got -1")],
-        ids=["one-count", "no-replications", "no-workers", "negative-workers"],
+         ([4, 8], 2, 0, "at least 1 worker, got 0"), ([4, 8], 2, -1, "at least 1 worker, got -1"),
+         ([0, 4], 2, 1, r"particle counts must be >= 1, got \[0, 4\]"),
+         ([-2, 4], 2, 1, r"particle counts must be >= 1, got \[-2, 4\]")],
+        ids=["one-count", "no-replications", "no-workers", "negative-workers", "zero-count",
+             "negative-count"],
     )
     def test_untrendable_arguments_rejected_before_any_run(self, monkeypatch, counts,
                                                            replications, workers, match):
@@ -350,6 +356,11 @@ class TestMomentBoundCheck:
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
         with pytest.raises(StudyArgumentError, match=match):
             moment_bound_check(preset_mean_reverting(), 0.5, deltas, 4, order=2.0, seed=0)
+
+    def test_no_particles_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
+        with pytest.raises(StudyArgumentError, match="at least 1 particle, got 0"):
+            moment_bound_check(preset_mean_reverting(), 0.5, DELTAS, 0, order=2.0, seed=0)
 
 
 class TestCovarianceCheck:
@@ -471,7 +482,9 @@ class TestBatching:
             name for name, text in reports.items() if text != reports["batch-1"]
         ]
 
-    def test_one_em_step_per_mesh_step_per_batch(self, monkeypatch):
+    def test_one_em_step_per_fine_step_per_batch(self, monkeypatch):
+        # the meshes of a batch advance together: each fine step makes one call
+        # on the rows of every mesh whose step ends there
         monkeypatch.setattr(mvfbm.study, "_BATCH_BYTES", _batch_budget(7))
         rows, builds = [], []
         step, build = mvfbm.simulator.em_step, CirculantSampler.__init__
@@ -490,10 +503,13 @@ class TestBatching:
             preset_mean_reverting(), 0.3, BATCH_PARTICLES, BATCH_REPLICATIONS, DELTAS,
             1.0 / BATCH_STEPS, seed=1,
         )
-        steps_per_batch = BATCH_STEPS + sum(BATCH_STEPS // round(d * BATCH_STEPS) for d in DELTAS)
-        assert steps_per_batch == 128 + 8 + 16 + 32
+        factors = [round(d * BATCH_STEPS) for d in DELTAS]
+        assert factors == [16, 8, 4]
         batch_sizes = [7, 7, 2]  # 16 replications under a 7-replication budget
-        assert rows == [n * BATCH_PARTICLES for n in batch_sizes for _ in range(steps_per_batch)]
+        meshes_stepping = [1 + sum(k % f == 0 for f in factors) for k in range(1, BATCH_STEPS + 1)]
+        assert rows == [n * BATCH_PARTICLES * m for n in batch_sizes for m in meshes_stepping]
+        # every mesh still makes all its particle-steps
+        assert sum(rows) == BATCH_REPLICATIONS * BATCH_PARTICLES * (128 + 8 + 16 + 32)
         assert len(builds) == len(batch_sizes)  # one sampler per batch, built where it draws
 
     @pytest.mark.parametrize("workers", [1, 2])  # a worker's blow-up must reach the caller
