@@ -23,12 +23,15 @@ check or a covariance audit.
 
 Both draw from :class:`~mvfbm.streams.StreamKey` addresses, one independent
 stream per path component, and are deterministic given (H, mesh, d, stream).
+A call's paths are a sequence of keys or a
+:class:`~mvfbm.streams.StreamArray` (a root key and one index row per
+path), which is how the simulator and the covariance audit address them.
 The circulant sampler seeds all streams of a call in one vectorized pass,
 bit-identical to ``StreamKey.generator()``.  It deals its FFT blocks to up
-to ``threads`` threads, by default one per usable core: numpy releases the
-interpreter lock inside the normal draws and the FFT, and each path's
-variates do not depend on which thread or block computes them, so the
-thread count never changes a bit.
+to ``threads`` plain ``threading`` threads, by default one per usable
+core: numpy releases the interpreter lock inside the normal draws and the
+FFT, and each path's variates do not depend on which thread or block
+computes them, so the thread count never changes a bit.
 
 Only the finest mesh of a ladder is drawn: the simulator steps each coarse
 mesh on left-to-right sums of blocks of the fine increments, which it adds
@@ -40,13 +43,13 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .streams import StreamKey, child_seed_words, seeded_generator
+from .streams import StreamArray, StreamKey, child_seed_words, seeded_generator
 
 __all__ = [
     "check_hurst",
@@ -174,7 +177,8 @@ class CholeskySampler:
                 f"n={mesh.steps}"
             ) from exc
 
-    def sample_ensemble(self, dimension: int, streams: Sequence[StreamKey]) -> np.ndarray:
+    def sample_ensemble(self, dimension: int,
+                        streams: "Sequence[StreamKey] | StreamArray") -> np.ndarray:
         """Increments of one path per stream, shape (len(streams), n, d).
 
         Component j of a path draws n normals from its stream's child(j).
@@ -216,7 +220,7 @@ class CirculantSampler:
         scale[3 : 2 * m : 2] = -scale[2 : 2 * m : 2]
         self._scale = scale
 
-    def sample_ensemble(self, dimension: int, streams: Sequence[StreamKey], *,
+    def sample_ensemble(self, dimension: int, streams: "Sequence[StreamKey] | StreamArray", *,
                         out: "np.ndarray | None" = None,
                         threads: "int | None" = None) -> np.ndarray:
         """Increments of one path per stream, shape (len(streams), n, d).
@@ -233,6 +237,8 @@ class CirculantSampler:
         budget, so they stay small however many paths are drawn.
         ``threads`` (default: ``usable_cores()``) caps the threads the
         blocks are dealt to, round-robin; with one, no thread is started.
+        The calling thread draws nothing while the threads run: it joins
+        them all, then raises the failure of the first lane that failed.
 
         The normals land in the float view of the m+1 complex modes, where
         only z[1] has to move.  Scaled and conjugated they are the Hermitian
@@ -275,10 +281,26 @@ class CirculantSampler:
 
         if lanes == 1:
             fill(0)
-        else:
-            with ThreadPoolExecutor(max_workers=lanes) as pool:
-                for done in [pool.submit(fill, lane) for lane in range(lanes)]:
-                    done.result()
+            return out
+        failures: list = [None] * lanes
+
+        def work(lane: int) -> None:
+            try:
+                fill(lane)
+            except BaseException as exc:
+                failures[lane] = exc
+
+        workers = [threading.Thread(target=work, args=(lane,)) for lane in range(lanes)]
+        try:
+            for worker in workers:
+                worker.start()
+        finally:
+            for worker in workers:
+                if worker.ident is not None:  # started
+                    worker.join()
+        for exc in failures:
+            if exc is not None:
+                raise exc
         return out
 
 

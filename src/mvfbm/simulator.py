@@ -31,7 +31,7 @@ import numpy as np
 from .fbm import CirculantSampler, UniformMesh, check_hurst
 from .measure import EmpiricalMeasure
 from .model import ModelSpec, validate
-from .streams import StreamKey
+from .streams import StreamArray, StreamKey
 
 __all__ = [
     "SimulationConfig",
@@ -112,8 +112,10 @@ class SimulationConfig:
         if self.particles < 1:
             raise ValueError(f"particle count must be >= 1, got {self.particles}")
         reps = self.replications
-        if not isinstance(reps, range) or not reps or min(reps) < 0:
-            raise ValueError(f"replications must be a nonempty range of indices >= 0, got {reps!r}")
+        # the driver streams address replications in an int64 array
+        if not isinstance(reps, range) or not reps or min(reps) < 0 or max(reps) >= 2**63:
+            raise ValueError(f"replications must be a nonempty range of indices in [0, 2^63), "
+                             f"got {reps!r}")
         object.__setattr__(self, "hurst", check_hurst(self.hurst))
         validate(self.model, self.hurst)
 
@@ -182,15 +184,26 @@ def _snapshot_plan(steps: int, policy: str) -> set[int]:
     raise ValueError(f"unknown snapshot policy {policy!r}; choose from {SNAPSHOT_POLICIES}")
 
 
+def _noise_streams(config: SimulationConfig) -> StreamArray:
+    """The driver streams of the batch, replication-major: particle i of
+    replication m draws from child(m, 1, i) of the seed, that is child(1, i)
+    of the replication's root."""
+    reps, particles = len(config.replications), config.particles
+    index = np.empty((reps, particles, 3), np.int64)
+    index[..., 0] = np.asarray(config.replications)[:, None]
+    index[..., 1] = _NS_NOISE
+    index[..., 2] = np.arange(particles)
+    return StreamArray(StreamKey.coerce(config.seed), index.reshape(reps * particles, 3))
+
+
 def _drivers(config: SimulationConfig, threads: "int | None") -> np.ndarray:
     """Per-particle exact fBm increments of the whole batch, shape (steps, R*N, d).
 
     A sampler of (H, mesh), built for this batch, draws it on up to
-    ``threads`` threads; particle i of replication m draws from child(1, i)
-    of the replication's root.
+    ``threads`` threads, from the streams of ``_noise_streams``.
     """
     sampler = CirculantSampler(config.hurst, config.mesh)
-    streams = [root.child(_NS_NOISE, i) for root in config.roots() for i in range(config.particles)]
+    streams = _noise_streams(config)
     drivers = np.empty((config.mesh.steps, len(streams), config.model.dimension))
     # the sampler writes its (R*N, steps, d) rows straight into the step-major array,
     # so the batch never holds a second, transposed copy of its drivers

@@ -9,20 +9,23 @@ Gaussian variates come from ``numpy.random.Generator.standard_normal`` on a
 PCG64 bit generator seeded through ``SeedSequence(seed, spawn_key=path)``,
 which :meth:`StreamKey.generator` builds.  ``child_seed_words`` runs that
 hash (O'Neill 2014), a fixed chain of 32-bit multiply/xor steps, over many
-keys in one vectorized pass; its generators are bit-identical to
-``StreamKey.generator()``.  The draw order inside each consumer is fixed
-and documented there; golden values are stable within one build.
+streams in one vectorized pass; its generators are bit-identical to
+``StreamKey.generator()``.  The many paths of one sampler call are a
+:class:`StreamArray`: a root key and a 2-D index array, one row per path,
+whose entropy words are built as one array, with no ``StreamKey`` per path.
+The draw order inside each consumer is fixed and documented there; golden
+values are stable within one build.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["StreamKey", "child_seed_words", "seeded_generator"]
+__all__ = ["StreamKey", "StreamArray", "child_seed_words", "seeded_generator"]
 
 
 @dataclass(frozen=True)
@@ -36,10 +39,15 @@ class StreamKey:
     seed: int
     path: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        # SeedSequence takes no negative entropy, and _entropy's words of one never end
+        if self.seed < 0:
+            raise ValueError(f"stream seed must be nonnegative, got {self.seed}")
+        if any(i < 0 for i in self.path):
+            raise ValueError(f"stream indices must be nonnegative, got {self.path}")
+
     def child(self, *indices: int) -> "StreamKey":
         """Derive a sub-stream by appending indices to the address."""
-        if any(i < 0 for i in indices):
-            raise ValueError(f"stream indices must be nonnegative, got {indices}")
         return StreamKey(self.seed, self.path + tuple(int(i) for i in indices))
 
     def generator(self) -> np.random.Generator:
@@ -51,6 +59,34 @@ class StreamKey:
         if isinstance(seed, StreamKey):
             return seed
         return cls(int(seed))
+
+
+@dataclass(frozen=True, eq=False)
+class StreamArray:
+    """The streams ``root.child(*row)``, one per row of a 2-D array of
+    nonnegative integer indices: the paths of one sampler call.
+
+    ``len()`` is the number of paths, and iterating yields each path's
+    ``StreamKey``; :func:`child_seed_words` seeds the paths without them.
+    """
+
+    root: StreamKey
+    index: np.ndarray  # (paths, k)
+
+    def __post_init__(self) -> None:
+        index = np.asarray(self.index)
+        if index.ndim != 2 or not np.issubdtype(index.dtype, np.integer):
+            raise ValueError(f"stream indices must be a 2-D integer array, got {index.dtype} "
+                             f"of shape {index.shape}")
+        if index.size and index.min() < 0:
+            raise ValueError(f"stream indices must be nonnegative, got {index.min()}")
+        object.__setattr__(self, "index", index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __iter__(self) -> Iterator[StreamKey]:
+        return (self.root.child(*row) for row in self.index.tolist())
 
 
 # numpy's SeedSequence constants; its pool has 4 words
@@ -98,12 +134,25 @@ def _pool_state(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def child_seed_words(keys: Sequence[StreamKey], components: int) -> np.ndarray:
+def child_seed_words(keys: "Sequence[StreamKey] | StreamArray", components: int) -> np.ndarray:
     """PCG64 seed words of every ``keys[p].child(j)``, j < components, shape
     (components, len(keys), 4), as SeedSequence(seed, spawn_key=path + (j,))
     .generate_state(4, np.uint64) gives them: hashed in one pass per entropy
-    length, since the length changes the hash."""
+    length, since the length changes the hash.
+
+    The paths of a ``StreamArray`` whose indices all fit one uint32 word
+    share one entropy length, so their words are one array: the root's
+    words, then one word per index, then j.  An index of 2^32 or more takes
+    more words, so such an array is hashed key by key."""
     _fixed_seed_sequence()  # import numpy.random before the hash's temporaries: a lower peak RSS
+    if isinstance(keys, StreamArray) and keys.index.max(initial=0) <= _MASK:
+        head = _entropy(keys.root.seed, keys.root.path)
+        paths, width = keys.index.shape
+        entropy = np.empty((len(head) + width + 1, components, paths), np.uint32)
+        entropy[: len(head)] = np.array(head, np.uint32)[:, None, None]
+        entropy[len(head) : -1] = keys.index.T[:, None, :]
+        entropy[-1] = np.arange(components)[:, None]
+        return _pool_state(entropy.reshape(len(entropy), -1)).reshape(components, paths, 4)
     rows = [_entropy(key.seed, (*key.path, j)) for j in range(components) for key in keys]
     words = np.empty((len(rows), 4), np.uint64)
     for length in {len(row) for row in rows}:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 from typing import Sequence
@@ -33,7 +32,7 @@ from .measure import EmpiricalMeasure, coupled_upper_bound, wasserstein_1d_exact
 from .model import ModelSpec
 from .reports import ChaosReport, ConvergenceReport, CovarianceCheckReport, MomentReport, NonFiniteError
 from .simulator import NumericalBlowup, SimulationConfig, run, run_coupled_meshes
-from .streams import StreamKey
+from .streams import StreamArray, StreamKey
 
 __all__ = [
     "StudyArgumentError",
@@ -148,6 +147,9 @@ def _run_batches(configs: Sequence[SimulationConfig], factors: Sequence[int],
     if workers <= 1:
         results = [task(config) for config in configs]
     else:
+        # imported here: a run without a pool loads no multiprocessing or logging
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(task, configs))  # input order == output order
     failures = [
@@ -388,7 +390,7 @@ def covariance_check(
             f"H={hurst}: gamma(0)^2 = {variance * variance:g}"
         )
     stderr = np.sqrt((gamma[0] * gamma[0] + gamma**2) / paths)
-    streams = [root.child(p) for p in range(paths)]
+    streams = StreamArray(root, np.arange(paths)[:, None])  # path p is child(p)
     increments = CirculantSampler(hurst, mesh).sample_ensemble(1, streams)[:, :, 0]
     empirical = increments.T @ increments
     del increments

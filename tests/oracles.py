@@ -187,6 +187,18 @@ def assert_bulk_matches_numpy(keys, components):
             assert got.tobytes() == numpy_draws(key.seed, key.path + (j,)).tobytes(), (key, j)
 
 
+def assert_array_matches_numpy(streams, components):
+    """The bulk seed words of every row of a ``StreamArray`` and every component
+    draw what ``root.child(*row).child(j).generator()`` draws, bit for bit."""
+    words = child_seed_words(streams, components)
+    assert words.shape == (components, len(streams), 4)
+    for j in range(components):
+        for p, row in enumerate(streams.index.tolist()):
+            expected = streams.root.child(*row).child(j).generator().standard_normal(8)
+            got = seeded_generator(words[j, p]).standard_normal(8)
+            assert got.tobytes() == expected.tobytes(), (streams.root, row, j)
+
+
 def zero_drift(states, mu):
     return np.zeros_like(states)
 

@@ -342,6 +342,20 @@ class TestThreads:
         assert threading.active_count() == before
 
 
+def test_one_lane_starts_no_thread(monkeypatch):
+    # 29 paths of 32 steps fill one FFT block, so two threads get one lane too
+    sampler = CirculantSampler(0.3, UniformMesh(1.0, 32))
+    streams = [StreamKey(2024, (0, 1, i)) for i in range(29)]
+    expected = sampler.sample_ensemble(2, streams, threads=1).tobytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampler call of one lane started a thread")
+
+    monkeypatch.setattr(mvfbm.fbm.threading, "Thread", refuse)
+    for threads in (1, 2):
+        assert sampler.sample_ensemble(2, streams, threads=threads).tobytes() == expected
+
+
 class TestRestriction:
     """The block sums of the coupled-mesh oracle restrict a fine path to a
     coarse mesh; ``TestCoupledMeshes`` checks the simulator against them."""

@@ -46,3 +46,21 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     code = "import mvfbm.cli, sys; assert 'numpy.random' not in sys.modules"
     src = str(Path(mvfbm.__file__).parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_a_run_without_a_pool_loads_no_pool_machinery(tmp_path):
+    # only a --workers >= 2 pool needs them, and they cost about 2 MB of peak RSS
+    code = f"""
+import sys
+import mvfbm.cli
+small = ["--outdir", {str(tmp_path)!r}, "--seed", "3"]
+assert mvfbm.cli.main(["--command", "convergence", "--workers", "1", "--particles", "8",
+                       "--replications", "2", "--deltas", "2^-2,2^-3",
+                       "--reference-delta", "2^-5"] + small) == 0
+assert mvfbm.cli.main(["--command", "fbm-check", "--steps", "16", "--paths", "64"] + small) == 0
+print(sorted({{"multiprocessing", "concurrent.futures", "logging"}} & sys.modules.keys()))
+"""
+    src = str(Path(mvfbm.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -23,9 +23,9 @@ from mvfbm.fbm import (
     increment_covariance_matrix,
 )
 from mvfbm.model import preset_mean_reverting
-from mvfbm.simulator import SimulationConfig, em_step, run_coupled_meshes
+from mvfbm.simulator import SimulationConfig, _noise_streams, em_step, run_coupled_meshes
 from mvfbm.streams import StreamKey
-from oracles import assert_bulk_matches_numpy
+from oracles import assert_array_matches_numpy, assert_bulk_matches_numpy
 
 hursts = st.floats(0.01, 0.99)
 
@@ -40,6 +40,25 @@ keys = st.builds(StreamKey, seeds, st.lists(indices, max_size=6).map(tuple))
 def test_bulk_seeding_is_numpy_seed_sequence(keys, components):
     # mixed seed sizes and path lengths in one call, each with the component appended
     assert_bulk_matches_numpy(keys, components)
+
+
+# the roots a study hands its runs: the master key, chaos's reference child(0)
+# and its count-a runs child(1, a)
+roots = st.one_of(
+    st.builds(StreamKey, seeds),
+    st.builds(lambda seed: StreamKey(seed).child(0), seeds),
+    st.builds(lambda seed, a: StreamKey(seed).child(1, a), seeds, st.integers(0, 2**40)),
+)
+
+
+@given(root=roots, first=st.one_of(st.integers(0, 2**32 - 4), st.integers(2**32 - 3, 2**63 - 4)),
+       reps=st.integers(1, 3), particles=st.integers(1, 4), components=st.integers(1, 3))
+def test_array_seeding_is_numpy_seed_sequence(root, first, reps, particles, components):
+    # a batch of replications first .. first + reps - 1, which need not start at 0;
+    # past 2^32 - 1 a replication index takes two words, and the array is hashed key by key
+    config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 2), particles, root,
+                              range(first, first + reps))
+    assert_array_matches_numpy(_noise_streams(config), components)
 
 
 def _python_block_sums(x: np.ndarray, factor: int) -> np.ndarray:

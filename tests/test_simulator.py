@@ -24,6 +24,8 @@ from mvfbm.simulator import (
     NumericalBlowup,
     ParticleEnsemble,
     SimulationConfig,
+    _drivers,
+    _noise_streams,
     _snapshot_plan,
     em_step,
     run,
@@ -367,6 +369,31 @@ class TestCoupledMeshes:
         finally:
             tracemalloc.stop()
         assert drivers < peak < drivers + drivers // 2
+
+
+class TestDriverStreams:
+    """A batch addresses its driver streams as one index array on the seed."""
+
+    def test_rows_address_child_m_1_i(self):
+        root = StreamKey(2024).child(1, 3)  # chaos's runs at the fourth particle count
+        config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 3, root,
+                                  range(5, 7))
+        streams = _noise_streams(config)
+        assert len(streams) == 6
+        assert list(streams) == [root.child(m, 1, i) for m in (5, 6) for i in range(3)]
+
+    def test_a_batch_builds_no_key_per_path(self, monkeypatch):
+        config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 8), 50, 7, range(3))
+        built = []
+        check = StreamKey.__post_init__
+        monkeypatch.setattr(StreamKey, "__post_init__", lambda key: built.append(key) or check(key))
+        _drivers(config, threads=1)
+        assert [(key.seed, key.path) for key in built] == [(7, ())]  # the root alone
+
+    def test_replications_past_int64_rejected(self):
+        with pytest.raises(ValueError, match=r"indices in \[0, 2\^63\), got range"):
+            SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 2, 0,
+                             range(2**63 - 1, 2**63 + 1))
 
 
 def _noisy_model(kind, dimension):

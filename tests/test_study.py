@@ -1,5 +1,6 @@
 """Experiment harness: slope fitting, studies, determinism, parallelism."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from mvfbm.study import (
     moment_bound_check,
     strong_error_study,
 )
+from mvfbm.streams import StreamKey
 from oracles import mean_shifted_sigma, planar_model, reverting_drift
 
 DELTAS = (2.0**-3, 2.0**-4, 2.0**-5)
@@ -134,7 +136,7 @@ class TestStrongErrorStudy:
             def map(self, task, args):
                 return map(task, args)
 
-        monkeypatch.setattr(mvfbm.study, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         strong_error_study(
             preset_mean_deviation(initial_spread=0.5), 0.7, particles=4, replications=2,
             deltas=DELTAS, reference_delta=REFERENCE, seed=3, workers=64,
@@ -379,6 +381,19 @@ class TestCovarianceCheck:
         monkeypatch.setattr(CirculantSampler, "sample_ensemble", _must_not_run)
         with pytest.raises(StudyArgumentError, match="at least 1 path, got 0"):
             covariance_check(0.7, steps=8, paths=0, seed=5)
+
+    def test_negative_seed_rejected_before_any_draw(self, monkeypatch):
+        # the words of a negative seed never end, so seeding it used to hang
+        monkeypatch.setattr(CirculantSampler, "sample_ensemble", _must_not_run)
+        with pytest.raises(ValueError, match="stream seed must be nonnegative, got -1"):
+            covariance_check(0.5, 4, 2, -1)
+
+    def test_paths_are_addressed_without_a_key_each(self, monkeypatch):
+        built = []
+        check = StreamKey.__post_init__
+        monkeypatch.setattr(StreamKey, "__post_init__", lambda key: built.append(key) or check(key))
+        covariance_check(0.5, steps=8, paths=50, seed=5)
+        assert [(key.seed, key.path) for key in built] == [(5, ())]  # the root alone
 
 
 @pytest.mark.parametrize("study_call", [
