@@ -23,15 +23,14 @@ check or a covariance audit.
 
 Both draw from :class:`~mvfbm.streams.StreamKey` addresses, one independent
 stream per path component, and are deterministic given (H, mesh, d, stream).
-A call's paths are a sequence of keys or a
-:class:`~mvfbm.streams.StreamArray` (a root key and one index row per
-path), which is how the simulator and the covariance audit address them.
-The circulant sampler seeds all streams of a call in one vectorized pass,
-bit-identical to ``StreamKey.generator()``.  It deals its FFT blocks to up
-to ``threads`` plain ``threading`` threads, by default one per usable
-core: numpy releases the interpreter lock inside the normal draws and the
-FFT, and each path's variates do not depend on which thread or block
-computes them, so the thread count never changes a bit.
+A call's paths are one :class:`~mvfbm.streams.StreamArray`, a root key and
+one index row per path.  The circulant sampler seeds all streams of a call
+in one vectorized pass per word pattern, bit-identical to
+``StreamKey.generator()``.  It deals its FFT blocks to up to ``threads``
+plain ``threading`` threads, by default one per usable core: numpy
+releases the interpreter lock inside the normal draws and the FFT, and
+each path's variates do not depend on which thread or block computes
+them, so the thread count never changes a bit.
 
 Only the finest mesh of a ladder is drawn: the simulator steps each coarse
 mesh on left-to-right sums of blocks of the fine increments, which it adds
@@ -45,11 +44,10 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .streams import StreamArray, StreamKey, child_seed_words, seeded_generator
+from .streams import StreamArray, child_seed_words, seeded_generator
 
 __all__ = [
     "check_hurst",
@@ -177,17 +175,16 @@ class CholeskySampler:
                 f"n={mesh.steps}"
             ) from exc
 
-    def sample_ensemble(self, dimension: int,
-                        streams: "Sequence[StreamKey] | StreamArray") -> np.ndarray:
-        """Increments of one path per stream, shape (len(streams), n, d).
+    def sample_ensemble(self, dimension: int, streams: StreamArray) -> np.ndarray:
+        """Increments of one path per row of ``streams``, shape (len(streams), n, d).
 
-        Component j of a path draws n normals from its stream's child(j).
+        Component j of row r draws n normals from ``streams.root.child(*r, j).generator()``.
         """
         n = self.mesh.steps
         z = np.empty((len(streams), dimension, n))
-        for p, stream in enumerate(streams):
+        for p, row in enumerate(streams.index.tolist()):
             for j in range(dimension):
-                z[p, j] = stream.child(j).generator().standard_normal(n)
+                z[p, j] = streams.root.child(*row, j).generator().standard_normal(n)
         return np.einsum("kn,pjn->pkj", self._factor, z)
 
 
@@ -220,17 +217,17 @@ class CirculantSampler:
         scale[3 : 2 * m : 2] = -scale[2 : 2 * m : 2]
         self._scale = scale
 
-    def sample_ensemble(self, dimension: int, streams: "Sequence[StreamKey] | StreamArray", *,
+    def sample_ensemble(self, dimension: int, streams: StreamArray, *,
                         out: "np.ndarray | None" = None,
                         threads: "int | None" = None) -> np.ndarray:
-        """Increments of one path per stream, shape (len(streams), n, d).
+        """Increments of one path per row of ``streams``, shape (len(streams), n, d).
 
-        Component j of a path draws 2m normals z from its stream's child(j):
+        Component j of row r draws 2m normals z from ``streams.root.child(*r, j)``:
         z[0] and z[1] feed the two real Fourier modes (frequencies 0 and m),
         z[2k] and z[2k+1] the real and imaginary parts of mode k, 0 < k < m.
-        The child(j) streams of the call are seeded in one pass, bit-identical
-        to ``stream.child(j).generator()``, and each generator is built just
-        before its draw.
+        The streams of the call are seeded by ``child_seed_words``, bit-identical
+        to ``streams.root.child(*r, j).generator()``, and each generator is
+        built just before its draw.
         ``out``, if given, is a (len(streams), n, d) array, possibly a
         strided view, that receives the increments and is returned.  The
         FFT runs over blocks of rows whose work arrays share a fixed byte

@@ -73,10 +73,10 @@ def _check_aligned(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
 
 
 def _theta(order: float) -> float:
-    """The transport cost exponent theta, which must be >= 2."""
+    """The transport cost exponent theta, which must be finite and >= 2."""
     theta = float(order)
-    if theta < 2.0:
-        raise ValueError(f"Wasserstein order must be >= 2, got {theta}")
+    if not 2.0 <= theta < np.inf:
+        raise ValueError(f"Wasserstein order must be finite and >= 2, got {theta}")
     return theta
 
 

@@ -7,12 +7,12 @@ order or worker count.
 
 Gaussian variates come from ``numpy.random.Generator.standard_normal`` on a
 PCG64 bit generator seeded through ``SeedSequence(seed, spawn_key=path)``,
-which :meth:`StreamKey.generator` builds.  ``child_seed_words`` runs that
-hash (O'Neill 2014), a fixed chain of 32-bit multiply/xor steps, over many
-streams in one vectorized pass; its generators are bit-identical to
-``StreamKey.generator()``.  The many paths of one sampler call are a
-:class:`StreamArray`: a root key and a 2-D index array, one row per path,
-whose entropy words are built as one array, with no ``StreamKey`` per path.
+which :meth:`StreamKey.generator` builds.  The many paths of one sampler
+call are a :class:`StreamArray`: a root key and a 2-D index array, one row
+per path, with no ``StreamKey`` per path.  ``child_seed_words`` runs that
+hash (O'Neill 2014), a fixed chain of 32-bit multiply/xor steps, over the
+rows in one vectorized pass per word pattern; its generators are
+bit-identical to ``StreamKey.generator()``.
 The draw order inside each consumer is fixed and documented there; golden
 values are stable within one build.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,8 +66,9 @@ class StreamArray:
     """The streams ``root.child(*row)``, one per row of a 2-D array of
     nonnegative integer indices: the paths of one sampler call.
 
-    ``len()`` is the number of paths, and iterating yields each path's
-    ``StreamKey``; :func:`child_seed_words` seeds the paths without them.
+    ``len()`` is the number of paths; :func:`child_seed_words` seeds them
+    without a ``StreamKey`` each.  A row index is below 2^64, since the
+    array is of a numpy integer type; the root's path takes any index.
     """
 
     root: StreamKey
@@ -84,9 +85,6 @@ class StreamArray:
 
     def __len__(self) -> int:
         return len(self.index)
-
-    def __iter__(self) -> Iterator[StreamKey]:
-        return (self.root.child(*row) for row in self.index.tolist())
 
 
 # numpy's SeedSequence constants; its pool has 4 words
@@ -134,31 +132,32 @@ def _pool_state(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def child_seed_words(keys: "Sequence[StreamKey] | StreamArray", components: int) -> np.ndarray:
-    """PCG64 seed words of every ``keys[p].child(j)``, j < components, shape
-    (components, len(keys), 4), as SeedSequence(seed, spawn_key=path + (j,))
-    .generate_state(4, np.uint64) gives them: hashed in one pass per entropy
-    length, since the length changes the hash.
+def child_seed_words(streams: StreamArray, components: int) -> np.ndarray:
+    """PCG64 seed words of every ``streams.root.child(*row, j)``, j <
+    components, shape (components, len(streams), 4), as SeedSequence(seed,
+    spawn_key=path + (*row, j)).generate_state(4, np.uint64) gives them.
 
-    The paths of a ``StreamArray`` whose indices all fit one uint32 word
-    share one entropy length, so their words are one array: the root's
-    words, then one word per index, then j.  An index of 2^32 or more takes
-    more words, so such an array is hashed key by key."""
+    A row's entropy is the root's words, then one word per index below 2^32
+    and two (low, high) per larger index, then j.  The entropy length changes
+    the hash, so the rows are hashed in one pass per pattern of two-word
+    indices: one pass for a batch whose indices all fit one word."""
     _fixed_seed_sequence()  # import numpy.random before the hash's temporaries: a lower peak RSS
-    if isinstance(keys, StreamArray) and keys.index.max(initial=0) <= _MASK:
-        head = _entropy(keys.root.seed, keys.root.path)
-        paths, width = keys.index.shape
-        entropy = np.empty((len(head) + width + 1, components, paths), np.uint32)
-        entropy[: len(head)] = np.array(head, np.uint32)[:, None, None]
-        entropy[len(head) : -1] = keys.index.T[:, None, :]
+    head = np.array(_entropy(streams.root.seed, streams.root.path), np.uint32)[:, None, None]
+    halves = np.ascontiguousarray(streams.index, "<u8").view("<u4")  # low, high word per index
+    wide = halves[:, 1::2].astype(bool)  # not != 0: numpy code no other step runs adds peak RSS
+    groups = [((), np.arange(len(streams)))]  # (index words kept, rows), one per word pattern
+    for column in wide.T:
+        groups = [(keep + (True, two), part) for keep, rows in groups
+                  for two, part in ((False, rows[~column[rows]]), (True, rows[column[rows]]))
+                  if len(part)]
+    words = np.empty((components, len(streams), 4), np.uint64)
+    for keep, rows in groups:
+        entropy = np.empty((len(head) + sum(keep) + 1, components, len(rows)), np.uint32)
+        entropy[: len(head)] = head
+        entropy[len(head) : -1] = halves[rows][:, np.array(keep, bool)].T[:, None, :]
         entropy[-1] = np.arange(components)[:, None]
-        return _pool_state(entropy.reshape(len(entropy), -1)).reshape(components, paths, 4)
-    rows = [_entropy(key.seed, (*key.path, j)) for j in range(components) for key in keys]
-    words = np.empty((len(rows), 4), np.uint64)
-    for length in {len(row) for row in rows}:
-        members = [i for i, row in enumerate(rows) if len(row) == length]
-        words[members] = _pool_state(np.array([rows[i] for i in members], np.uint32).T)
-    return words.reshape(components, len(keys), 4)
+        words[:, rows] = _pool_state(entropy.reshape(len(entropy), -1)).reshape(components, -1, 4)
+    return words
 
 
 def seeded_generator(words: np.ndarray) -> np.random.Generator:

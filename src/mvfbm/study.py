@@ -91,6 +91,9 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
 def _ladder(deltas: Sequence[float], fine_delta: float,
             horizon: float) -> tuple[list[float], UniformMesh, list[int]]:
     """The deltas coarse to fine, the fine mesh, and each delta's factor on it."""
+    if not all(0.0 < float(delta) < math.inf for delta in (fine_delta, *deltas)):  # NaN fails too
+        raise StudyArgumentError(f"deltas must be positive and finite, got {list(deltas)}, "
+                                 f"reference {fine_delta}")
     steps = int(round(horizon / fine_delta))
     if steps < 1 or not math.isclose(steps * fine_delta, horizon, rel_tol=1e-12):
         raise StudyArgumentError(f"delta {fine_delta} does not divide the horizon {horizon}")
@@ -253,8 +256,8 @@ def chaos_study(
         raise StudyArgumentError(f"particle counts must be strictly increasing, got {counts}")
     if counts[0] < 1:
         raise StudyArgumentError(f"particle counts must be >= 1, got {counts}")
-    if theta < 2.0:
-        raise StudyArgumentError(f"transport order theta must be >= 2, got {theta}")
+    if not 2.0 <= theta < math.inf:
+        raise StudyArgumentError(f"transport order theta must be finite and >= 2, got {theta}")
     if workers < 1:
         raise StudyArgumentError(f"need at least 1 worker, got {workers}")
     root = StreamKey.coerce(seed)
@@ -321,11 +324,11 @@ def moment_bound_check(
     to each mesh), records the max-over-snapshots moment per mesh, and
     passes when each successive refinement ratio stays within [0.8, 1.25].
     """
-    if order < 2.0:
-        raise StudyArgumentError(f"moment order must be >= 2, got {order}")
+    if not 2.0 <= order < math.inf:
+        raise StudyArgumentError(f"moment order must be finite and >= 2, got {order}")
     if particles < 1:
         raise StudyArgumentError(f"need at least 1 particle, got {particles}")
-    ladder, fine_mesh, factors = _ladder(deltas, min(deltas), horizon)
+    ladder, fine_mesh, factors = _ladder(deltas, min(deltas, default=horizon), horizon)
     if len(factors) < 2:
         raise StudyArgumentError(f"a refinement ratio needs at least two distinct deltas, got {ladder}")
     root = StreamKey.coerce(seed)

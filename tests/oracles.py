@@ -24,7 +24,7 @@ from mvfbm.simulator import (
     _snapshot_plan,
     em_step,
 )
-from mvfbm.streams import StreamKey, child_seed_words, seeded_generator
+from mvfbm.streams import StreamArray, StreamKey, child_seed_words, seeded_generator
 
 
 @functools.cache
@@ -82,8 +82,8 @@ def mean_reverting_limit_variance(hurst: float, mesh: UniformMesh, rate: float, 
 
 def increment_ensemble(sampler, paths: int, seed: int) -> np.ndarray:
     """(paths, steps) increments of one component, path p drawn from child(p) of the seed."""
-    root = StreamKey(seed)
-    return sampler.sample_ensemble(1, [root.child(p) for p in range(paths)])[:, :, 0]
+    streams = StreamArray(StreamKey(seed), np.arange(paths)[:, None])
+    return sampler.sample_ensemble(1, streams)[:, :, 0]
 
 
 def path_values(increments: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -175,16 +175,6 @@ def numpy_draws(seed: int, spawn_key: tuple) -> np.ndarray:
     """Eight normals from numpy's own SeedSequence at (seed, spawn_key)."""
     sequence = np.random.SeedSequence(seed, spawn_key=spawn_key)
     return np.random.default_rng(sequence).standard_normal(8)
-
-
-def assert_bulk_matches_numpy(keys, components):
-    """The bulk seed words of every key and component draw numpy's own bits."""
-    words = child_seed_words(keys, components)
-    assert words.shape == (components, len(keys), 4)
-    for j in range(components):
-        for p, key in enumerate(keys):
-            got = seeded_generator(words[j, p]).standard_normal(8)
-            assert got.tobytes() == numpy_draws(key.seed, key.path + (j,)).tobytes(), (key, j)
 
 
 def assert_array_matches_numpy(streams, components):

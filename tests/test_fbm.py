@@ -23,7 +23,7 @@ from mvfbm.fbm import (
     check_hurst,
     increment_covariance_matrix,
 )
-from mvfbm.streams import StreamKey
+from mvfbm.streams import StreamArray, StreamKey
 from oracles import (block_sums, covariance_zscores, increment_ensemble, increment_law_zscores,
                      path_values, two_sample_zscores)
 
@@ -132,7 +132,8 @@ class TestIncrementCovarianceMatrix:
 
 def _path(sampler_cls, hurst: float, mesh: UniformMesh, dimension: int, stream: StreamKey) -> np.ndarray:
     """Increments (steps, d) of one path drawn from ``stream`` through sample_ensemble."""
-    return sampler_cls(hurst, mesh).sample_ensemble(dimension, [stream])[0]
+    one_path = StreamArray(stream, np.empty((1, 0), np.int64))  # its one path is the root
+    return sampler_cls(hurst, mesh).sample_ensemble(dimension, one_path)[0]
 
 
 class TestSamplers:
@@ -150,10 +151,10 @@ class TestSamplers:
     @pytest.mark.parametrize("name", ["cholesky", "circulant"])
     def test_bit_identical_for_same_seed(self, name):
         mesh = UniformMesh(1.0, 128)
-        stream = StreamKey(5).child(9)
+        streams = StreamArray(StreamKey(5), np.array([[9]]))
         sampler = SAMPLERS[name](0.8, mesh)
-        a = sampler.sample_ensemble(3, [stream])
-        b = sampler.sample_ensemble(3, [stream])
+        a = sampler.sample_ensemble(3, streams)
+        b = sampler.sample_ensemble(3, streams)
         assert np.array_equal(a, b)
 
     def test_seed_changes_path(self):
@@ -166,8 +167,8 @@ class TestSamplers:
         # lag-0 cross-correlation between components should vanish
         mesh = UniformMesh(1.0, 16)
         sampler = CirculantSampler(0.7, mesh)
-        root = StreamKey(11)
-        paths = sampler.sample_ensemble(2, [root.child(p) for p in range(4000)])  # (P, n, 2)
+        streams = StreamArray(StreamKey(11), np.arange(4000)[:, None])
+        paths = sampler.sample_ensemble(2, streams)  # (P, n, 2)
         cross = np.mean(paths[:, :, 0] * paths[:, :, 1], axis=0)
         scale = mesh.delta ** (2 * 0.7)
         # Var(xy) = scale^2 for independent components, so the standard error is exact
@@ -289,7 +290,7 @@ class TestThreads:
 
     def _sample(self, dimension, threads, out=None):
         sampler = CirculantSampler(0.3, UniformMesh(1.0, self.STEPS))
-        streams = [StreamKey(2024, (0, 1, i)) for i in range(self.PATHS)]
+        streams = StreamArray(StreamKey(2024), np.array([(0, 1, i) for i in range(self.PATHS)]))
         return sampler.sample_ensemble(dimension, streams, out=out, threads=threads)
 
     @pytest.mark.parametrize("dimension", [1, 2])
@@ -345,7 +346,7 @@ class TestThreads:
 def test_one_lane_starts_no_thread(monkeypatch):
     # 29 paths of 32 steps fill one FFT block, so two threads get one lane too
     sampler = CirculantSampler(0.3, UniformMesh(1.0, 32))
-    streams = [StreamKey(2024, (0, 1, i)) for i in range(29)]
+    streams = StreamArray(StreamKey(2024), np.array([(0, 1, i) for i in range(29)]))
     expected = sampler.sample_ensemble(2, streams, threads=1).tobytes()
 
     def refuse(*args, **kwargs):

@@ -18,6 +18,10 @@ def test_order_requires_two():
         coupled_upper_bound(mu, nu, 1.5)
     with pytest.raises(ValueError):
         wasserstein_1d_exact(mu, nu, 1.5)
+    for distance in (coupled_upper_bound, wasserstein_1d_exact):
+        for order in ("nan", "inf"):
+            with pytest.raises(ValueError, match=f"must be finite and >= 2, got {order}"):
+                distance(mu, nu, float(order))
 
 
 def test_atoms_shape_normalized():

@@ -1,5 +1,7 @@
-"""Every exported name resolves, in each module and in the package namespace."""
+"""Every exported name resolves, in each module and in the package namespace,
+and the package imports nothing at run time but the standard library and numpy."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -64,3 +66,17 @@ print(sorted({{"multiprocessing", "concurrent.futures", "logging"}} & sys.module
     done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    allowed = sys.stdlib_module_names | {"numpy"}
+    imported = set()
+    for source in Path(mvfbm.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Import):
+                imported |= {(source.name, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not a relative import
+                imported.add((source.name, node.module))
+    assert imported  # the scan found the modules' imports
+    assert sorted((name, module) for name, module in imported
+                  if module.partition(".")[0] not in allowed) == []

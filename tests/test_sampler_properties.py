@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mvfbm.simulator
@@ -24,8 +24,8 @@ from mvfbm.fbm import (
 )
 from mvfbm.model import preset_mean_reverting
 from mvfbm.simulator import SimulationConfig, _noise_streams, em_step, run_coupled_meshes
-from mvfbm.streams import StreamKey
-from oracles import assert_array_matches_numpy, assert_bulk_matches_numpy
+from mvfbm.streams import StreamArray, StreamKey
+from oracles import assert_array_matches_numpy
 
 hursts = st.floats(0.01, 0.99)
 
@@ -36,10 +36,30 @@ indices = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**100))
 keys = st.builds(StreamKey, seeds, st.lists(indices, max_size=6).map(tuple))
 
 
-@given(keys=st.lists(keys, min_size=1, max_size=12), components=st.integers(1, 3))
-def test_bulk_seeding_is_numpy_seed_sequence(keys, components):
-    # mixed seed sizes and path lengths in one call, each with the component appended
-    assert_bulk_matches_numpy(keys, components)
+@st.composite
+def stream_arrays(draw):
+    """A root of any seed and path, and int64 or uint64 rows whose indices
+    take one or two words, mixed in one call; possibly no rows or no columns."""
+    dtype = draw(st.sampled_from([np.int64, np.uint64]))
+    top = int(np.iinfo(dtype).max)
+    index = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, top))
+    paths, width = draw(st.integers(0, 8)), draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(index, min_size=width, max_size=width),
+                         min_size=paths, max_size=paths))
+    return StreamArray(draw(keys), np.array(rows, dtype).reshape(paths, width))
+
+
+@given(streams=stream_arrays(), components=st.integers(1, 3))
+@example(streams=StreamArray(StreamKey(2**130 + 7, (7, 2**40, 0, 2**64 + 1)),
+                             np.array([[0, 2**32, 5], [2**64 - 1, 1, 2**32 - 1], [3, 1, 2]],
+                                      np.uint64)),
+         components=3)
+@example(streams=StreamArray(StreamKey(2**64 - 1, (2**32,)), np.empty((0, 2), np.int64)),
+         components=2)  # no rows
+@example(streams=StreamArray(StreamKey(0), np.empty((3, 0), np.int64)), components=2)  # no columns
+def test_bulk_seeding_is_numpy_seed_sequence(streams, components):
+    # seeds and root paths of every size; each row with the component appended
+    assert_array_matches_numpy(streams, components)
 
 
 # the roots a study hands its runs: the master key, chaos's reference child(0)
@@ -55,7 +75,7 @@ roots = st.one_of(
        reps=st.integers(1, 3), particles=st.integers(1, 4), components=st.integers(1, 3))
 def test_array_seeding_is_numpy_seed_sequence(root, first, reps, particles, components):
     # a batch of replications first .. first + reps - 1, which need not start at 0;
-    # past 2^32 - 1 a replication index takes two words, and the array is hashed key by key
+    # past 2^32 - 1 a replication index takes two words, which is a second word pattern
     config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 2), particles, root,
                               range(first, first + reps))
     assert_array_matches_numpy(_noise_streams(config), components)
@@ -124,9 +144,9 @@ def _classical_increments(hurst, mesh, dimension, streams):
     eigenvalues = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
     root = np.sqrt(np.clip(eigenvalues, 0.0, None))
     out = np.empty((len(streams), m, dimension))
-    for p, stream in enumerate(streams):
+    for p, row in enumerate(streams.index.tolist()):
         for j in range(dimension):
-            z = stream.child(j).generator().standard_normal(size)
+            z = streams.root.child(*row, j).generator().standard_normal(size)
             w = np.zeros(size, dtype=complex)
             w[0] = root[0] * z[0]
             w[m] = root[m] * z[1]
@@ -141,7 +161,7 @@ def _classical_increments(hurst, mesh, dimension, streams):
        dimension=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
 def test_circulant_matches_the_classical_fft(hurst, steps, rows, dimension, seed):
     mesh = UniformMesh(1.0, steps)
-    streams = [StreamKey(seed).child(p) for p in range(rows)]
+    streams = StreamArray(StreamKey(seed), np.arange(rows)[:, None])
     got = CirculantSampler(hurst, mesh).sample_ensemble(dimension, streams)
     expected = _classical_increments(hurst, mesh, dimension, streams)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()

@@ -31,7 +31,7 @@ from mvfbm.simulator import (
     run,
     run_coupled_meshes,
 )
-from mvfbm.streams import StreamKey
+from mvfbm.streams import StreamArray, StreamKey
 from mvfbm.study import fit_loglog_slope
 from oracles import (mean_reverting_limit_variance, per_mesh_ladder, reverting_drift, w2_to_gaussian,
                      zero_drift)
@@ -153,7 +153,8 @@ class TestRun:
 
         sampler = CirculantSampler(0.7, config.mesh)
         for i in range(6):
-            increments = sampler.sample_ensemble(1, [StreamKey(13).child(0, 1, i)])[0]
+            stream = StreamArray(StreamKey(13), np.array([[0, 1, i]]))
+            increments = sampler.sample_ensemble(1, stream)[0]
             expected = x0 + xi * increments.sum()
             assert record.terminal[i, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -380,7 +381,8 @@ class TestDriverStreams:
                                   range(5, 7))
         streams = _noise_streams(config)
         assert len(streams) == 6
-        assert list(streams) == [root.child(m, 1, i) for m in (5, 6) for i in range(3)]
+        assert streams.root == root
+        assert streams.index.tolist() == [[m, 1, i] for m in (5, 6) for i in range(3)]
 
     def test_a_batch_builds_no_key_per_path(self, monkeypatch):
         config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 8), 50, 7, range(3))

@@ -1,26 +1,30 @@
 """The bulk seeding path against numpy's own SeedSequence (the property
-version is in test_sampler_properties.py).
+version is in test_sampler_properties.py), and what it costs.
 
-``child_seed_words`` re-implements SeedSequence's hash, vectorized over many
-keys; a generator seeded by its words must draw what
-``default_rng(SeedSequence(seed, spawn_key=path + (j,)))`` draws, bit for
-bit, for every seed size and every path.
+``child_seed_words`` re-implements SeedSequence's hash, vectorized over the
+rows of a ``StreamArray``; a generator seeded by its words must draw what
+``default_rng(SeedSequence(seed, spawn_key=path + (*row, j)))`` draws, bit
+for bit, for every seed size and every path.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mvfbm.streams import StreamArray, StreamKey, _entropy, _pool_state, seeded_generator
-from oracles import assert_array_matches_numpy, assert_bulk_matches_numpy, numpy_draws
+import mvfbm.streams
+from mvfbm.fbm import UniformMesh
+from mvfbm.model import preset_mean_reverting
+from mvfbm.simulator import SimulationConfig, _noise_streams
+from mvfbm.streams import (StreamArray, StreamKey, _entropy, _pool_state, child_seed_words,
+                           seeded_generator)
+from oracles import assert_array_matches_numpy, numpy_draws
 
 # 0, one word, two words, three words, and five words (longer than the pool)
 SEEDS = (0, 2024, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 12345, 2**130 + 7)
-PATHS = ((), (0,), (3, 1), (2**32, 1, 5), (7, 2**40, 0, 2**64 + 1), (1, 2, 3, 4, 5), (9, 8, 7, 6, 5, 2**32))
-
-
-def test_mixed_seeds_and_paths_in_one_call():
-    keys = [StreamKey(seed, path) for seed in SEEDS for path in PATHS]
-    assert_bulk_matches_numpy(keys, components=3)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -47,7 +51,7 @@ def test_negative_seed_rejected():
 @pytest.mark.parametrize("index", [
     np.arange(5)[:, None],  # covariance_check's paths
     np.array([[0, 1, 2**32 - 1], [7, 1, 0]]),
-    np.array([[2**32, 1, 0], [3, 1, 2**40]]),  # indices of two words, hashed key by key
+    np.array([[2**32, 1, 0], [3, 1, 2**40]]),  # indices of two words: two word patterns
     np.array([[2**64 - 1], [0]], np.uint64),
     np.empty((3, 0), np.int64),  # every path is the root
 ], ids=["one-column", "one-word", "two-words", "uint64", "no-columns"])
@@ -55,7 +59,6 @@ def test_negative_seed_rejected():
 def test_array_rows_seed_as_their_keys(root, index):
     streams = StreamArray(root, index)
     assert len(streams) == len(index)
-    assert list(streams) == [root.child(*row) for row in index.tolist()]
     assert_array_matches_numpy(streams, components=2)
 
 
@@ -67,3 +70,48 @@ def test_array_rows_seed_as_their_keys(root, index):
 def test_array_rejects_what_is_no_index(index, match):
     with pytest.raises(ValueError, match=match):
         StreamArray(StreamKey(0), index)
+
+
+def _count_passes(monkeypatch) -> list:
+    """The entropy shape of every ``_pool_state`` call from here on."""
+    passes, hash_pass = [], _pool_state
+    monkeypatch.setattr(mvfbm.streams, "_pool_state",
+                        lambda entropy: passes.append(entropy.shape) or hash_pass(entropy))
+    return passes
+
+
+def test_a_desk_batch_is_hashed_in_one_pass(monkeypatch):
+    # 10 replications of 200 particles, one component: every index fits one word
+    config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 2), 200, 2024,
+                              range(10))
+    passes = _count_passes(monkeypatch)
+    assert child_seed_words(_noise_streams(config), 1).shape == (1, 2000, 4)
+    assert passes == [(4 + 3 + 1, 2000)]  # the seed's padded words, the row, the component
+
+
+def test_one_pass_per_word_pattern(monkeypatch):
+    index = np.array([[0, 2**32], [1, 2], [2**40, 3], [4, 2**33], [5, 6]], np.uint64)
+    passes = _count_passes(monkeypatch)
+    assert_array_matches_numpy(StreamArray(StreamKey(9), index), components=2)
+    # two one-word rows, two rows whose second index takes two words, and one
+    # whose first does: each group hashed once, 2 components per row
+    assert sorted(passes) == [(4 + 2 + 1, 4), (4 + 3 + 1, 2), (4 + 3 + 1, 4)]
+
+
+def test_seeding_leaves_numpy_ma_unloaded():
+    # grouping the rows with np.unique would import numpy.ma: about 1 MB of peak RSS
+    code = """
+import sys
+import numpy as np
+from mvfbm.fbm import UniformMesh
+from mvfbm.model import preset_mean_reverting
+from mvfbm.simulator import SimulationConfig, _drivers
+from mvfbm.streams import StreamArray, StreamKey, child_seed_words
+_drivers(SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 8), 20, 3, range(2)), 1)
+child_seed_words(StreamArray(StreamKey(3), np.array([[1, 2**40], [2**33, 0]], np.uint64)), 2)
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(mvfbm.streams.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.splitlines()[-1] == "False"

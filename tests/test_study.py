@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,21 @@ class TestStrongErrorStudy:
                 deltas=deltas, reference_delta=REFERENCE, seed=0, workers=workers,
             )
 
+    @pytest.mark.parametrize(
+        "deltas, reference",
+        [((0.0, 2.0**-3), REFERENCE), ((math.nan, 2.0**-3), REFERENCE),
+         ((math.inf, 2.0**-3), REFERENCE), (DELTAS, 0.0), (DELTAS, math.nan)],
+        ids=["zero-delta", "nan-delta", "infinite-delta", "zero-reference", "nan-reference"],
+    )
+    def test_nonpositive_delta_rejected_before_any_run(self, monkeypatch, deltas, reference):
+        monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
+        message = f"deltas must be positive and finite, got {list(deltas)}, reference {reference}"
+        with pytest.raises(StudyArgumentError, match=re.escape(message)):
+            strong_error_study(
+                preset_mean_reverting(), 0.5, particles=4, replications=2,
+                deltas=deltas, reference_delta=reference, seed=0,
+            )
+
     def test_minimum_replications(self):
         with pytest.raises(StudyArgumentError):
             strong_error_study(
@@ -274,6 +290,13 @@ class TestChaosStudy:
         with pytest.raises(StudyArgumentError, match="theta"):
             chaos_study(preset_mean_reverting(), 0.5, self.MESH, [4, 8], 2, 1.5, 0)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_unbounded_order_rejected_before_any_run(self, monkeypatch, theta):
+        monkeypatch.setattr(mvfbm.study, "run", _must_not_run)
+        monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
+        with pytest.raises(StudyArgumentError, match=f"theta must be finite and >= 2, got {theta}"):
+            chaos_study(preset_mean_reverting(), 0.5, self.MESH, [4, 8], 2, theta, 0)
+
     @pytest.mark.parametrize(
         "counts, replications, workers, match",
         [([8], 2, 1, "two particle counts"), ([4, 8], 0, 1, "at least 1 replication"),
@@ -351,13 +374,25 @@ class TestMomentBoundCheck:
 
     @pytest.mark.parametrize(
         "deltas, match",
-        [((2.0**-3,), "two distinct deltas"), ((2.0**-3, 2.0**-3), "delta 0.125 is repeated")],
-        ids=["one-delta", "one-distinct-delta"],
+        [((2.0**-3,), "two distinct deltas"), ((2.0**-3, 2.0**-3), "delta 0.125 is repeated"),
+         ((), r"two distinct deltas, got \[\]"),
+         ((0.0, 0.5), r"positive and finite, got \[0.0, 0.5\], reference 0.0"),
+         ((math.nan, 0.5), r"positive and finite, got \[nan, 0.5\], reference nan"),
+         ((0.5, math.inf), r"positive and finite, got \[0.5, inf\], reference 0.5")],
+        ids=["one-delta", "one-distinct-delta", "no-deltas", "zero-delta", "nan-delta",
+             "infinite-delta"],
     )
     def test_ratioless_ladder_rejected_before_any_run(self, monkeypatch, deltas, match):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
         with pytest.raises(StudyArgumentError, match=match):
             moment_bound_check(preset_mean_reverting(), 0.5, deltas, 4, order=2.0, seed=0)
+
+    @pytest.mark.parametrize("order", [math.nan, math.inf])
+    def test_unbounded_order_rejected_before_any_run(self, monkeypatch, order):
+        monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
+        message = f"moment order must be finite and >= 2, got {order}"
+        with pytest.raises(StudyArgumentError, match=message):
+            moment_bound_check(preset_mean_reverting(), 0.5, DELTAS, 4, order=order, seed=0)
 
     def test_no_particles_rejected_before_any_run(self, monkeypatch):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
