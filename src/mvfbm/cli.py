@@ -219,7 +219,7 @@ class RunConfig:
     snapshots: str = _option("terminal", str, "trajectory retention (simulate)", SNAPSHOT_POLICIES)
     workers: int = _option(
         1, int, "parallel worker processes for replications; each process's driver sampler "
-        "uses usable-cores // workers threads (at least 1)", valid=_AT_LEAST_1,
+        "uses its usable cores", valid=_AT_LEAST_1,
     )
     outdir: str = _option("runs", str, "output directory root (default runs/)")
     label: str = _option("", str, "run directory name (default <command>-<timestamp>)")

@@ -26,11 +26,11 @@ stream per path component, and are deterministic given (H, mesh, d, stream).
 A call's paths are one :class:`~mvfbm.streams.StreamArray`, a root key and
 one index row per path.  The circulant sampler seeds all streams of a call
 in one vectorized pass per word pattern, bit-identical to
-``StreamKey.generator()``.  It deals its FFT blocks to up to ``threads``
-plain ``threading`` threads, by default one per usable core: numpy
-releases the interpreter lock inside the normal draws and the FFT, and
-each path's variates do not depend on which thread or block computes
-them, so the thread count never changes a bit.
+``StreamKey.generator()``.  It deals its FFT blocks to plain ``threading``
+threads, one per usable core of the process that calls it: numpy releases
+the interpreter lock inside the normal draws and the FFT, and each path's
+variates do not depend on which thread or block computes them, so the
+thread count never changes a bit.
 
 Only the finest mesh of a ladder is drawn: the simulator steps each coarse
 mesh on left-to-right sums of blocks of the fine increments, which it adds
@@ -218,8 +218,7 @@ class CirculantSampler:
         self._scale = scale
 
     def sample_ensemble(self, dimension: int, streams: StreamArray, *,
-                        out: "np.ndarray | None" = None,
-                        threads: "int | None" = None) -> np.ndarray:
+                        out: "np.ndarray | None" = None) -> np.ndarray:
         """Increments of one path per row of ``streams``, shape (len(streams), n, d).
 
         Component j of row r draws 2m normals z from ``streams.root.child(*r, j)``:
@@ -232,8 +231,8 @@ class CirculantSampler:
         strided view, that receives the increments and is returned.  The
         FFT runs over blocks of rows whose work arrays share a fixed byte
         budget, so they stay small however many paths are drawn.
-        ``threads`` (default: ``usable_cores()``) caps the threads the
-        blocks are dealt to, round-robin; with one, no thread is started.
+        The blocks are dealt round-robin to up to ``usable_cores()``
+        threads; with one lane, no thread is started.
         The calling thread draws nothing while the threads run: it joins
         them all, then raises the failure of the first lane that failed.
 
@@ -248,9 +247,7 @@ class CirculantSampler:
             out = np.empty(shape)
         elif out.shape != shape:
             raise ValueError(f"out has shape {out.shape}, expected {shape}")
-        threads = usable_cores() if threads is None else threads
-        if threads < 1:
-            raise ValueError(f"threads must be at least 1, got {threads}")
+        threads = usable_cores()
         seeds = child_seed_words(streams, dimension)
         rows = max(1, _FFT_BLOCK_BYTES // threads // (16 * (m + 1)))
         starts = range(0, len(streams), rows)

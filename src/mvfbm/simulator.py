@@ -196,19 +196,18 @@ def _noise_streams(config: SimulationConfig) -> StreamArray:
     return StreamArray(StreamKey.coerce(config.seed), index.reshape(reps * particles, 3))
 
 
-def _drivers(config: SimulationConfig, threads: "int | None") -> np.ndarray:
+def _drivers(config: SimulationConfig) -> np.ndarray:
     """Per-particle exact fBm increments of the whole batch, shape (steps, R*N, d).
 
-    A sampler of (H, mesh), built for this batch, draws it on up to
-    ``threads`` threads, from the streams of ``_noise_streams``.
+    A sampler of (H, mesh), built for this batch, draws it from the streams
+    of ``_noise_streams``.
     """
     sampler = CirculantSampler(config.hurst, config.mesh)
     streams = _noise_streams(config)
     drivers = np.empty((config.mesh.steps, len(streams), config.model.dimension))
     # the sampler writes its (R*N, steps, d) rows straight into the step-major array,
     # so the batch never holds a second, transposed copy of its drivers
-    sampler.sample_ensemble(config.model.dimension, streams, out=np.swapaxes(drivers, 0, 1),
-                            threads=threads)
+    sampler.sample_ensemble(config.model.dimension, streams, out=np.swapaxes(drivers, 0, 1))
     return drivers
 
 
@@ -267,8 +266,7 @@ def run(config: SimulationConfig, snapshots: str = "terminal") -> TrajectoryReco
 
 
 def run_coupled_meshes(
-    config: SimulationConfig, factors: Sequence[int], snapshots: str = "terminal", *,
-    threads: "int | None" = None,
+    config: SimulationConfig, factors: Sequence[int], snapshots: str = "terminal",
 ) -> dict[int, TrajectoryRecord]:
     """Run the scheme on nested meshes sharing one set of fine drivers.
 
@@ -283,8 +281,7 @@ def run_coupled_meshes(
     one ``em_step`` per run of consecutive such meshes.  Each mesh keeps
     the snapshots of ``snapshots`` at its own step indices.  If meshes blow
     up, the smallest factor's blow-up is raised, with its first non-finite
-    step and row.  ``threads`` caps the driver sampler's threads (default:
-    one per usable core); it never changes a bit.
+    step and row.
     """
     ladder = sorted(set(int(f) for f in factors) | {1})
     meshes = [config.mesh.coarsen(f) for f in ladder]
@@ -297,7 +294,7 @@ def run_coupled_meshes(
         for j in kept_steps:
             shots.setdefault(j * factor, []).append(slot)
     initial = _initial_states(config)
-    drivers = _drivers(config, threads)  # (steps, R*N, d)
+    drivers = _drivers(config)  # (steps, R*N, d)
     states = np.tile(initial, (len(ladder), 1))
     increments = np.empty_like(states)
     increment_slots = increments.reshape(len(ladder), width, -1)

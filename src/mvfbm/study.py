@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fbm import CirculantSampler, UniformMesh, check_hurst, increment_covariance_matrix, usable_cores
+from .fbm import CirculantSampler, UniformMesh, check_hurst, increment_covariance_matrix
 from .measure import EmpiricalMeasure, coupled_upper_bound, wasserstein_1d_exact
 from .model import ModelSpec
 from .reports import ChaosReport, ConvergenceReport, CovarianceCheckReport, MomentReport, NonFiniteError
@@ -91,9 +91,9 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
 def _ladder(deltas: Sequence[float], fine_delta: float,
             horizon: float) -> tuple[list[float], UniformMesh, list[int]]:
     """The deltas coarse to fine, the fine mesh, and each delta's factor on it."""
-    if not all(0.0 < float(delta) < math.inf for delta in (fine_delta, *deltas)):  # NaN fails too
-        raise StudyArgumentError(f"deltas must be positive and finite, got {list(deltas)}, "
-                                 f"reference {fine_delta}")
+    if not all(0.0 < float(value) < math.inf for value in (horizon, fine_delta, *deltas)):  # NaN fails too
+        raise StudyArgumentError(f"horizon and deltas must be positive and finite, got {list(deltas)}, "
+                                 f"reference {fine_delta}, horizon {horizon}")
     steps = int(round(horizon / fine_delta))
     if steps < 1 or not math.isclose(steps * fine_delta, horizon, rel_tol=1e-12):
         raise StudyArgumentError(f"delta {fine_delta} does not divide the horizon {horizon}")
@@ -122,12 +122,11 @@ def _batches(config: SimulationConfig, replications: int, workers: int) -> list[
     ]
 
 
-def _batch_terminals(factors: Sequence[int], threads: int,
+def _batch_terminals(factors: Sequence[int],
                      config: SimulationConfig) -> "list[np.ndarray] | NumericalBlowup":
-    """The batch's terminal states on each factor's mesh, or its blow-up;
-    its drivers are drawn on up to ``threads`` threads."""
+    """The batch's terminal states on each factor's mesh, or its blow-up."""
     try:
-        records = run_coupled_meshes(config, factors, snapshots="terminal", threads=threads)
+        records = run_coupled_meshes(config, factors, snapshots="terminal")
     except NumericalBlowup as exc:
         return exc
     return [records[f].terminal for f in factors]
@@ -144,9 +143,7 @@ def _run_batches(configs: Sequence[SimulationConfig], factors: Sequence[int],
     """
     # a forked pool starts all of its workers at once: start no more than there are batches
     workers = min(workers, len(configs))
-    # the workers share the usable cores.  A sampler call joins its threads before it
-    # returns, so the pool forks a process that runs a single thread
-    task = partial(_batch_terminals, tuple(factors), max(1, usable_cores() // workers))
+    task = partial(_batch_terminals, tuple(factors))
     if workers <= 1:
         results = [task(config) for config in configs]
     else:
@@ -380,7 +377,10 @@ def covariance_check(
     hurst = check_hurst(hurst)
     if paths < 1:
         raise StudyArgumentError(f"need at least 1 path, got {paths}")
-    mesh = UniformMesh(horizon, steps)
+    try:
+        mesh = UniformMesh(horizon, steps)
+    except ValueError as exc:
+        raise StudyArgumentError(str(exc)) from None
     root = StreamKey.coerce(seed)
     gamma = increment_covariance_matrix(hurst, mesh)[0].copy()
     # |gamma(k)| <= gamma(0), so every standard error lies between

@@ -151,7 +151,7 @@ def per_mesh_ladder(config, factors, snapshots: str = "terminal") -> dict:
     step, and a mesh that blows up raises its first non-finite step and row.
     The same records as ``run_coupled_meshes``, {factor: TrajectoryRecord}."""
     initial = _initial_states(config)
-    fine = _drivers(config, None)
+    fine = _drivers(config)
     records = {}
     for factor in sorted(set(factors) | {1}):
         mesh = config.mesh.coarsen(factor)

@@ -56,14 +56,14 @@ def studies(draw):
 
 def _report_csv(study, batch, fft_rows=None, threads=1):
     """The study's CSV with ``batch`` replications per batch, ``threads``
-    sampler threads (its one worker sees that many usable cores) and, if
-    given, an FFT budget of ``fft_rows`` paths."""
+    usable cores for the sampler and, if given, an FFT budget of
+    ``fft_rows`` paths."""
     steps, particles = study["steps"], study["particles"]
     budget = batch * particles * steps * study["model"].dimension * 8
     fft_bytes = mvfbm.fbm._FFT_BLOCK_BYTES if fft_rows is None else fft_rows * 16 * (steps + 1)
     with mock.patch.object(mvfbm.study, "_BATCH_BYTES", budget), \
             mock.patch.object(mvfbm.fbm, "_FFT_BLOCK_BYTES", fft_bytes), \
-            mock.patch.object(mvfbm.study, "usable_cores", lambda: threads):
+            mock.patch.object(mvfbm.fbm, "usable_cores", lambda: threads):
         return strong_error_study(
             study["model"], study["hurst"], particles, study["replications"],
             [f / steps for f in study["factors"]], 1.0 / steps, study["seed"],

@@ -284,14 +284,15 @@ class TestCirculantEmbedding:
 
 class TestThreads:
     """The sampler's threads change no bit and hide no failure.  Every test
-    passes ``threads`` itself, so it holds whatever cores the host has."""
+    sets the usable cores itself, so it holds whatever cores the host has."""
 
     STEPS, PATHS = 32, 29  # 29 paths: no block size used here divides them
 
-    def _sample(self, dimension, threads, out=None):
+    def _sample(self, monkeypatch, dimension, threads, out=None):
+        monkeypatch.setattr(mvfbm.fbm, "usable_cores", lambda: threads)
         sampler = CirculantSampler(0.3, UniformMesh(1.0, self.STEPS))
         streams = StreamArray(StreamKey(2024), np.array([(0, 1, i) for i in range(self.PATHS)]))
-        return sampler.sample_ensemble(dimension, streams, out=out, threads=threads)
+        return sampler.sample_ensemble(dimension, streams, out=out)
 
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("block_rows", [1, 6, None], ids=["1-row", "6-rows", "default"])
@@ -300,13 +301,13 @@ class TestThreads:
         if block_rows is not None:
             monkeypatch.setattr(mvfbm.fbm, "_FFT_BLOCK_BYTES", block_rows * 16 * (self.STEPS + 1))
         before = threading.active_count()
-        expected = self._sample(dimension, threads=1).tobytes()
+        expected = self._sample(monkeypatch, dimension, threads=1).tobytes()
         for threads in (1, 2, 3):
-            assert self._sample(dimension, threads).tobytes() == expected, threads
+            assert self._sample(monkeypatch, dimension, threads).tobytes() == expected, threads
             # the strided step-major view that the simulator's _drivers passes
             drivers = np.empty((self.STEPS, self.PATHS, dimension))
             view = np.swapaxes(drivers, 0, 1)
-            assert self._sample(dimension, threads, out=view) is view
+            assert self._sample(monkeypatch, dimension, threads, out=view) is view
             assert view.tobytes() == expected, threads
         assert threading.active_count() == before  # every call joins its threads
 
@@ -322,7 +323,7 @@ class TestThreads:
         monkeypatch.setattr(mvfbm.fbm, "seeded_generator", failing)
         before = threading.active_count()
         with pytest.raises(ArithmeticError) as raised:
-            self._sample(1, threads=2)
+            self._sample(monkeypatch, 1, threads=2)
         assert raised.value is failure
         assert callers and threading.main_thread() not in callers
         assert threading.active_count() == before
@@ -334,27 +335,27 @@ class TestThreads:
             monkeypatch.setattr(os, "cpu_count", lambda: count)
             assert mvfbm.fbm.usable_cores() == cores
 
-    def test_wrong_out_shape_raises_value_error(self):
+    def test_wrong_out_shape_raises_value_error(self, monkeypatch):
         before = threading.active_count()
         with pytest.raises(ValueError, match=r"out has shape \(29, 32, 2\), expected \(29, 32, 1\)"):
-            self._sample(1, threads=2, out=np.empty((self.PATHS, self.STEPS, 2)))
-        with pytest.raises(ValueError, match="threads must be at least 1, got 0"):
-            self._sample(1, threads=0)
+            self._sample(monkeypatch, 1, threads=2, out=np.empty((self.PATHS, self.STEPS, 2)))
         assert threading.active_count() == before
 
 
 def test_one_lane_starts_no_thread(monkeypatch):
-    # 29 paths of 32 steps fill one FFT block, so two threads get one lane too
+    # 29 paths of 32 steps fill one FFT block, so two cores get one lane too
     sampler = CirculantSampler(0.3, UniformMesh(1.0, 32))
     streams = StreamArray(StreamKey(2024), np.array([(0, 1, i) for i in range(29)]))
-    expected = sampler.sample_ensemble(2, streams, threads=1).tobytes()
+    monkeypatch.setattr(mvfbm.fbm, "usable_cores", lambda: 1)
+    expected = sampler.sample_ensemble(2, streams).tobytes()
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sampler call of one lane started a thread")
 
     monkeypatch.setattr(mvfbm.fbm.threading, "Thread", refuse)
-    for threads in (1, 2):
-        assert sampler.sample_ensemble(2, streams, threads=threads).tobytes() == expected
+    for cores in (1, 2):
+        monkeypatch.setattr(mvfbm.fbm, "usable_cores", lambda: cores)
+        assert sampler.sample_ensemble(2, streams).tobytes() == expected
 
 
 class TestRestriction:

@@ -108,9 +108,9 @@ def _coarse_increments(drivers: np.ndarray, factor: int) -> np.ndarray:
             received.append(increments[-particles:, 0].copy())
         return em_step(ensemble, model, delta, increments)
 
-    with mock.patch.object(mvfbm.simulator, "_drivers", lambda config, threads: drivers[:, :, None]), \
+    with mock.patch.object(mvfbm.simulator, "_drivers", lambda config: drivers[:, :, None]), \
             mock.patch.object(mvfbm.simulator, "em_step", recording_step):
-        run_coupled_meshes(config, [factor], threads=1)
+        run_coupled_meshes(config, [factor])
     return np.stack(received)
 
 

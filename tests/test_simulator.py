@@ -357,15 +357,16 @@ class TestCoupledMeshes:
         assert _blowup_fields(excinfo.value) == (64, 20, 0, 0)
         run(config)
 
-    def test_coarse_meshes_hold_no_driver_array(self):
+    def test_coarse_meshes_hold_no_driver_array(self, monkeypatch):
         # the fine drivers are the one driver array: a factor-2 mesh's own increments
         # would add half of it
+        monkeypatch.setattr(mvfbm.fbm, "usable_cores", lambda: 1)
         config = SimulationConfig(preset_mean_reverting(), 0.7, UniformMesh(1.0, 1024), 500, 5,
                                   replications=range(2))
         drivers = 1024 * 1000 * 8
         tracemalloc.start()
         try:
-            run_coupled_meshes(config, [2], threads=1)
+            run_coupled_meshes(config, [2])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -389,7 +390,7 @@ class TestDriverStreams:
         built = []
         check = StreamKey.__post_init__
         monkeypatch.setattr(StreamKey, "__post_init__", lambda key: built.append(key) or check(key))
-        _drivers(config, threads=1)
+        _drivers(config)
         assert [(key.seed, key.path) for key in built] == [(7, ())]  # the root alone
 
     def test_replications_past_int64_rejected(self):

@@ -107,7 +107,7 @@ from mvfbm.fbm import UniformMesh
 from mvfbm.model import preset_mean_reverting
 from mvfbm.simulator import SimulationConfig, _drivers
 from mvfbm.streams import StreamArray, StreamKey, child_seed_words
-_drivers(SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 8), 20, 3, range(2)), 1)
+_drivers(SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 8), 20, 3, range(2)))
 child_seed_words(StreamArray(StreamKey(3), np.array([[1, 2**40], [2**33, 0]], np.uint64)), 2)
 print("numpy.ma" in sys.modules)
 """

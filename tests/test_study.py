@@ -182,18 +182,22 @@ class TestStrongErrorStudy:
             )
 
     @pytest.mark.parametrize(
-        "deltas, reference",
-        [((0.0, 2.0**-3), REFERENCE), ((math.nan, 2.0**-3), REFERENCE),
-         ((math.inf, 2.0**-3), REFERENCE), (DELTAS, 0.0), (DELTAS, math.nan)],
-        ids=["zero-delta", "nan-delta", "infinite-delta", "zero-reference", "nan-reference"],
+        "deltas, reference, horizon",
+        [((0.0, 2.0**-3), REFERENCE, 1.0), ((math.nan, 2.0**-3), REFERENCE, 1.0),
+         ((math.inf, 2.0**-3), REFERENCE, 1.0), (DELTAS, 0.0, 1.0), (DELTAS, math.nan, 1.0),
+         (DELTAS, REFERENCE, math.inf), (DELTAS, REFERENCE, math.nan)],
+        ids=["zero-delta", "nan-delta", "infinite-delta", "zero-reference", "nan-reference",
+             "infinite-horizon", "nan-horizon"],
     )
-    def test_nonpositive_delta_rejected_before_any_run(self, monkeypatch, deltas, reference):
+    def test_nonpositive_delta_rejected_before_any_run(self, monkeypatch, deltas, reference,
+                                                       horizon):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
-        message = f"deltas must be positive and finite, got {list(deltas)}, reference {reference}"
+        message = (f"horizon and deltas must be positive and finite, got {list(deltas)}, "
+                   f"reference {reference}, horizon {horizon}")
         with pytest.raises(StudyArgumentError, match=re.escape(message)):
             strong_error_study(
                 preset_mean_reverting(), 0.5, particles=4, replications=2,
-                deltas=deltas, reference_delta=reference, seed=0,
+                deltas=deltas, reference_delta=reference, seed=0, horizon=horizon,
             )
 
     def test_minimum_replications(self):
@@ -373,19 +377,23 @@ class TestMomentBoundCheck:
             moment_bound_check(preset_mean_reverting(), 0.5, DELTAS, 4, order=1.0, seed=0)
 
     @pytest.mark.parametrize(
-        "deltas, match",
-        [((2.0**-3,), "two distinct deltas"), ((2.0**-3, 2.0**-3), "delta 0.125 is repeated"),
-         ((), r"two distinct deltas, got \[\]"),
-         ((0.0, 0.5), r"positive and finite, got \[0.0, 0.5\], reference 0.0"),
-         ((math.nan, 0.5), r"positive and finite, got \[nan, 0.5\], reference nan"),
-         ((0.5, math.inf), r"positive and finite, got \[0.5, inf\], reference 0.5")],
+        "deltas, horizon, match",
+        [((2.0**-3,), 1.0, "two distinct deltas"),
+         ((2.0**-3, 2.0**-3), 1.0, "delta 0.125 is repeated"),
+         ((), 1.0, r"two distinct deltas, got \[\]"),
+         ((0.0, 0.5), 1.0, r"positive and finite, got \[0.0, 0.5\], reference 0.0"),
+         ((math.nan, 0.5), 1.0, r"positive and finite, got \[nan, 0.5\], reference nan"),
+         ((0.5, math.inf), 1.0, r"positive and finite, got \[0.5, inf\], reference 0.5"),
+         (DELTAS, math.inf, r"positive and finite, got .*, horizon inf$"),
+         (DELTAS, math.nan, r"positive and finite, got .*, horizon nan$")],
         ids=["one-delta", "one-distinct-delta", "no-deltas", "zero-delta", "nan-delta",
-             "infinite-delta"],
+             "infinite-delta", "infinite-horizon", "nan-horizon"],
     )
-    def test_ratioless_ladder_rejected_before_any_run(self, monkeypatch, deltas, match):
+    def test_ratioless_ladder_rejected_before_any_run(self, monkeypatch, deltas, horizon, match):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
         with pytest.raises(StudyArgumentError, match=match):
-            moment_bound_check(preset_mean_reverting(), 0.5, deltas, 4, order=2.0, seed=0)
+            moment_bound_check(preset_mean_reverting(), 0.5, deltas, 4, order=2.0, seed=0,
+                               horizon=horizon)
 
     @pytest.mark.parametrize("order", [math.nan, math.inf])
     def test_unbounded_order_rejected_before_any_run(self, monkeypatch, order):
@@ -416,6 +424,18 @@ class TestCovarianceCheck:
         monkeypatch.setattr(CirculantSampler, "sample_ensemble", _must_not_run)
         with pytest.raises(StudyArgumentError, match="at least 1 path, got 0"):
             covariance_check(0.7, steps=8, paths=0, seed=5)
+
+    @pytest.mark.parametrize(
+        "steps, horizon, match",
+        [(0, 1.0, "at least one step, got 0"), (-3, 1.0, "at least one step, got -3"),
+         (8, 0.0, "positive and finite, got 0.0"), (8, math.nan, "positive and finite, got nan"),
+         (8, math.inf, "positive and finite, got inf")],
+        ids=["no-steps", "negative-steps", "zero-horizon", "nan-horizon", "infinite-horizon"],
+    )
+    def test_bad_mesh_rejected_before_any_draw(self, monkeypatch, steps, horizon, match):
+        monkeypatch.setattr(CirculantSampler, "sample_ensemble", _must_not_run)
+        with pytest.raises(StudyArgumentError, match=match):
+            covariance_check(0.7, steps=steps, paths=8, seed=5, horizon=horizon)
 
     def test_negative_seed_rejected_before_any_draw(self, monkeypatch):
         # the words of a negative seed never end, so seeding it used to hang
@@ -460,16 +480,19 @@ BATCH_REPLICATIONS = 16
 BATCH_STEPS = 128  # reference mesh of the convergence runs, mesh of the chaos runs
 
 
-# (replications per batch, FFT rows, workers); the first is the unbatched run.
-# The batch sizes hold at the largest particle count of a run.
+# (replications per batch, FFT rows, workers, usable cores or None for the
+# host's); the first is the unbatched run.  The batch sizes hold at the
+# largest particle count of a run.  With three cores, each pool worker deals
+# its FFT blocks to three sampler threads whatever the host has.
 BATCH_VARIANTS = {
-    "batch-1": (1, 64, 1),
-    "batch-R": (BATCH_REPLICATIONS, 64, 1),
-    "batch-7": (7, 64, 1),
-    "fft-1": (BATCH_REPLICATIONS, 1, 1),
-    "fft-3": (7, 3, 1),
-    "fft-all": (BATCH_REPLICATIONS, 10**6, 1),
-    "workers-2": (7, 64, 2),
+    "batch-1": (1, 64, 1, None),
+    "batch-R": (BATCH_REPLICATIONS, 64, 1, None),
+    "batch-7": (7, 64, 1, None),
+    "fft-1": (BATCH_REPLICATIONS, 1, 1, None),
+    "fft-3": (7, 3, 1, None),
+    "fft-all": (BATCH_REPLICATIONS, 10**6, 1, None),
+    "workers-2": (7, 64, 2, None),
+    "workers-2-cores-3": (7, 64, 2, 3),
 }
 
 
@@ -479,12 +502,15 @@ def _batch_budget(replications, particles=BATCH_PARTICLES, dimension=1):
 
 
 def _csv_per_variant(monkeypatch, particles, dimension, study_call):
+    host_cores = mvfbm.fbm.usable_cores
     out = {}
-    for name, (replications, fft_rows, workers) in BATCH_VARIANTS.items():
+    for name, (replications, fft_rows, workers, cores) in BATCH_VARIANTS.items():
         budget = _batch_budget(replications, particles, dimension)
         monkeypatch.setattr(mvfbm.study, "_BATCH_BYTES", budget)
         # the byte budget of fft_rows rows of the BATCH_STEPS + 1 complex modes
         monkeypatch.setattr(mvfbm.fbm, "_FFT_BLOCK_BYTES", fft_rows * 16 * (BATCH_STEPS + 1))
+        # a forked pool worker inherits the patched count
+        monkeypatch.setattr(mvfbm.fbm, "usable_cores", host_cores if cores is None else lambda: cores)
         out[name] = study_call(workers).to_csv()
     return out
 
