@@ -25,12 +25,12 @@ Both draw from :class:`~mvfbm.streams.StreamKey` addresses, one independent
 stream per path component, and are deterministic given (H, mesh, d, stream).
 A call's paths are one :class:`~mvfbm.streams.StreamArray`, a root key and
 one index row per path.  The circulant sampler seeds all streams of a call
-in one vectorized pass per word pattern, bit-identical to
-``StreamKey.generator()``.  It deals its FFT blocks to plain ``threading``
-threads, one per usable core of the process that calls it: numpy releases
-the interpreter lock inside the normal draws and the FFT, and each path's
-variates do not depend on which thread or block computes them, so the
-thread count never changes a bit.
+in one vectorized pass, bit-identical to ``StreamKey.generator()``.  It
+deals its FFT blocks to one lane per usable core of the process that calls
+it: the calling thread draws lane 0, and a plain ``threading`` thread each
+other lane.  numpy releases the interpreter lock inside the normal draws and
+the FFT, and each path's variates do not depend on which thread or block
+computes them, so the thread count never changes a bit.
 
 Only the finest mesh of a ladder is drawn: the simulator steps each coarse
 mesh on left-to-right sums of blocks of the fine increments, which it adds
@@ -231,10 +231,10 @@ class CirculantSampler:
         strided view, that receives the increments and is returned.  The
         FFT runs over blocks of rows whose work arrays share a fixed byte
         budget, so they stay small however many paths are drawn.
-        The blocks are dealt round-robin to up to ``usable_cores()``
-        threads; with one lane, no thread is started.
-        The calling thread draws nothing while the threads run: it joins
-        them all, then raises the failure of the first lane that failed.
+        The blocks are dealt round-robin to up to ``usable_cores()`` lanes:
+        the caller draws lane 0 and a helper thread each other lane, so one
+        lane starts no thread.  The caller joins every helper it started,
+        then raises lane 0's failure, else the first failed helper's.
 
         The normals land in the float view of the m+1 complex modes, where
         only z[1] has to move.  Scaled and conjugated they are the Hermitian
@@ -273,9 +273,6 @@ class CirculantSampler:
                     np.fft.irfft(modes[:k], n=2 * m, axis=1, norm="forward", out=fgn[:k])
                     out[start : start + k, :, j] = fgn[:k, :n]
 
-        if lanes == 1:
-            fill(0)
-            return out
         failures: list = [None] * lanes
 
         def work(lane: int) -> None:
@@ -284,14 +281,15 @@ class CirculantSampler:
             except BaseException as exc:
                 failures[lane] = exc
 
-        workers = [threading.Thread(target=work, args=(lane,)) for lane in range(lanes)]
+        helpers = [threading.Thread(target=work, args=(lane,)) for lane in range(1, lanes)]
         try:
-            for worker in workers:
-                worker.start()
+            for helper in helpers:
+                helper.start()
+            fill(0)
         finally:
-            for worker in workers:
-                if worker.ident is not None:  # started
-                    worker.join()
+            for helper in helpers:
+                if helper.ident is not None:  # started
+                    helper.join()
         for exc in failures:
             if exc is not None:
                 raise exc

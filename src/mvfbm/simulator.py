@@ -112,9 +112,10 @@ class SimulationConfig:
         if self.particles < 1:
             raise ValueError(f"particle count must be >= 1, got {self.particles}")
         reps = self.replications
-        # the driver streams address replications in an int64 array
-        if not isinstance(reps, range) or not reps or min(reps) < 0 or max(reps) >= 2**63:
-            raise ValueError(f"replications must be a nonempty range of indices in [0, 2^63), "
+        # each index is one uint32 word of a driver stream's row; min() would walk the range
+        if not (isinstance(reps, range) and reps
+                and 0 <= reps[0] < 2**32 and 0 <= reps[-1] < 2**32):
+            raise ValueError(f"replications must be a nonempty range of indices in [0, 2^32), "
                              f"got {reps!r}")
         object.__setattr__(self, "hurst", check_hurst(self.hurst))
         validate(self.model, self.hurst)

@@ -8,10 +8,10 @@ order or worker count.
 Gaussian variates come from ``numpy.random.Generator.standard_normal`` on a
 PCG64 bit generator seeded through ``SeedSequence(seed, spawn_key=path)``,
 which :meth:`StreamKey.generator` builds.  The many paths of one sampler
-call are a :class:`StreamArray`: a root key and a 2-D index array, one row
-per path, with no ``StreamKey`` per path.  ``child_seed_words`` runs that
-hash (O'Neill 2014), a fixed chain of 32-bit multiply/xor steps, over the
-rows in one vectorized pass per word pattern; its generators are
+call are a :class:`StreamArray`: a root key and a 2-D array of indices
+below 2^32, one row per path, with no ``StreamKey`` per path.
+``child_seed_words`` runs that hash (O'Neill 2014), a fixed chain of 32-bit
+multiply/xor steps, over the rows in one vectorized pass; its generators are
 bit-identical to ``StreamKey.generator()``.
 The draw order inside each consumer is fixed and documented there; golden
 values are stable within one build.
@@ -64,11 +64,11 @@ class StreamKey:
 @dataclass(frozen=True, eq=False)
 class StreamArray:
     """The streams ``root.child(*row)``, one per row of a 2-D array of
-    nonnegative integer indices: the paths of one sampler call.
+    integer indices in [0, 2^32): the paths of one sampler call.
 
     ``len()`` is the number of paths; :func:`child_seed_words` seeds them
-    without a ``StreamKey`` each.  A row index is below 2^64, since the
-    array is of a numpy integer type; the root's path takes any index.
+    without a ``StreamKey`` each.  The indices are stored as uint32, one
+    entropy word each; the root's path takes any index.
     """
 
     root: StreamKey
@@ -79,9 +79,10 @@ class StreamArray:
         if index.ndim != 2 or not np.issubdtype(index.dtype, np.integer):
             raise ValueError(f"stream indices must be a 2-D integer array, got {index.dtype} "
                              f"of shape {index.shape}")
-        if index.size and index.min() < 0:
-            raise ValueError(f"stream indices must be nonnegative, got {index.min()}")
-        object.__setattr__(self, "index", index)
+        if index.size and (index.min() < 0 or index.max() >= 2**32):  # the cast would wrap
+            raise ValueError(f"stream indices must lie in [0, 2^32), got {index.min()} "
+                             f"to {index.max()}")
+        object.__setattr__(self, "index", index.astype(np.uint32))
 
     def __len__(self) -> int:
         return len(self.index)
@@ -126,10 +127,11 @@ def _pool_state(entropy: np.ndarray) -> np.ndarray:
                 word, const = _hash(pool[src] if src < 4 else entropy[src], const, _MULT_A)
                 mixed = pool[dst] * _MIX_L - word * _MIX_R
                 pool[dst] = mixed ^ (mixed >> 16)
-    const, state = _INIT_B, np.empty((entropy.shape[1], 8), np.uint32)
-    for i in range(8):  # the pool, cycled
-        state[:, i], const = _hash(pool[i % 4], const, _MULT_B)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    const, state = _INIT_B, np.zeros((entropy.shape[1], 4), np.uint64)
+    for i in range(8):  # the pool, cycled; each uint64 takes two words, low first
+        word, const = _hash(pool[i % 4], const, _MULT_B)
+        state[:, i // 2] |= word.astype(np.uint64) << 32 * (i % 2)
+    return state
 
 
 def child_seed_words(streams: StreamArray, components: int) -> np.ndarray:
@@ -137,27 +139,16 @@ def child_seed_words(streams: StreamArray, components: int) -> np.ndarray:
     components, shape (components, len(streams), 4), as SeedSequence(seed,
     spawn_key=path + (*row, j)).generate_state(4, np.uint64) gives them.
 
-    A row's entropy is the root's words, then one word per index below 2^32
-    and two (low, high) per larger index, then j.  The entropy length changes
-    the hash, so the rows are hashed in one pass per pattern of two-word
-    indices: one pass for a batch whose indices all fit one word."""
+    A row's entropy is the root's words, then one word per index, then j:
+    one length for every row, so the call is hashed in one pass."""
     _fixed_seed_sequence()  # import numpy.random before the hash's temporaries: a lower peak RSS
-    head = np.array(_entropy(streams.root.seed, streams.root.path), np.uint32)[:, None, None]
-    halves = np.ascontiguousarray(streams.index, "<u8").view("<u4")  # low, high word per index
-    wide = halves[:, 1::2].astype(bool)  # not != 0: numpy code no other step runs adds peak RSS
-    groups = [((), np.arange(len(streams)))]  # (index words kept, rows), one per word pattern
-    for column in wide.T:
-        groups = [(keep + (True, two), part) for keep, rows in groups
-                  for two, part in ((False, rows[~column[rows]]), (True, rows[column[rows]]))
-                  if len(part)]
-    words = np.empty((components, len(streams), 4), np.uint64)
-    for keep, rows in groups:
-        entropy = np.empty((len(head) + sum(keep) + 1, components, len(rows)), np.uint32)
-        entropy[: len(head)] = head
-        entropy[len(head) : -1] = halves[rows][:, np.array(keep, bool)].T[:, None, :]
-        entropy[-1] = np.arange(components)[:, None]
-        words[:, rows] = _pool_state(entropy.reshape(len(entropy), -1)).reshape(components, -1, 4)
-    return words
+    head = np.array(_entropy(streams.root.seed, streams.root.path), np.uint32)
+    paths, width = streams.index.shape
+    entropy = np.empty((len(head) + width + 1, components, paths), np.uint32)
+    entropy[: len(head)] = head[:, None, None]
+    entropy[len(head) : -1] = streams.index.T[:, None, :]
+    entropy[-1] = np.arange(components)[:, None]
+    return _pool_state(entropy.reshape(len(entropy), -1)).reshape(components, paths, 4)
 
 
 def seeded_generator(words: np.ndarray) -> np.random.Generator:

@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import replace
 from functools import partial
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -111,9 +111,19 @@ def _ladder(deltas: Sequence[float], fine_delta: float,
     return deltas, UniformMesh(horizon, steps), factors
 
 
+def _argument(check: Callable[..., Any], *args, **kwargs) -> Any:
+    """``check(*args, **kwargs)``, whose ValueError is raised as a StudyArgumentError."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise StudyArgumentError(str(exc)) from None
+
+
 def _batches(config: SimulationConfig, replications: int, workers: int) -> list[SimulationConfig]:
     """The config once per batch of consecutive replications: each batch's
-    drivers fit the byte budget, and there is at least one batch per worker."""
+    drivers fit the byte budget, and there is at least one batch per worker.
+    More replications than a config takes are rejected before any is built."""
+    _argument(replace, config, replications=range(replications))
     fit = _BATCH_BYTES // (config.particles * config.mesh.steps * config.model.dimension * 8)
     size = max(1, min(fit, -(-replications // workers)))
     return [
@@ -194,7 +204,7 @@ def strong_error_study(
     if len(factors) < 2:
         raise StudyArgumentError(f"a slope needs at least two distinct deltas, got {deltas}")
     root = StreamKey.coerce(seed)
-    config = SimulationConfig(model, hurst, fine_mesh, particles, root)
+    config = SimulationConfig(model, _argument(check_hurst, hurst), fine_mesh, particles, root)
     batches = _batches(config, replications, workers)
     # per factor, per replication in order: the sum over particles of squared terminal gaps
     sums: list[list[float]] = [[] for _ in factors]
@@ -259,18 +269,19 @@ def chaos_study(
         raise StudyArgumentError(f"need at least 1 worker, got {workers}")
     root = StreamKey.coerce(seed)
     reference_count = 4 * max(counts)
-    template = SimulationConfig(model, hurst, mesh, reference_count, root.child(0))
+    template = SimulationConfig(model, _argument(check_hurst, hurst), mesh, reference_count,
+                                root.child(0))
     if model.dimension == 1:
         estimator, distance = "1d-exact", wasserstein_1d_exact
     else:
         estimator, distance = "coupling-bound", coupled_upper_bound
-    reference = run(template, snapshots="terminal").terminal
     batches = [
         batch
         for a, count in enumerate(counts)
         for batch in _batches(replace(template, particles=count, seed=root.child(1, a)),
                               replications, workers)
     ]
+    reference = run(template, snapshots="terminal").terminal
     distances: dict[int, list[float]] = {count: [] for count in counts}
     for batch, (terminal,) in zip(batches, _run_batches(batches, [1], workers)):
         a, count = counts.index(batch.particles), batch.particles
@@ -329,7 +340,7 @@ def moment_bound_check(
     if len(factors) < 2:
         raise StudyArgumentError(f"a refinement ratio needs at least two distinct deltas, got {ladder}")
     root = StreamKey.coerce(seed)
-    config = SimulationConfig(model, hurst, fine_mesh, particles, root)
+    config = SimulationConfig(model, _argument(check_hurst, hurst), fine_mesh, particles, root)
     records = run_coupled_meshes(config, factors, snapshots="thin")
     points = []
     for delta, factor in zip(ladder, factors):
@@ -374,13 +385,10 @@ def covariance_check(
     reads one diagonal of it per lag: the matrix is exactly symmetric, so
     lag -k repeats lag k.
     """
-    hurst = check_hurst(hurst)
+    hurst = _argument(check_hurst, hurst)
     if paths < 1:
         raise StudyArgumentError(f"need at least 1 path, got {paths}")
-    try:
-        mesh = UniformMesh(horizon, steps)
-    except ValueError as exc:
-        raise StudyArgumentError(str(exc)) from None
+    mesh = _argument(UniformMesh, horizon, steps)
     root = StreamKey.coerce(seed)
     gamma = increment_covariance_matrix(hurst, mesh)[0].copy()
     # |gamma(k)| <= gamma(0), so every standard error lies between

@@ -23,7 +23,7 @@ from mvfbm.fbm import (
     check_hurst,
     increment_covariance_matrix,
 )
-from mvfbm.streams import StreamArray, StreamKey
+from mvfbm.streams import StreamArray, StreamKey, seeded_generator
 from oracles import (block_sums, covariance_zscores, increment_ensemble, increment_law_zscores,
                      path_values, two_sample_zscores)
 
@@ -311,22 +311,51 @@ class TestThreads:
             assert view.tobytes() == expected, threads
         assert threading.active_count() == before  # every call joins its threads
 
-    def test_thread_failure_reaches_caller_as_itself(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_each_lane_past_the_first_starts_one_thread(self, monkeypatch, threads):
+        # one-row blocks: 29 of them, so each core gets a lane; the caller draws lane 0
+        monkeypatch.setattr(mvfbm.fbm, "_FFT_BLOCK_BYTES", threads * 16 * (self.STEPS + 1))
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(mvfbm.fbm.threading, "Thread", Counted)
+        self._sample(monkeypatch, 1, threads)
+        assert len(started) == threads - 1
+
+    def _fail_in(self, monkeypatch, on_caller):
+        """Two lanes of one-row blocks, whose draws fail on the calling thread
+        or on the helper; returns the calling thread and the thread of each draw."""
         monkeypatch.setattr(mvfbm.fbm, "_FFT_BLOCK_BYTES", 2 * 16 * (self.STEPS + 1))
-        failure = ArithmeticError("raised in a sampler thread")
-        callers = set()
+        failure = ArithmeticError("raised in a sampler lane")
+        caller, drew = threading.current_thread(), []
 
         def failing(words):
-            callers.add(threading.current_thread())
-            raise failure
+            drew.append(threading.current_thread())
+            if (drew[-1] is caller) == on_caller:
+                raise failure
+            return seeded_generator(words)
 
         monkeypatch.setattr(mvfbm.fbm, "seeded_generator", failing)
         before = threading.active_count()
         with pytest.raises(ArithmeticError) as raised:
             self._sample(monkeypatch, 1, threads=2)
         assert raised.value is failure
-        assert callers and threading.main_thread() not in callers
-        assert threading.active_count() == before
+        assert threading.active_count() == before  # no thread is left running
+        return caller, drew
+
+    def test_thread_failure_reaches_caller_as_itself(self, monkeypatch):
+        caller, drew = self._fail_in(monkeypatch, on_caller=False)
+        # lane 0 drew its 15 one-row blocks on the caller while the helper failed
+        assert drew.count(caller) == 15 and len(set(drew)) == 2
+
+    def test_caller_lane_failure_reaches_caller_as_itself(self, monkeypatch):
+        caller, drew = self._fail_in(monkeypatch, on_caller=True)
+        # lane 0 failed on its first draw; the caller joined the helper, which drew its 14 blocks
+        assert drew.count(caller) == 1 and len(drew) == 1 + 14
 
     def test_cores_fall_back_to_the_cpu_count(self, monkeypatch):
         # platforms without CPU affinity report every core the machine has

@@ -393,10 +393,14 @@ class TestDriverStreams:
         _drivers(config)
         assert [(key.seed, key.path) for key in built] == [(7, ())]  # the root alone
 
-    def test_replications_past_int64_rejected(self):
-        with pytest.raises(ValueError, match=r"indices in \[0, 2\^63\), got range"):
-            SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 2, 0,
-                             range(2**63 - 1, 2**63 + 1))
+    def test_replications_past_uint32_rejected(self):
+        # a replication index is one uint32 word of its driver streams' rows
+        args = preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 2, 0
+        last = SimulationConfig(*args, range(2**32 - 1, 2**32))
+        assert _noise_streams(last).index.tolist() == [[2**32 - 1, 1, 0], [2**32 - 1, 1, 1]]
+        for reps in (range(2**32 - 1, 2**32 + 1), range(2**32 + 1)):  # checked at its ends
+            with pytest.raises(ValueError, match=r"indices in \[0, 2\^32\), got range"):
+                SimulationConfig(*args, reps)
 
 
 def _noisy_model(kind, dimension):

@@ -48,28 +48,38 @@ def test_negative_seed_rejected():
         StreamKey(0, (3, -1))
 
 
-@pytest.mark.parametrize("index", [
-    np.arange(5)[:, None],  # covariance_check's paths
-    np.array([[0, 1, 2**32 - 1], [7, 1, 0]]),
-    np.array([[2**32, 1, 0], [3, 1, 2**40]]),  # indices of two words: two word patterns
-    np.array([[2**64 - 1], [0]], np.uint64),
-    np.empty((3, 0), np.int64),  # every path is the root
-], ids=["one-column", "one-word", "two-words", "uint64", "no-columns"])
-@pytest.mark.parametrize("root", [StreamKey(2**64 + 12345), StreamKey(2024, (1, 2**33))])
+INDEX_ARRAYS = {
+    "one-column": np.arange(5)[:, None],  # covariance_check's paths
+    "one-word": np.array([[0, 1, 2**32 - 1], [7, 1, 0]]),
+    "uint64": np.array([[2**32 - 1], [0]], np.uint64),
+    "no-columns": np.empty((3, 0), np.int64),  # every path is the root
+    "no-rows": np.empty((0, 2), np.int64),
+}
+# roots whose seed or path takes more than one word
+ROOTS = [StreamKey(2**64 + 12345), StreamKey(2024, (1, 2**33)), StreamKey(2**130 + 7, (2**64 + 1,))]
+
+
+@pytest.mark.parametrize("index", INDEX_ARRAYS.values(), ids=INDEX_ARRAYS)
+@pytest.mark.parametrize("root", ROOTS)
 def test_array_rows_seed_as_their_keys(root, index):
     streams = StreamArray(root, index)
     assert len(streams) == len(index)
     assert_array_matches_numpy(streams, components=2)
 
 
-@pytest.mark.parametrize("index,match", [
-    (np.array([[0], [-1]]), "stream indices must be nonnegative, got -1"),
-    (np.arange(3), r"a 2-D integer array, got int64 of shape \(3,\)"),
-    (np.zeros((2, 1)), r"a 2-D integer array, got float64 of shape \(2, 1\)"),
-], ids=["negative", "1-D", "float"])
-def test_array_rejects_what_is_no_index(index, match):
+@pytest.mark.parametrize("root,index,match", [
+    (StreamKey(0), np.array([[0], [-1]]), r"stream indices must lie in \[0, 2\^32\), got -1 to 0"),
+    # indices of two words are out of range whatever the root's own width
+    *[(root, np.array([[2**32, 1, 0], [3, 1, 5]]), r"in \[0, 2\^32\), got 0 to 4294967296")
+      for root in ROOTS[:2]],
+    (StreamKey(0), np.array([[2**64 - 1], [0]], np.uint64),
+     r"in \[0, 2\^32\), got 0 to 18446744073709551615"),
+    (StreamKey(0), np.arange(3), r"a 2-D integer array, got int64 of shape \(3,\)"),
+    (StreamKey(0), np.zeros((2, 1)), r"a 2-D integer array, got float64 of shape \(2, 1\)"),
+], ids=["negative", "root0-two-words", "root1-two-words", "uint64-max", "1-D", "float"])
+def test_array_rejects_what_is_no_index(root, index, match):
     with pytest.raises(ValueError, match=match):
-        StreamArray(StreamKey(0), index)
+        StreamArray(root, index)
 
 
 def _count_passes(monkeypatch) -> list:
@@ -81,7 +91,7 @@ def _count_passes(monkeypatch) -> list:
 
 
 def test_a_desk_batch_is_hashed_in_one_pass(monkeypatch):
-    # 10 replications of 200 particles, one component: every index fits one word
+    # 10 replications of 200 particles, one component
     config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 2), 200, 2024,
                               range(10))
     passes = _count_passes(monkeypatch)
@@ -89,17 +99,18 @@ def test_a_desk_batch_is_hashed_in_one_pass(monkeypatch):
     assert passes == [(4 + 3 + 1, 2000)]  # the seed's padded words, the row, the component
 
 
-def test_one_pass_per_word_pattern(monkeypatch):
-    index = np.array([[0, 2**32], [1, 2], [2**40, 3], [4, 2**33], [5, 6]], np.uint64)
+@pytest.mark.parametrize("index", INDEX_ARRAYS.values(), ids=INDEX_ARRAYS)
+@pytest.mark.parametrize("root", ROOTS)
+def test_one_pass_per_call(monkeypatch, root, index):
     passes = _count_passes(monkeypatch)
-    assert_array_matches_numpy(StreamArray(StreamKey(9), index), components=2)
-    # two one-word rows, two rows whose second index takes two words, and one
-    # whose first does: each group hashed once, 2 components per row
-    assert sorted(passes) == [(4 + 2 + 1, 4), (4 + 3 + 1, 2), (4 + 3 + 1, 4)]
+    child_seed_words(StreamArray(root, index), 3)
+    # every row's entropy: the root's words, one word per index, the component
+    head = len(_entropy(root.seed, root.path))
+    assert passes == [(head + index.shape[1] + 1, 3 * len(index))]
 
 
 def test_seeding_leaves_numpy_ma_unloaded():
-    # grouping the rows with np.unique would import numpy.ma: about 1 MB of peak RSS
+    # seeding must not import numpy.ma, as np.unique would: about 1 MB of peak RSS
     code = """
 import sys
 import numpy as np
@@ -108,7 +119,7 @@ from mvfbm.model import preset_mean_reverting
 from mvfbm.simulator import SimulationConfig, _drivers
 from mvfbm.streams import StreamArray, StreamKey, child_seed_words
 _drivers(SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 8), 20, 3, range(2)))
-child_seed_words(StreamArray(StreamKey(3), np.array([[1, 2**40], [2**33, 0]], np.uint64)), 2)
+child_seed_words(StreamArray(StreamKey(3), np.array([[1, 2**32 - 1], [7, 0]], np.uint64)), 2)
 print("numpy.ma" in sys.modules)
 """
     src = str(Path(mvfbm.streams.__file__).parents[1])

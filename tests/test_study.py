@@ -39,6 +39,15 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("the study ran a simulation before rejecting its arguments")
 
 
+# an H outside (0, 1), which every study rejects before any run: rows and their ids
+BAD_HURSTS = [(dict(hurst=h), rf"Hurst parameter must lie in \(0, 1\), got {h}")
+              for h in (0.0, 1.0, 1.5, math.nan)]
+BAD_HURST_IDS = ["zero-hurst", "unit-hurst", "large-hurst", "nan-hurst"]
+# more replications than a stream row's uint32 index addresses
+TOO_MANY_REPLICATIONS = (dict(replications=2**32 + 1),
+                         r"indices in \[0, 2\^32\), got range\(0, 4294967297\)")
+
+
 class TestSlopeFit:
     def test_two_point_unit_slope(self):
         slope, stderr = fit_loglog_slope([(0.5, 0.5), (0.25, 0.25)])
@@ -164,22 +173,22 @@ class TestStrongErrorStudy:
             )
 
     @pytest.mark.parametrize(
-        "deltas, workers, particles, match",
-        [((2.0**-3,), 1, 4, "two distinct"), ((2.0**-3, 2.0**-3), 1, 4, "delta 0.125 is repeated"),
-         ((2.0**-3, REFERENCE), 1, 4, "reference delta"),
-         (DELTAS, 0, 4, "at least 1 worker, got 0"), (DELTAS, -1, 4, "at least 1 worker, got -1"),
-         (DELTAS, 1, 0, "at least 1 particle, got 0"), (DELTAS, 1, -3, "at least 1 particle, got -3")],
+        "arguments, match",
+        [(dict(deltas=(2.0**-3,)), "two distinct"),
+         (dict(deltas=(2.0**-3, 2.0**-3)), "delta 0.125 is repeated"),
+         (dict(deltas=(2.0**-3, REFERENCE)), "reference delta"),
+         (dict(workers=0), "at least 1 worker, got 0"), (dict(workers=-1), "at least 1 worker, got -1"),
+         (dict(particles=0), "at least 1 particle, got 0"),
+         (dict(particles=-3), "at least 1 particle, got -3"), *BAD_HURSTS, TOO_MANY_REPLICATIONS],
         ids=["one-delta", "one-distinct-delta", "reference-delta", "no-workers", "negative-workers",
-             "no-particles", "negative-particles"],
+             "no-particles", "negative-particles", *BAD_HURST_IDS, "too-many-replications"],
     )
-    def test_unfittable_ladder_rejected_before_any_run(self, monkeypatch, deltas, workers,
-                                                       particles, match):
+    def test_unfittable_ladder_rejected_before_any_run(self, monkeypatch, arguments, match):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
+        call = dict(hurst=0.5, particles=4, replications=2, deltas=DELTAS,
+                    reference_delta=REFERENCE, seed=0, workers=1) | arguments
         with pytest.raises(StudyArgumentError, match=match):
-            strong_error_study(
-                preset_mean_reverting(xi=1.0, rate=0.0), 0.5, particles=particles, replications=2,
-                deltas=deltas, reference_delta=REFERENCE, seed=0, workers=workers,
-            )
+            strong_error_study(preset_mean_reverting(xi=1.0, rate=0.0), **call)
 
     @pytest.mark.parametrize(
         "deltas, reference, horizon",
@@ -302,21 +311,23 @@ class TestChaosStudy:
             chaos_study(preset_mean_reverting(), 0.5, self.MESH, [4, 8], 2, theta, 0)
 
     @pytest.mark.parametrize(
-        "counts, replications, workers, match",
-        [([8], 2, 1, "two particle counts"), ([4, 8], 0, 1, "at least 1 replication"),
-         ([4, 8], 2, 0, "at least 1 worker, got 0"), ([4, 8], 2, -1, "at least 1 worker, got -1"),
-         ([0, 4], 2, 1, r"particle counts must be >= 1, got \[0, 4\]"),
-         ([-2, 4], 2, 1, r"particle counts must be >= 1, got \[-2, 4\]")],
+        "arguments, match",
+        [(dict(particle_counts=[8]), "two particle counts"),
+         (dict(replications=0), "at least 1 replication"),
+         (dict(workers=0), "at least 1 worker, got 0"), (dict(workers=-1), "at least 1 worker, got -1"),
+         (dict(particle_counts=[0, 4]), r"particle counts must be >= 1, got \[0, 4\]"),
+         (dict(particle_counts=[-2, 4]), r"particle counts must be >= 1, got \[-2, 4\]"),
+         *BAD_HURSTS, TOO_MANY_REPLICATIONS],
         ids=["one-count", "no-replications", "no-workers", "negative-workers", "zero-count",
-             "negative-count"],
+             "negative-count", *BAD_HURST_IDS, "too-many-replications"],
     )
-    def test_untrendable_arguments_rejected_before_any_run(self, monkeypatch, counts,
-                                                           replications, workers, match):
+    def test_untrendable_arguments_rejected_before_any_run(self, monkeypatch, arguments, match):
         monkeypatch.setattr(mvfbm.study, "run", _must_not_run)
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
+        call = dict(hurst=0.5, mesh=self.MESH, particle_counts=[4, 8], replications=2, theta=2.0,
+                    seed=0, workers=1) | arguments
         with pytest.raises(StudyArgumentError, match=match):
-            chaos_study(preset_mean_reverting(), 0.5, self.MESH, counts, replications, 2.0, 0,
-                        workers=workers)
+            chaos_study(preset_mean_reverting(), **call)
 
     def test_deterministic_and_worker_independent(self):
         kwargs = dict(
@@ -377,23 +388,23 @@ class TestMomentBoundCheck:
             moment_bound_check(preset_mean_reverting(), 0.5, DELTAS, 4, order=1.0, seed=0)
 
     @pytest.mark.parametrize(
-        "deltas, horizon, match",
-        [((2.0**-3,), 1.0, "two distinct deltas"),
-         ((2.0**-3, 2.0**-3), 1.0, "delta 0.125 is repeated"),
-         ((), 1.0, r"two distinct deltas, got \[\]"),
-         ((0.0, 0.5), 1.0, r"positive and finite, got \[0.0, 0.5\], reference 0.0"),
-         ((math.nan, 0.5), 1.0, r"positive and finite, got \[nan, 0.5\], reference nan"),
-         ((0.5, math.inf), 1.0, r"positive and finite, got \[0.5, inf\], reference 0.5"),
-         (DELTAS, math.inf, r"positive and finite, got .*, horizon inf$"),
-         (DELTAS, math.nan, r"positive and finite, got .*, horizon nan$")],
+        "arguments, match",
+        [(dict(deltas=(2.0**-3,)), "two distinct deltas"),
+         (dict(deltas=(2.0**-3, 2.0**-3)), "delta 0.125 is repeated"),
+         (dict(deltas=()), r"two distinct deltas, got \[\]"),
+         (dict(deltas=(0.0, 0.5)), r"positive and finite, got \[0.0, 0.5\], reference 0.0"),
+         (dict(deltas=(math.nan, 0.5)), r"positive and finite, got \[nan, 0.5\], reference nan"),
+         (dict(deltas=(0.5, math.inf)), r"positive and finite, got \[0.5, inf\], reference 0.5"),
+         (dict(horizon=math.inf), r"positive and finite, got .*, horizon inf$"),
+         (dict(horizon=math.nan), r"positive and finite, got .*, horizon nan$"), *BAD_HURSTS],
         ids=["one-delta", "one-distinct-delta", "no-deltas", "zero-delta", "nan-delta",
-             "infinite-delta", "infinite-horizon", "nan-horizon"],
+             "infinite-delta", "infinite-horizon", "nan-horizon", *BAD_HURST_IDS],
     )
-    def test_ratioless_ladder_rejected_before_any_run(self, monkeypatch, deltas, horizon, match):
+    def test_ratioless_ladder_rejected_before_any_run(self, monkeypatch, arguments, match):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
+        call = dict(hurst=0.5, deltas=DELTAS, particles=4, order=2.0, seed=0, horizon=1.0) | arguments
         with pytest.raises(StudyArgumentError, match=match):
-            moment_bound_check(preset_mean_reverting(), 0.5, deltas, 4, order=2.0, seed=0,
-                               horizon=horizon)
+            moment_bound_check(preset_mean_reverting(), **call)
 
     @pytest.mark.parametrize("order", [math.nan, math.inf])
     def test_unbounded_order_rejected_before_any_run(self, monkeypatch, order):
@@ -426,16 +437,19 @@ class TestCovarianceCheck:
             covariance_check(0.7, steps=8, paths=0, seed=5)
 
     @pytest.mark.parametrize(
-        "steps, horizon, match",
-        [(0, 1.0, "at least one step, got 0"), (-3, 1.0, "at least one step, got -3"),
-         (8, 0.0, "positive and finite, got 0.0"), (8, math.nan, "positive and finite, got nan"),
-         (8, math.inf, "positive and finite, got inf")],
-        ids=["no-steps", "negative-steps", "zero-horizon", "nan-horizon", "infinite-horizon"],
+        "arguments, match",
+        [(dict(steps=0), "at least one step, got 0"), (dict(steps=-3), "at least one step, got -3"),
+         (dict(horizon=0.0), "positive and finite, got 0.0"),
+         (dict(horizon=math.nan), "positive and finite, got nan"),
+         (dict(horizon=math.inf), "positive and finite, got inf"), *BAD_HURSTS],
+        ids=["no-steps", "negative-steps", "zero-horizon", "nan-horizon", "infinite-horizon",
+             *BAD_HURST_IDS],
     )
-    def test_bad_mesh_rejected_before_any_draw(self, monkeypatch, steps, horizon, match):
+    def test_bad_mesh_rejected_before_any_draw(self, monkeypatch, arguments, match):
         monkeypatch.setattr(CirculantSampler, "sample_ensemble", _must_not_run)
+        call = dict(hurst=0.7, steps=8, paths=8, seed=5, horizon=1.0) | arguments
         with pytest.raises(StudyArgumentError, match=match):
-            covariance_check(0.7, steps=steps, paths=8, seed=5, horizon=horizon)
+            covariance_check(**call)
 
     def test_negative_seed_rejected_before_any_draw(self, monkeypatch):
         # the words of a negative seed never end, so seeding it used to hang
