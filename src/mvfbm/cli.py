@@ -214,7 +214,7 @@ class RunConfig:
     )
     theta: float = _option(2.0, _number, "transport cost exponent >= 2 (chaos)", valid=_AT_LEAST_2)
     order: float = _option(4.0, _number, "moment order q >= 2 (moments)", valid=_AT_LEAST_2)
-    paths: int = _option(10_000, int, "sample paths (fbm-check)", valid=_AT_LEAST_2)
+    paths: int = _option(10_000, int, "sample paths (fbm-check)", valid=_AT_LEAST_1)
     seed: int = _option(2024, int, "master seed", valid=(lambda s: s >= 0, "must be >= 0"))
     snapshots: str = _option("terminal", str, "trajectory retention (simulate)", SNAPSHOT_POLICIES)
     workers: int = _option(

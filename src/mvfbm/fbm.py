@@ -24,7 +24,9 @@ check or a covariance audit.
 Both draw from :class:`~mvfbm.streams.StreamKey` addresses, one independent
 stream per path component, and are deterministic given (H, mesh, d, stream).
 A call's paths are one :class:`~mvfbm.streams.StreamArray`, a root key and
-one index row per path.  The circulant sampler seeds all streams of a call
+one index row per path, and both return the call's increments step-major,
+(n, paths, d): entry k holds step k of every path, the array the simulator
+steps through.  The circulant sampler seeds all streams of a call
 in one vectorized pass, bit-identical to ``StreamKey.generator()``.  It
 deals its FFT blocks to one lane per usable core of the process that calls
 it: the calling thread draws lane 0, and a plain ``threading`` thread each
@@ -176,7 +178,8 @@ class CholeskySampler:
             ) from exc
 
     def sample_ensemble(self, dimension: int, streams: StreamArray) -> np.ndarray:
-        """Increments of one path per row of ``streams``, shape (len(streams), n, d).
+        """Increments of one path per row of ``streams``, step-major: shape
+        (n, len(streams), d), as the circulant sampler returns them.
 
         Component j of row r draws n normals from ``streams.root.child(*r, j).generator()``.
         """
@@ -185,7 +188,7 @@ class CholeskySampler:
         for p, row in enumerate(streams.index.tolist()):
             for j in range(dimension):
                 z[p, j] = streams.root.child(*row, j).generator().standard_normal(n)
-        return np.einsum("kn,pjn->pkj", self._factor, z)
+        return np.einsum("kn,pjn->kpj", self._factor, z)
 
 
 class CirculantSampler:
@@ -217,9 +220,9 @@ class CirculantSampler:
         scale[3 : 2 * m : 2] = -scale[2 : 2 * m : 2]
         self._scale = scale
 
-    def sample_ensemble(self, dimension: int, streams: StreamArray, *,
-                        out: "np.ndarray | None" = None) -> np.ndarray:
-        """Increments of one path per row of ``streams``, shape (len(streams), n, d).
+    def sample_ensemble(self, dimension: int, streams: StreamArray) -> np.ndarray:
+        """Increments of one path per row of ``streams``, step-major: shape
+        (n, len(streams), d), the layout a stepping loop walks one step at a time.
 
         Component j of row r draws 2m normals z from ``streams.root.child(*r, j)``:
         z[0] and z[1] feed the two real Fourier modes (frequencies 0 and m),
@@ -227,10 +230,9 @@ class CirculantSampler:
         The streams of the call are seeded by ``child_seed_words``, bit-identical
         to ``streams.root.child(*r, j).generator()``, and each generator is
         built just before its draw.
-        ``out``, if given, is a (len(streams), n, d) array, possibly a
-        strided view, that receives the increments and is returned.  The
-        FFT runs over blocks of rows whose work arrays share a fixed byte
-        budget, so they stay small however many paths are drawn.
+        The FFT runs over blocks of paths whose work arrays share a fixed byte
+        budget, so they stay small however many paths are drawn; each block
+        is written transposed into its paths' columns of the result.
         The blocks are dealt round-robin to up to ``usable_cores()`` lanes:
         the caller draws lane 0 and a helper thread each other lane, so one
         lane starts no thread.  The caller joins every helper it started,
@@ -242,11 +244,7 @@ class CirculantSampler:
         an unnormalized irfft of the half gives the same variates.
         """
         m, n = self._half_size, self.mesh.steps
-        shape = (len(streams), n, dimension)
-        if out is None:
-            out = np.empty(shape)
-        elif out.shape != shape:
-            raise ValueError(f"out has shape {out.shape}, expected {shape}")
+        out = np.empty((n, len(streams), dimension))
         threads = usable_cores()
         seeds = child_seed_words(streams, dimension)
         rows = max(1, _FFT_BLOCK_BYTES // threads // (16 * (m + 1)))
@@ -271,7 +269,7 @@ class CirculantSampler:
                     parts[:k, 1] = parts[:k, 2 * m + 1] = 0.0
                     parts[:k] *= self._scale
                     np.fft.irfft(modes[:k], n=2 * m, axis=1, norm="forward", out=fgn[:k])
-                    out[start : start + k, :, j] = fgn[:k, :n]
+                    out[:, start : start + k, j] = fgn[:k, :n].T
 
         failures: list = [None] * lanes
 

@@ -14,10 +14,12 @@ counter-based streams and every reduction happens in fixed index order
 within one replication, so results are bitwise identical for any batch
 size, worker count or schedule.
 
-Coupled multi-mesh execution generates each driver once on the finest mesh
-and advances every mesh in one pass over its steps, each coarse mesh on the
-block sums of the fine increments, so terminal differences between
-resolutions estimate the strong discretization error directly.
+Coupled multi-mesh execution generates each driver once on the finest mesh,
+step-major as the sampler returns it, and advances every mesh in one pass
+over its steps, each mesh on the block sums of the fine increments (one
+fine increment for the finest), so terminal differences between
+resolutions estimate the strong discretization error directly.  Every mesh
+of the ladder steps by the same rule, and every kept snapshot is a copy.
 """
 
 from __future__ import annotations
@@ -148,8 +150,9 @@ def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: "float | np.nda
 
     Row i of ``increments`` is the driver increment of the particle in row i
     of ``ensemble.states``, and ``delta`` is the step of every row, or an
-    (R*N, 1) column with one step per row, so that one call can advance
-    meshes of different widths; each row gets the bits of a float delta.
+    (R*N, 1) column with one step per row.  The run loop always passes the
+    column, so that one call can advance meshes of different widths; each
+    row gets the bits of a float delta.
     The coefficients see the (R, N, d) view and the
     batch of R measures.  sigma broadcasts against (R, N, d, d), so every
     diffusion kind goes through one noise product, computed per particle:
@@ -204,12 +207,7 @@ def _drivers(config: SimulationConfig) -> np.ndarray:
     of ``_noise_streams``.
     """
     sampler = CirculantSampler(config.hurst, config.mesh)
-    streams = _noise_streams(config)
-    drivers = np.empty((config.mesh.steps, len(streams), config.model.dimension))
-    # the sampler writes its (R*N, steps, d) rows straight into the step-major array,
-    # so the batch never holds a second, transposed copy of its drivers
-    sampler.sample_ensemble(config.model.dimension, streams, out=np.swapaxes(drivers, 0, 1))
-    return drivers
+    return sampler.sample_ensemble(config.model.dimension, _noise_streams(config))
 
 
 def _initial_states(config: SimulationConfig) -> np.ndarray:
@@ -234,25 +232,17 @@ def _step_plan(factors: Sequence[int], deltas: Sequence[float], width: int) -> l
     stacked states.  Step k is (fresh, grow, runs): the slices of slots whose
     increment restarts at fine row k, the slices that add fine row k to it,
     and one (rows, delta, slot count) per maximal run of consecutive slots
-    whose mesh steps at k.  A run's delta is its slot's float, or a per-row
-    column when it spans several meshes.  The finest slot steps at every k:
-    alone, it steps on the fine row itself and keeps no increment.
+    whose mesh steps at k.  Every slot follows this one rule, the finest
+    too, and every run's delta is a per-row column of its slots' steps.
     """
     f = np.asarray(factors)
     column = np.repeat(np.asarray(deltas, dtype=float), width)[:, None]
     plan = []
     for k in range(1, math.lcm(*factors) + 1):
-        stepping = k % f == 0
         fresh = (k - 1) % f == 0
-        fresh[0] = stepping[1:2].any()  # the finest slot's increment is needed in a run
-        grow = ~fresh
-        grow[0] = False
-        runs = [
-            (slice(lo * width, hi * width), deltas[lo] if hi - lo == 1 else column[lo * width : hi * width],
-             hi - lo)
-            for lo, hi in _runs(stepping)
-        ]
-        plan.append(([slice(*r) for r in _runs(fresh)], [slice(*r) for r in _runs(grow)], runs))
+        runs = [(slice(lo * width, hi * width), column[lo * width : hi * width], hi - lo)
+                for lo, hi in _runs(k % f == 0)]
+        plan.append(([slice(*r) for r in _runs(fresh)], [slice(*r) for r in _runs(~fresh)], runs))
     return plan
 
 
@@ -301,7 +291,6 @@ def run_coupled_meshes(
     increment_slots = increments.reshape(len(ladder), width, -1)
     kept: list[list[np.ndarray]] = [[initial.copy()] if 0 in k else [] for k in keep]
     plan = _step_plan(ladder, deltas, width)
-    whole = slice(0, states.shape[0])
     blowup = None
     for k, row in enumerate(drivers, start=1):
         fresh, grow, runs = plan[(k - 1) % len(plan)]
@@ -312,11 +301,8 @@ def run_coupled_meshes(
         for span, delta, count in runs:
             # bench/layertrace.py patches this module-level call and reads .states from its first argument
             ensemble = em_step(ParticleEnsemble(states[span], count * len(config.replications)),
-                               config.model, delta, row if span.stop == width else increments[span])
-            if span == whole:
-                states = ensemble.states
-            else:
-                states[span] = ensemble.states
+                               config.model, delta, increments[span])
+            states[span] = ensemble.states
             if not np.isfinite(ensemble.states).all():
                 bad = span.start + int(np.argwhere(~np.isfinite(ensemble.states))[0, 0])
                 slot, offset = divmod(bad, width)
@@ -328,11 +314,8 @@ def run_coupled_meshes(
                 # a smaller factor's blow-up would take precedence: step only those meshes on
                 plan = _step_plan(ladder[:slot], deltas[:slot], width)
                 break
-        # the last step's states are written no more and are kept as views: copies,
-        # 16 kB each in a desk batch, split the heap the next batch's drivers reuse,
-        # and a desk convergence run then peaks 13 MB higher
         for slot in shots.get(k, ()):
-            kept[slot].append(states[rows[slot]] if k == len(drivers) else states[rows[slot]].copy())
+            kept[slot].append(states[rows[slot]].copy())
     if blowup is not None:
         raise blowup
     return {f: TrajectoryRecord(mesh, sorted(k), snaps)

@@ -402,9 +402,9 @@ def covariance_check(
         )
     stderr = np.sqrt((gamma[0] * gamma[0] + gamma**2) / paths)
     streams = StreamArray(root, np.arange(paths)[:, None])  # path p is child(p)
-    increments = CirculantSampler(hurst, mesh).sample_ensemble(1, streams)[:, :, 0]
-    empirical = increments.T @ increments
-    del increments
+    x = CirculantSampler(hurst, mesh).sample_ensemble(1, streams)[:, :, 0]  # (steps, paths)
+    empirical = x @ x.T
+    del x
     empirical /= paths
     points = []
     for lag in range(steps):

@@ -83,7 +83,7 @@ def mean_reverting_limit_variance(hurst: float, mesh: UniformMesh, rate: float, 
 def increment_ensemble(sampler, paths: int, seed: int) -> np.ndarray:
     """(paths, steps) increments of one component, path p drawn from child(p) of the seed."""
     streams = StreamArray(StreamKey(seed), np.arange(paths)[:, None])
-    return sampler.sample_ensemble(1, streams)[:, :, 0]
+    return sampler.sample_ensemble(1, streams)[:, :, 0].T
 
 
 def path_values(increments: np.ndarray, axis: int = 0) -> np.ndarray:

@@ -91,6 +91,7 @@ class TestParseConfig:
             (["--initial-spread=-0.5"], "initial-spread"),
             (["--seed", "-1"], "seed"),
             (["--deltas", ","], r"deltas: ',' \(empty list\)"),
+            (["--paths", "0"], "paths"),
         ],
     )
     def test_validation_names_field(self, flags, key):
@@ -352,6 +353,19 @@ class TestOutputs:
         assert lines[0] == "# schema_version=1"
         header_at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         assert lines[header_at] == "lag,expected_cov,empirical_cov,max_abs_z"
+
+    def test_fbm_check_accepts_one_path(self, tmp_path, capsys):
+        # one path is a valid audit: its z-scores use the exact standard error
+        code, _, err = run_cli(
+            [
+                "--command", "fbm-check", "--hurst", "0.7", "--steps", "8", "--paths", "1",
+                "--seed", "3", "--outdir", str(tmp_path), "--label", "one",
+            ],
+            capsys,
+        )
+        assert code == 0, err
+        report = json.loads((tmp_path / "one" / "report.json").read_text())
+        assert report["paths"] == 1 and report["max_abs_z"] == pytest.approx(0.979, abs=5e-4)
 
     def test_simulate_trajectory(self, tmp_path, capsys):
         code, out, _ = run_cli(

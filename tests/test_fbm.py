@@ -133,7 +133,7 @@ class TestIncrementCovarianceMatrix:
 def _path(sampler_cls, hurst: float, mesh: UniformMesh, dimension: int, stream: StreamKey) -> np.ndarray:
     """Increments (steps, d) of one path drawn from ``stream`` through sample_ensemble."""
     one_path = StreamArray(stream, np.empty((1, 0), np.int64))  # its one path is the root
-    return sampler_cls(hurst, mesh).sample_ensemble(dimension, one_path)[0]
+    return sampler_cls(hurst, mesh).sample_ensemble(dimension, one_path)[:, 0]
 
 
 class TestSamplers:
@@ -168,7 +168,7 @@ class TestSamplers:
         mesh = UniformMesh(1.0, 16)
         sampler = CirculantSampler(0.7, mesh)
         streams = StreamArray(StreamKey(11), np.arange(4000)[:, None])
-        paths = sampler.sample_ensemble(2, streams)  # (P, n, 2)
+        paths = np.swapaxes(sampler.sample_ensemble(2, streams), 0, 1)  # (P, n, 2)
         cross = np.mean(paths[:, :, 0] * paths[:, :, 1], axis=0)
         scale = mesh.delta ** (2 * 0.7)
         # Var(xy) = scale^2 for independent components, so the standard error is exact
@@ -288,11 +288,11 @@ class TestThreads:
 
     STEPS, PATHS = 32, 29  # 29 paths: no block size used here divides them
 
-    def _sample(self, monkeypatch, dimension, threads, out=None):
+    def _sample(self, monkeypatch, dimension, threads):
         monkeypatch.setattr(mvfbm.fbm, "usable_cores", lambda: threads)
         sampler = CirculantSampler(0.3, UniformMesh(1.0, self.STEPS))
         streams = StreamArray(StreamKey(2024), np.array([(0, 1, i) for i in range(self.PATHS)]))
-        return sampler.sample_ensemble(dimension, streams, out=out)
+        return np.swapaxes(sampler.sample_ensemble(dimension, streams), 0, 1)
 
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("block_rows", [1, 6, None], ids=["1-row", "6-rows", "default"])
@@ -304,11 +304,6 @@ class TestThreads:
         expected = self._sample(monkeypatch, dimension, threads=1).tobytes()
         for threads in (1, 2, 3):
             assert self._sample(monkeypatch, dimension, threads).tobytes() == expected, threads
-            # the strided step-major view that the simulator's _drivers passes
-            drivers = np.empty((self.STEPS, self.PATHS, dimension))
-            view = np.swapaxes(drivers, 0, 1)
-            assert self._sample(monkeypatch, dimension, threads, out=view) is view
-            assert view.tobytes() == expected, threads
         assert threading.active_count() == before  # every call joins its threads
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -363,12 +358,6 @@ class TestThreads:
         for count, cores in ((3, 3), (None, 1)):
             monkeypatch.setattr(os, "cpu_count", lambda: count)
             assert mvfbm.fbm.usable_cores() == cores
-
-    def test_wrong_out_shape_raises_value_error(self, monkeypatch):
-        before = threading.active_count()
-        with pytest.raises(ValueError, match=r"out has shape \(29, 32, 2\), expected \(29, 32, 1\)"):
-            self._sample(monkeypatch, 1, threads=2, out=np.empty((self.PATHS, self.STEPS, 2)))
-        assert threading.active_count() == before
 
 
 def test_one_lane_starts_no_thread(monkeypatch):

@@ -160,6 +160,6 @@ def _classical_increments(hurst, mesh, dimension, streams):
 def test_circulant_matches_the_classical_fft(hurst, steps, rows, dimension, seed):
     mesh = UniformMesh(1.0, steps)
     streams = StreamArray(StreamKey(seed), np.arange(rows)[:, None])
-    got = CirculantSampler(hurst, mesh).sample_ensemble(dimension, streams)
+    got = np.swapaxes(CirculantSampler(hurst, mesh).sample_ensemble(dimension, streams), 0, 1)
     expected = _classical_increments(hurst, mesh, dimension, streams)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()

@@ -154,7 +154,7 @@ class TestRun:
         sampler = CirculantSampler(0.7, config.mesh)
         for i in range(6):
             stream = StreamArray(StreamKey(13), np.array([[0, 1, i]]))
-            increments = sampler.sample_ensemble(1, stream)[0]
+            increments = sampler.sample_ensemble(1, stream)[:, 0]
             expected = x0 + xi * increments.sum()
             assert record.terminal[i, 0] == pytest.approx(expected, rel=1e-12)
 
