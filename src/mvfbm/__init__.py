@@ -9,8 +9,6 @@ chaos-trend, and moment studies.
 from .fbm import (
     CirculantEmbeddingError,
     CirculantSampler,
-    CholeskySampler,
-    CovarianceFactorizationError,
     UniformMesh,
     increment_covariance_matrix,
 )
@@ -28,7 +26,6 @@ from .model import (
     preset_by_name,
     preset_mean_deviation,
     preset_mean_reverting,
-    preset_unstable_cubic,
     validate,
 )
 from .reports import (

@@ -17,8 +17,10 @@ rejected.  A run that succeeds writes ``report.csv``, ``report.json``,
 
 Exit codes: 0 success, 1 numerical failure (``NumericalBlowup``,
 ``CirculantEmbeddingError`` or ``NonFiniteError``), 2 configuration failure
-(``ConfigError``, ``RegimeViolation`` or ``StudyArgumentError``).  Any other
-exception is a defect and propagates as itself.
+(``ConfigError``, ``RegimeViolation`` or ``StudyArgumentError``; a run
+whose arrays cannot be allocated, ``MemoryError``; and a run directory
+that cannot be written).  Any other exception is a defect and propagates
+as itself.
 """
 
 from __future__ import annotations
@@ -352,7 +354,8 @@ def dispatch(config: RunConfig) -> int:
     measured here once and written to ``report.json`` alone.  The run
     directory is created only once the command has returned, so a run that
     fails leaves no directory behind.  A run that reuses a directory first
-    removes every artifact an earlier run left there.
+    removes every artifact an earlier run left there.  A directory or file
+    that cannot be written raises ``ConfigError``.
     """
     start = time.perf_counter()
     report, plot = _COMMAND_RUNNERS[config.command](config)
@@ -360,12 +363,15 @@ def dispatch(config: RunConfig) -> int:
     artifacts = {"report.csv": report.to_csv(), "report.json": report.to_json(wall_time)}
     if plot is not None:
         artifacts["plot.svg"] = plot
-    directory = _run_directory(config)
-    for name in _ARTIFACT_NAMES:  # a reused --label directory may hold an earlier run's files
-        (directory / name).unlink(missing_ok=True)
-    (directory / "config.echo").write_text(_echo_config(config))
-    for name, text in artifacts.items():
-        (directory / name).write_text(text)
+    try:
+        directory = _run_directory(config)
+        for name in _ARTIFACT_NAMES:  # a reused --label directory may hold an earlier run's files
+            (directory / name).unlink(missing_ok=True)
+        (directory / "config.echo").write_text(_echo_config(config))
+        for name, text in artifacts.items():
+            (directory / name).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the run directory under {config.outdir}: {exc}") from exc
     print(f"{report.summary()} -> {', '.join(str(directory / name) for name in artifacts)}")
     return 0
 
@@ -379,6 +385,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return dispatch(parse_config(argv))
     except (ConfigError, RegimeViolation, StudyArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy names the allocation that this host cannot hold
+        print(f"error: the configured run does not fit in memory: {exc}", file=sys.stderr)
         return 2
     except (NumericalBlowup, CirculantEmbeddingError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

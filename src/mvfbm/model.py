@@ -50,7 +50,6 @@ __all__ = [
     "validate",
     "preset_mean_deviation",
     "preset_mean_reverting",
-    "preset_unstable_cubic",
     "preset_by_name",
     "PRESET_NAMES",
 ]
@@ -216,25 +215,7 @@ def preset_mean_reverting(xi: float = 1.0, rate: float = 1.0, initial: float = 1
     )
 
 
-def _cubic_drift(states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-    return states**3
-
-
-def preset_unstable_cubic(initial: float = 1.0, initial_spread: float = 0.0) -> ModelSpec:
-    """Superlinear-drift fixture that blows up under explicit stepping.
-
-    Exists to exercise the numerical-failure path.
-    """
-    return ModelSpec(
-        name="unstable-cubic",
-        dimension=1,
-        drift=_cubic_drift,
-        diffusion=ConstantDiffusion(np.array([[0.1]])),
-        initial=_start(initial, initial_spread),
-    )
-
-
-PRESET_NAMES = ("mean-deviation", "mean-reverting", "unstable-cubic")
+PRESET_NAMES = ("mean-deviation", "mean-reverting")
 
 
 def preset_by_name(
@@ -250,6 +231,4 @@ def preset_by_name(
         return preset_mean_deviation(initial, initial_spread)
     if name == "mean-reverting":
         return preset_mean_reverting(xi, rate, initial, initial_spread)
-    if name == "unstable-cubic":
-        return preset_unstable_cubic(initial, initial_spread)
     raise ValueError(f"unknown model preset {name!r}; choose from {PRESET_NAMES}")

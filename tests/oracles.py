@@ -14,7 +14,7 @@ import numpy as np
 
 from mvfbm.fbm import UniformMesh, increment_covariance_matrix
 from mvfbm.measure import EmpiricalMeasure
-from mvfbm.model import ConstantDiffusion, ModelSpec
+from mvfbm.model import ConstantDiffusion, ModelSpec, _start
 from mvfbm.simulator import (
     NumericalBlowup,
     ParticleEnsemble,
@@ -212,4 +212,18 @@ def planar_model() -> ModelSpec:
         name="planar", dimension=2, drift=reverting_drift,
         diffusion=ConstantDiffusion(np.array([[1.0, 0.3], [-0.2, 0.7]])),
         initial=_planar_initial,
+    )
+
+
+def _cubic_drift(states, mu):
+    return states**3
+
+
+def unstable_cubic(initial: float = 1.0, initial_spread: float = 0.0) -> ModelSpec:
+    """A superlinear drift, outside the Lipschitz hypotheses of the scheme's error
+    bounds, that blows up under explicit stepping: the numerical-failure tests' model.
+    Its initial law is the presets' (``initial``, ``initial_spread``)."""
+    return ModelSpec(
+        name="unstable-cubic", dimension=1, drift=_cubic_drift,
+        diffusion=ConstantDiffusion(np.array([[0.1]])), initial=_start(initial, initial_spread),
     )

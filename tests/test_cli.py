@@ -129,14 +129,14 @@ class TestMainExitCodes:
     def test_numerical_failure(self, tmp_path, capsys):
         code, _, err = run_cli(
             [
-                "--command", "simulate", "--model", "unstable-cubic", "--initial", "2.0",
-                "--horizon", "4.0", "--steps", "16", "--particles", "2", "--hurst", "0.5",
+                "--command", "simulate", "--model", "mean-deviation", "--initial-spread", "0.5",
+                "--horizon", "2^133", "--steps", "16", "--particles", "2",
                 "--outdir", str(tmp_path), "--label", "boom",
             ],
             capsys,
         )
         assert code == 1
-        assert "step" in err
+        assert err.startswith("numerical failure: non-finite state at step 8,")
 
     def test_regime_violation_is_config_failure(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -163,6 +163,7 @@ class TestMainExitCodes:
         "config_text,flags,expected_code",
         [
             ("command = simulate\nmodel = bogus\n", [], 2),
+            ("command = simulate\nmodel = unstable-cubic\n", [], 2),  # a test fixture, not a preset
             ("command = fbm-check\nsampler = cholesky\n", [], 2),
             (None, ["--command", "convergence", "--deltas", "2^-5,0.03"], 2),
             (None, ["--command", "chaos", "--particle-counts", "100,50"], 2),
@@ -179,17 +180,18 @@ class TestMainExitCodes:
             (
                 None,
                 [
-                    "--command", "simulate", "--model", "unstable-cubic", "--initial", "2.0",
-                    "--horizon", "4.0", "--steps", "16", "--particles", "2", "--hurst", "0.5",
+                    "--command", "simulate", "--model", "mean-deviation", "--initial-spread", "0.5",
+                    "--horizon", "2^133", "--steps", "16", "--particles", "2",
                 ],
                 1,
             ),
             (
                 None,
                 [
-                    "--command", "convergence", "--model", "unstable-cubic", "--initial", "2.0",
-                    "--particles", "4", "--replications", "4", "--deltas", "2^-3,2^-4",
-                    "--reference-delta", "2^-6", "--hurst", "0.5", "--workers", "2",
+                    "--command", "convergence", "--model", "mean-deviation",
+                    "--initial-spread", "0.5", "--horizon", "2^133", "--reference-delta", "2^127",
+                    "--deltas", "2^130,2^129", "--particles", "4", "--replications", "4",
+                    "--workers", "2",
                 ],
                 1,
             ),
@@ -250,9 +252,31 @@ class TestMainExitCodes:
                 ],
                 1,
             ),
+            # 2^57 steps need 1 EiB, more than any 64-bit address space: numpy refuses to allocate
+            (
+                None,
+                ["--command", "convergence", "--particles", "1", "--replications", "2",
+                 "--deltas", "2^-1,2^-2", "--reference-delta", "2^-57"],
+                2,
+            ),
+            (
+                None,
+                ["--command", "convergence", "--particles", "1", "--replications", "2",
+                 "--deltas", "2^-1,2^-2", "--reference-delta", "2^-57", "--workers", "2"],
+                2,
+            ),
+            (None, ["--command", "simulate", "--steps", "144115188075855872"], 2),
+            (None, ["--command", "fbm-check", "--steps", "144115188075855872", "--paths", "2"], 2),
+            (None, ["--command", "moments", "--deltas", "2^-1,2^-57", "--particles", "1"], 2),
+            (
+                None,
+                ["--command", "chaos", "--steps", "144115188075855872", "--particle-counts", "1,2",
+                 "--replications", "1"],
+                2,
+            ),
         ],
         ids=[
-            "unknown-model-in-file", "sampler-key-in-file", "delta-off-reference-mesh",
+            "unknown-model-in-file", "fixture-model-in-file", "sampler-key-in-file", "delta-off-reference-mesh",
             "decreasing-counts", "one-count", "one-delta", "one-distinct-delta",
             "repeated-delta-convergence", "repeated-delta-moments", "repeated-key-in-file",
             "empty-delta-list", "not-a-boolean-in-file", "no-equals-sign-in-file",
@@ -262,6 +286,8 @@ class TestMainExitCodes:
             "variance-underflow-simulate", "variance-underflow-fbm-check",
             "stderr-overflow-fbm-check", "stderr-underflow-fbm-check",
             "non-finite-moments", "non-finite-simulate-std",
+            "no-memory-convergence", "no-memory-in-worker", "no-memory-simulate",
+            "no-memory-fbm-check", "no-memory-moments", "no-memory-chaos",
         ],
     )
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys, config_text, flags, expected_code):
@@ -273,6 +299,16 @@ class TestMainExitCodes:
         assert code == expected_code, err
         assert err.count("\n") == 1 and err.startswith(("error: ", "numerical failure: "))
         assert list(outdir.glob("**/*")) == []
+
+    def test_unwritable_outdir_is_config_failure(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        outdir = tmp_path / "file" / "runs"  # below a regular file: no directory can be made
+        code, _, err = run_cli(["--command", "simulate", "--steps", "2", "--outdir", str(outdir)],
+                               capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot write the run directory under {outdir}: ")
+        assert err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == ""
 
     def test_default_run_directories_never_overwrite(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(time, "strftime", lambda *_: "20260101-000000")

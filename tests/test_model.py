@@ -2,6 +2,8 @@
 
 import math
 import pickle
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,11 +19,14 @@ from mvfbm.model import (
     preset_by_name,
     preset_mean_deviation,
     preset_mean_reverting,
-    preset_unstable_cubic,
     validate,
 )
 from mvfbm.streams import StreamKey
-from oracles import zero_drift
+from oracles import unstable_cubic, zero_drift
+
+# Every preset by name, and the blow-up fixture that takes the same initial law.
+MODELS = {name: partial(preset_by_name, name) for name in PRESET_NAMES}
+MODELS["unstable-cubic"] = unstable_cubic
 
 
 def _measure(*values):
@@ -95,8 +100,7 @@ class TestValidate:
     def test_total_over_grid(self):
         # every combination passes or raises RegimeViolation, never another error,
         # and only a non-constant diffusion below H = 1/2 is rejected
-        models = [preset_mean_deviation(), preset_mean_reverting(), preset_unstable_cubic()]
-        for model in models:
+        for model in (preset_mean_deviation(), preset_mean_reverting(), unstable_cubic()):
             for h in (0.1, 0.3, 0.5, 0.7, 0.9):
                 try:
                     validate(model, h)
@@ -137,30 +141,32 @@ def test_state_measure_reduces_to_measure_only():
 
 
 def test_presets_picklable():
-    for name in ("mean-deviation", "mean-reverting", "unstable-cubic"):
-        model = preset_by_name(name, xi=0.5, rate=2.0, initial=1.5)
+    models = [preset_by_name(name, xi=0.5, rate=2.0, initial=1.5) for name in PRESET_NAMES]
+    for model in [*models, unstable_cubic(initial=1.5)]:  # a pool worker must unpickle the fixture
         clone = pickle.loads(pickle.dumps(model))
         states = np.array([[1.0], [2.0]])
         mu = EmpiricalMeasure(states)
         assert np.allclose(clone.drift(states, mu), model.drift(states, mu))
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("name", MODELS)
 def test_every_preset_takes_the_initial_law(name):
-    rng = StreamKey(3).generator()
-    point = preset_by_name(name, initial=1.5).initial_states(64, rng)
+    build, rng = MODELS[name], StreamKey(3).generator()
+    point = build(initial=1.5).initial_states(64, rng)
     assert np.array_equal(point, np.full((64, 1), 1.5))
-    spread = preset_by_name(name, initial=1.5, initial_spread=0.5).initial_states(64, rng)
+    spread = build(initial=1.5, initial_spread=0.5).initial_states(64, rng)
     assert abs(spread.mean() - 1.5) < 5 * 0.5 / 8 and 0.25 < spread.std() < 1.0
     # a NaN spread once failed both sign tests and became a point mass
     for initial, spread in ((1.0, -0.5), (1.0, math.nan), (1.0, math.inf), (math.nan, 0.0)):
         with pytest.raises(ValueError, match="finite spread >= 0"):
-            preset_by_name(name, initial=initial, initial_spread=spread)
+            build(initial=initial, initial_spread=spread)
 
 
 def test_preset_by_name_unknown():
-    with pytest.raises(ValueError, match="unknown model preset"):
-        preset_by_name("nope")
+    for name in ("nope", "unstable-cubic"):  # the blow-up model is a test fixture, not a preset
+        message = f"unknown model preset {name!r}; choose from ('mean-deviation', 'mean-reverting')"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            preset_by_name(name)
 
 
 def test_dimension_must_be_positive():

@@ -36,6 +36,9 @@ def test_package_reexports_only_module_exports():
     namespace = {}
     exec("from mvfbm import *", namespace)
     assert public <= namespace.keys()
+    # test oracles stay out: the dense Cholesky sampler is imported from mvfbm.fbm
+    oracles = {"preset_unstable_cubic", "CholeskySampler", "CovarianceFactorizationError"}
+    assert oracles & namespace.keys() == set()
 
 
 def test_importing_main_module_does_not_run_the_cli():
@@ -60,6 +63,11 @@ assert mvfbm.cli.main(["--command", "convergence", "--workers", "1", "--particle
                        "--replications", "2", "--deltas", "2^-2,2^-3",
                        "--reference-delta", "2^-5"] + small) == 0
 assert mvfbm.cli.main(["--command", "fbm-check", "--steps", "16", "--paths", "64"] + small) == 0
+assert mvfbm.cli.main(["--command", "simulate", "--steps", "16", "--particles", "8"] + small) == 0
+assert mvfbm.cli.main(["--command", "moments", "--deltas", "2^-2,2^-3", "--particles", "8"]
+                      + small) == 0
+assert mvfbm.cli.main(["--command", "chaos", "--workers", "1", "--steps", "16",
+                       "--particle-counts", "4,8", "--replications", "2"] + small) == 0
 print(sorted({{"multiprocessing", "concurrent.futures", "logging"}} & sys.modules.keys()))
 """
     src = str(Path(mvfbm.__file__).parents[1])

@@ -17,7 +17,6 @@ from mvfbm.model import (
     StateMeasureDiffusion,
     preset_mean_deviation,
     preset_mean_reverting,
-    preset_unstable_cubic,
 )
 from mvfbm.reports import SimulateReport
 from mvfbm.simulator import (
@@ -33,8 +32,8 @@ from mvfbm.simulator import (
 )
 from mvfbm.streams import StreamArray, StreamKey
 from mvfbm.study import fit_loglog_slope
-from oracles import (mean_reverting_limit_variance, per_mesh_ladder, reverting_drift, w2_to_gaussian,
-                     zero_drift)
+from oracles import (mean_reverting_limit_variance, per_mesh_ladder, reverting_drift, unstable_cubic,
+                     w2_to_gaussian, zero_drift)
 
 
 def _null_model(dimension=1):
@@ -228,9 +227,7 @@ class TestRun:
         assert terminal.snapshot_indices == [200]
 
     def test_blowup_propagates(self):
-        config = SimulationConfig(
-            preset_unstable_cubic(initial=2.0), 0.5, UniformMesh(4.0, 16), 2, 3
-        )
+        config = SimulationConfig(unstable_cubic(initial=2.0), 0.5, UniformMesh(4.0, 16), 2, 3)
         with pytest.raises(NumericalBlowup):
             run(config)
 

@@ -16,7 +16,6 @@ from mvfbm.model import (
     ModelSpec,
     preset_mean_deviation,
     preset_mean_reverting,
-    preset_unstable_cubic,
 )
 from mvfbm.simulator import NumericalBlowup, SimulationConfig, run
 from mvfbm.study import (
@@ -29,7 +28,7 @@ from mvfbm.study import (
     strong_error_study,
 )
 from mvfbm.streams import StreamKey
-from oracles import mean_shifted_sigma, planar_model, reverting_drift
+from oracles import mean_shifted_sigma, planar_model, reverting_drift, unstable_cubic
 
 DELTAS = (2.0**-3, 2.0**-4, 2.0**-5)
 REFERENCE = 2.0**-7
@@ -604,7 +603,7 @@ class TestBatching:
 
     @pytest.mark.parametrize("workers", [1, 2])  # a worker's blow-up must reach the caller
     def test_blowup_in_a_batched_run_names_the_replication(self, monkeypatch, workers):
-        model = preset_unstable_cubic(initial=0.0, initial_spread=0.4)
+        model = unstable_cubic(initial=0.0, initial_spread=0.4)
         replications = 12
         named = set()
         for budget in (1, 4, replications):  # replications per batch
