@@ -59,7 +59,7 @@ class ConfigError(ValueError):
 
 
 def _simulate(config: RunConfig) -> tuple[Report, str | None]:
-    model, mesh = _model_for(config), UniformMesh(config.horizon, config.steps)
+    model, mesh = _model_for(config), _mesh(config)
     sim = SimulationConfig(model, config.hurst, mesh, config.particles, config.seed)
     record = run(sim, snapshots=config.snapshots)
     with np.errstate(over="ignore"):  # the report rejects a statistic that overflowed
@@ -85,7 +85,7 @@ def _convergence(config: RunConfig) -> tuple[Report, str | None]:
 
 def _chaos(config: RunConfig) -> tuple[Report, str | None]:
     report = chaos_study(
-        _model_for(config), config.hurst, UniformMesh(config.horizon, config.steps),
+        _model_for(config), config.hurst, _mesh(config),
         config.particle_counts, config.replications, config.theta, config.seed,
         workers=config.workers,
     )
@@ -331,6 +331,13 @@ def _run_directory(config: RunConfig) -> Path:
         except FileExistsError:  # an earlier run in the same second
             n += 1
             directory = Path(config.outdir) / f"{stamp}-{n}"
+
+
+def _mesh(config: RunConfig) -> UniformMesh:
+    try:  # a mesh too large to draw is rejected where it is made
+        return UniformMesh(config.horizon, config.steps)
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for steps: {exc}") from None
 
 
 def _model_for(config: RunConfig):

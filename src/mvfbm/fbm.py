@@ -30,13 +30,14 @@ steps through.  The circulant sampler seeds all streams of a call
 in one vectorized pass, bit-identical to ``StreamKey.generator()``.  It
 deals its FFT blocks to one lane per usable core of the process that calls
 it: the calling thread draws lane 0, and a plain ``threading`` thread each
-other lane.  numpy releases the interpreter lock inside the normal draws and
-the FFT, and each path's variates do not depend on which thread or block
-computes them, so the thread count never changes a bit.
+other lane.  Their normal draws overlap only in long calls: each path's
+draw is a short call between interpreter-lock hand-offs.  Each path's
+variates do not depend on which thread or block computes them, so the
+thread count never changes a bit.
 
-Only the finest mesh of a ladder is drawn: the simulator steps each coarse
-mesh on left-to-right sums of blocks of the fine increments, which it adds
-up as it passes them, so no coarse driver array is built.
+Only the finest mesh of a nested ladder is drawn: the simulator steps each
+coarse mesh on left-to-right sums of blocks of the fine increments, which it
+adds up as it passes them, so no coarse driver array is built.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ class UniformMesh:
             raise ValueError(f"mesh horizon must be positive and finite, got {self.horizon}")
         if self.steps < 1:
             raise ValueError(f"mesh must have at least one step, got {self.steps}")
+        if 16 * (self.steps + 1) > sys.maxsize:  # numpy cannot size the sampler's 2n + 2 modes
+            raise ValueError(f"a mesh of {self.steps} steps is too large for numpy's arrays")
 
     @property
     def delta(self) -> float:

@@ -18,13 +18,13 @@ Coupled multi-mesh execution generates each driver once on the finest mesh,
 step-major as the sampler returns it, and advances every mesh in one pass
 over its steps, each mesh on the block sums of the fine increments (one
 fine increment for the finest), so terminal differences between
-resolutions estimate the strong discretization error directly.  Every mesh
-of the ladder steps by the same rule, and every kept snapshot is a copy.
+resolutions estimate the strong discretization error directly.  Ladders
+are nested, so the meshes that step at a fine step are a prefix of the
+stack; every mesh steps by the same rule, and every kept snapshot is a copy.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -151,8 +151,9 @@ def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: "float | np.nda
     Row i of ``increments`` is the driver increment of the particle in row i
     of ``ensemble.states``, and ``delta`` is the step of every row, or an
     (R*N, 1) column with one step per row.  The run loop always passes the
-    column, so that one call can advance meshes of different widths; each
-    row gets the bits of a float delta.
+    column, so that one call advances the meshes of a nested ladder that
+    step together, each with its own step; each row gets the bits of a
+    float delta.
     The coefficients see the (R, N, d) view and the
     batch of R measures.  sigma broadcasts against (R, N, d, d), so every
     diffusion kind goes through one noise product, computed per particle:
@@ -218,34 +219,6 @@ def _initial_states(config: SimulationConfig) -> np.ndarray:
     ])
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """The maximal runs of consecutive true entries, as (start, stop) pairs."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(int), [0]))))
-    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
-
-
-def _step_plan(factors: Sequence[int], deltas: Sequence[float], width: int) -> list[tuple]:
-    """What fine step k does to a ladder of slots, for k = 1 .. the least
-    common multiple of the factors, after which the pattern repeats.
-
-    Slot s holds the mesh of ``factors[s]``; a slot is ``width`` rows of the
-    stacked states.  Step k is (fresh, grow, runs): the slices of slots whose
-    increment restarts at fine row k, the slices that add fine row k to it,
-    and one (rows, delta, slot count) per maximal run of consecutive slots
-    whose mesh steps at k.  Every slot follows this one rule, the finest
-    too, and every run's delta is a per-row column of its slots' steps.
-    """
-    f = np.asarray(factors)
-    column = np.repeat(np.asarray(deltas, dtype=float), width)[:, None]
-    plan = []
-    for k in range(1, math.lcm(*factors) + 1):
-        fresh = (k - 1) % f == 0
-        runs = [(slice(lo * width, hi * width), column[lo * width : hi * width], hi - lo)
-                for lo, hi in _runs(k % f == 0)]
-        plan.append(([slice(*r) for r in _runs(fresh)], [slice(*r) for r in _runs(~fresh)], runs))
-    return plan
-
-
 def run(config: SimulationConfig, snapshots: str = "terminal") -> TrajectoryRecord:
     """Simulate the configured batch of ensembles over the mesh.
 
@@ -261,22 +234,24 @@ def run_coupled_meshes(
 ) -> dict[int, TrajectoryRecord]:
     """Run the scheme on nested meshes sharing one set of fine drivers.
 
-    ``config.mesh`` is the finest mesh; each factor must divide its step
-    count, and factor 1 (the reference run) is always included.  All meshes
-    share the initial ensemble and the same continuous drivers, so terminal
-    differences measure pure discretization error.  They advance together
-    in one pass over the fine steps: the states of every mesh are stacked,
-    ascending factor, and a coarse mesh's increment is the left-to-right sum
-    of its block of fine increments, built in place as the pass reaches
-    them.  At each fine step every mesh whose step ends there advances, in
-    one ``em_step`` per run of consecutive such meshes.  Each mesh keeps
-    the snapshots of ``snapshots`` at its own step indices.  If meshes blow
-    up, the smallest factor's blow-up is raised, with its first non-finite
-    step and row.
+    ``config.mesh`` is the finest mesh; factor 1 (the reference run) is
+    always included, each factor must divide the next larger one and the
+    step count, and any other ladder raises ``ValueError`` before any draw.
+    All meshes share the initial ensemble and the same continuous drivers,
+    so terminal differences measure pure discretization error.  They
+    advance together in one pass over the fine steps: the states of every
+    mesh are stacked, ascending factor, and a coarse mesh's increment is the
+    left-to-right sum of its block of fine increments, built in place as the
+    pass reaches them.  The meshes whose step ends at a fine step are the
+    first slots of the stack, and one ``em_step`` call advances them.  Each
+    mesh keeps the snapshots of ``snapshots`` at its own step indices.  If
+    meshes blow up, the smallest factor's blow-up is raised, with its first
+    non-finite step and row; the finer meshes step on to find it.
     """
     ladder = sorted(set(int(f) for f in factors) | {1})
+    if any(coarse % fine for fine, coarse in zip(ladder, ladder[1:])):
+        raise ValueError(f"coarsening factors {ladder} are not nested: each must divide the next")
     meshes = [config.mesh.coarsen(f) for f in ladder]
-    deltas = [mesh.delta for mesh in meshes]
     width = config.particles * len(config.replications)
     rows = [slice(slot * width, (slot + 1) * width) for slot in range(len(ladder))]
     keep = [_snapshot_plan(mesh.steps, snapshots) for mesh in meshes]
@@ -289,31 +264,31 @@ def run_coupled_meshes(
     states = np.tile(initial, (len(ladder), 1))
     increments = np.empty_like(states)
     increment_slots = increments.reshape(len(ladder), width, -1)
+    deltas = np.repeat([mesh.delta for mesh in meshes], width)[:, None]  # each row's own step
     kept: list[list[np.ndarray]] = [[initial.copy()] if 0 in k else [] for k in keep]
-    plan = _step_plan(ladder, deltas, width)
+    live = stepped = len(ladder)  # slots still stepping; slots whose block starts at the next row
     blowup = None
     for k, row in enumerate(drivers, start=1):
-        fresh, grow, runs = plan[(k - 1) % len(plan)]
-        for slots in fresh:
-            increment_slots[slots] = row
-        for slots in grow:
-            increment_slots[slots] += row
-        for span, delta, count in runs:
-            # bench/layertrace.py patches this module-level call and reads .states from its first argument
-            ensemble = em_step(ParticleEnsemble(states[span], count * len(config.replications)),
-                               config.model, delta, increments[span])
-            states[span] = ensemble.states
-            if not np.isfinite(ensemble.states).all():
-                bad = span.start + int(np.argwhere(~np.isfinite(ensemble.states))[0, 0])
-                slot, offset = divmod(bad, width)
-                replication, particle = divmod(offset, config.particles)
-                blowup = NumericalBlowup(k // ladder[slot], particle, config.model.name,
-                                         config.replications[replication], meshes[slot].steps)
-                if slot == 0:
-                    raise blowup
-                # a smaller factor's blow-up would take precedence: step only those meshes on
-                plan = _step_plan(ladder[:slot], deltas[:slot], width)
-                break
+        increment_slots[:stepped] = row
+        if stepped < live:
+            increment_slots[stepped:live] += row
+        stepping = sum(k % f == 0 for f in ladder[:live])  # the first slots: the ladder is nested
+        span = slice(0, stepping * width)
+        # bench/layertrace.py patches this module-level call and reads .states from its first argument
+        ensemble = em_step(ParticleEnsemble(states[span], stepping * len(config.replications)),
+                           config.model, deltas[span], increments[span])
+        states[span] = ensemble.states
+        if not np.isfinite(ensemble.states).all():
+            bad = int(np.argwhere(~np.isfinite(ensemble.states))[0, 0])
+            slot, offset = divmod(bad, width)
+            replication, particle = divmod(offset, config.particles)
+            blowup = NumericalBlowup(k // ladder[slot], particle, config.model.name,
+                                     config.replications[replication], meshes[slot].steps)
+            if slot == 0:
+                raise blowup
+            # a smaller factor's blow-up would take precedence: step only those meshes on
+            live = stepping = slot
+        stepped = stepping
         for slot in shots.get(k, ()):
             kept[slot].append(states[rows[slot]].copy())
     if blowup is not None:

@@ -2,11 +2,12 @@
 
 Replications run in batches, and a batch is a ``SimulationConfig`` whose
 ``replications`` range names its replications: one simulator run advances
-all of them together.  Batches fan out over processes when ``workers > 1``;
-a batch returns only its terminal states, or its blow-up, and the study
-reduces them in the main process in replication order.  So a report is a
-pure function of its seed and parameters, independent of batch size,
-worker count or scheduling.
+all of them together, on every mesh of a nested ladder, whose deltas each
+divide the next coarser one.  Batches fan out over processes when
+``workers > 1``; a batch returns only its terminal states, or its blow-up,
+and the study reduces them in the main process in replication order.  So
+a report is a pure function of its seed and parameters, independent of
+batch size, worker count or scheduling.
 
 Study-level stream layout under the master key.  A run roots its
 replication m at ``child(m)`` of the seed it is given, so a study only
@@ -90,12 +91,15 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
 
 def _ladder(deltas: Sequence[float], fine_delta: float,
             horizon: float) -> tuple[list[float], UniformMesh, list[int]]:
-    """The deltas coarse to fine, the fine mesh, and each delta's factor on it."""
+    """The deltas coarse to fine, each dividing the next coarser one, the fine
+    mesh, and each delta's factor on it."""
     if not all(0.0 < float(value) < math.inf for value in (horizon, fine_delta, *deltas)):  # NaN fails too
         raise StudyArgumentError(f"horizon and deltas must be positive and finite, got {list(deltas)}, "
                                  f"reference {fine_delta}, horizon {horizon}")
-    steps = int(round(horizon / fine_delta))
-    if steps < 1 or not math.isclose(steps * fine_delta, horizon, rel_tol=1e-12):
+    ratio = horizon / fine_delta  # a step count past the float range is past every mesh size
+    fine_mesh = _argument(UniformMesh, horizon, max(1, round(ratio)) if ratio < math.inf else ratio)
+    steps = fine_mesh.steps
+    if not math.isclose(steps * fine_delta, horizon, rel_tol=1e-12):
         raise StudyArgumentError(f"delta {fine_delta} does not divide the horizon {horizon}")
     deltas = sorted((float(d) for d in deltas), reverse=True)
     factors = [int(round(d / fine_delta)) for d in deltas]
@@ -108,7 +112,10 @@ def _ladder(deltas: Sequence[float], fine_delta: float,
             )
         if factor in factors[:i]:
             raise StudyArgumentError(f"delta {delta} is repeated: give each delta once")
-    return deltas, UniformMesh(horizon, steps), factors
+        if i and factors[i - 1] % factor:
+            raise StudyArgumentError(f"delta {delta} does not divide delta {deltas[i - 1]}: "
+                                     f"each delta must divide the next coarser one")
+    return deltas, fine_mesh, factors
 
 
 def _argument(check: Callable[..., Any], *args, **kwargs) -> Any:
@@ -185,8 +192,8 @@ def strong_error_study(
     """Terminal RMS error against a shared-driver fine-mesh reference run.
 
     For each batch of replications the drivers are generated once on the
-    reference mesh, and every mesh of the ladder advances in one pass over
-    them, a coarse mesh on the left-to-right block sums of the fine
+    reference mesh, and every mesh of the nested ladder advances in one pass
+    over them, a coarse mesh on the left-to-right block sums of the fine
     increments; the RMS over particles and replications of
     |Y^(delta)_T - Y^(ref)_T| is reported per delta together with the
     fitted log-log slope.  A scheme that reproduces the reference
@@ -328,8 +335,8 @@ def moment_bound_check(
 ) -> MomentReport:
     """Empirical q-th moment stability under mesh refinement.
 
-    Runs the whole ladder on shared drivers (one fine driver set restricted
-    to each mesh), records the max-over-snapshots moment per mesh, and
+    Runs the whole nested ladder on shared drivers (one fine driver set
+    restricted to each mesh), records the max-over-snapshots moment per mesh, and
     passes when each successive refinement ratio stays within [0.8, 1.25].
     """
     if not 2.0 <= order < math.inf:

@@ -14,7 +14,7 @@ import numpy as np
 
 from mvfbm.fbm import UniformMesh, increment_covariance_matrix
 from mvfbm.measure import EmpiricalMeasure
-from mvfbm.model import ConstantDiffusion, ModelSpec, _start
+from mvfbm.model import ConstantDiffusion, MeasureDiffusion, ModelSpec, StateMeasureDiffusion, _start
 from mvfbm.simulator import (
     NumericalBlowup,
     ParticleEnsemble,
@@ -145,6 +145,21 @@ def block_sums(increments: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
+def nested_ladders(steps: int, lengths: range) -> list[list[int]]:
+    """Every nested ladder of coarse factors on a mesh of ``steps`` steps
+    whose length is in ``lengths``: 1 < f_1 < f_2 < ..., each factor
+    dividing the next and the last dividing ``steps``."""
+    def chains(last: int, length: int):
+        if length == 0:
+            yield []
+            return
+        for factor in range(2 * last, steps + 1, last):
+            if steps % factor == 0:
+                yield from ([factor, *rest] for rest in chains(factor, length - 1))
+
+    return [ladder for length in lengths for ladder in chains(1, length)]
+
+
 def per_mesh_ladder(config, factors, snapshots: str = "terminal") -> dict:
     """Coupled meshes run one after the other, finest first: each mesh steps
     on the block sums of the shared fine drivers, one ``em_step`` per mesh
@@ -199,6 +214,29 @@ def reverting_drift(states, mu):
 
 def _planar_initial(rng, count):
     return 0.4 * rng.standard_normal((count, 2))
+
+
+def noisy_model(kind: str, dimension: int, spread: float = 0.5, cubic: float = 0.0) -> ModelSpec:
+    """A mean-reverting model of the given diffusion kind ("constant", "measure"
+    or "state-measure") and dimension, started from a Gaussian cloud of
+    standard deviation ``spread`` so that its noise enters at once.  A
+    ``cubic`` drift term -cubic x^3 blows explicit Euler up on a mesh whose
+    delta x^2 exceeds about 2 / cubic."""
+    eye = np.eye(dimension)
+    diffusion = {
+        "constant": ConstantDiffusion(np.array([[1.0, 0.3], [-0.2, 0.7]])[:dimension, :dimension]),
+        "measure": MeasureDiffusion(lambda mu: eye + 0.5 * mu.mean()[..., None]),
+        "state-measure": StateMeasureDiffusion(
+            lambda states, mu: eye + 0.5 * (states - mu.mean())[..., None]),
+    }[kind]
+
+    def stiff_drift(states, mu):
+        return reverting_drift(states, mu) - cubic * states**3
+
+    return ModelSpec(name=f"{kind}-{dimension}d", dimension=dimension,
+                     drift=stiff_drift if cubic else reverting_drift,
+                     diffusion=diffusion,
+                     initial=lambda rng, count: spread * rng.standard_normal((count, dimension)))
 
 
 def mean_shifted_sigma(mu):

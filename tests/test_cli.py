@@ -274,6 +274,23 @@ class TestMainExitCodes:
                  "--replications", "1"],
                 2,
             ),
+            # 2^62 or 1e300 steps: the sampler's 2n + 2 float modes pass numpy's largest array size
+            (
+                None,
+                ["--command", "convergence", "--particles", "1", "--replications", "2",
+                 "--deltas", "2^-1,2^-2", "--reference-delta", "2^-62"],
+                2,
+            ),
+            (None, ["--command", "fbm-check", "--steps", "4611686018427387904"], 2),
+            (None, ["--command", "simulate", "--steps", "4611686018427387904"], 2),
+            (None, ["--command", "chaos", "--steps", "4611686018427387904"], 2),
+            (None, ["--command", "convergence", "--horizon", "1e300", "--reference-delta", "1",
+                    "--deltas", "2,4"], 2),
+            # 1e310 steps: the ratio of horizon to reference delta leaves the float range
+            (None, ["--command", "convergence", "--horizon", "1e300", "--reference-delta", "1e-10",
+                    "--deltas", "2e-10,4e-10"], 2),
+            # factors 3, 2 and 1: the factor-2 mesh would step where the factor-3 mesh does not
+            (None, ["--command", "moments", "--horizon", "0.6", "--deltas", "0.3,0.2,0.1"], 2),
         ],
         ids=[
             "unknown-model-in-file", "fixture-model-in-file", "sampler-key-in-file", "delta-off-reference-mesh",
@@ -288,6 +305,8 @@ class TestMainExitCodes:
             "non-finite-moments", "non-finite-simulate-std",
             "no-memory-convergence", "no-memory-in-worker", "no-memory-simulate",
             "no-memory-fbm-check", "no-memory-moments", "no-memory-chaos",
+            "oversize-convergence", "oversize-fbm-check", "oversize-simulate", "oversize-chaos",
+            "oversize-horizon-convergence", "overflowing-steps-convergence", "non-nested-moments",
         ],
     )
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys, config_text, flags, expected_code):

@@ -19,7 +19,7 @@ import mvfbm.fbm
 import mvfbm.study
 from mvfbm.model import preset_mean_deviation, preset_mean_reverting
 from mvfbm.study import strong_error_study
-from oracles import planar_model
+from oracles import nested_ladders, planar_model
 
 # Each model with the lowest H its diffusion kind admits.
 MODELS = [
@@ -29,16 +29,15 @@ MODELS = [
 ]
 
 
-def _coarsening_factors(steps):
-    return [f for f in range(2, steps + 1) if steps % f == 0]
+# Convergence ladders of two or three coarse factors: a slope needs two.
+LADDER_LENGTHS = range(2, 4)
 
 
 @st.composite
 def studies(draw):
-    """A small convergence study: its arguments and a way to batch it."""
+    """A small convergence study on a nested ladder: its arguments and a way to batch it."""
     model, lowest_hurst = draw(st.sampled_from(MODELS))
-    steps = draw(st.integers(8, 32).filter(lambda n: len(_coarsening_factors(n)) >= 2))
-    factors = st.sampled_from(_coarsening_factors(steps))
+    steps = draw(st.integers(8, 32).filter(lambda n: nested_ladders(n, LADDER_LENGTHS)))
     replications = draw(st.integers(2, 6))
     return {
         "model": model,
@@ -46,7 +45,7 @@ def studies(draw):
         "particles": draw(st.integers(1, 6)),
         "replications": replications,
         "steps": steps,
-        "factors": draw(st.lists(factors, min_size=2, max_size=3, unique=True)),
+        "factors": draw(st.sampled_from(nested_ladders(steps, LADDER_LENGTHS))),
         "seed": draw(st.integers(0, 2**32 - 1)),
         "batch": draw(st.integers(1, replications)),
         "fft_rows": draw(st.integers(1, 5)),

@@ -1,7 +1,8 @@
 """Property tests against direct oracles: the covariance audit, the Toeplitz
-covariance and the shared barycenter must give the oracle's bits exactly.
-The audit is checked on samples of the circulant sampler and of the dense
-Cholesky reference sampler.
+covariance, the shared barycenter and the one-pass run of a nested mesh
+ladder must give the oracle's bits exactly.  The audit is checked on
+samples of the circulant sampler and of the dense Cholesky reference
+sampler; the ladder against its meshes run one after the other.
 
 The examples come from the derandomized profile in conftest.py.
 """
@@ -23,8 +24,10 @@ from mvfbm.fbm import (
     increment_covariance_matrix,
 )
 from mvfbm.measure import EmpiricalMeasure
+from mvfbm.simulator import SNAPSHOT_POLICIES, NumericalBlowup, SimulationConfig, run_coupled_meshes
 from mvfbm.study import covariance_check
-from oracles import covariance_zscores, empirical_covariance, increment_ensemble
+from oracles import (covariance_zscores, empirical_covariance, increment_ensemble, nested_ladders,
+                     noisy_model, per_mesh_ladder)
 
 hursts = st.floats(0.05, 0.95)
 
@@ -97,3 +100,43 @@ def test_barycenter_is_ndarray_mean_computed_once(batch, atoms, dimension, seed)
     assert mean.shape == shape[:-2] + (1, dimension)
     assert mu.mean() is mean
     assert not mean.flags.writeable
+
+
+@st.composite
+def nested_ladder_runs(draw):
+    """A batch on a mesh of 8 to 64 steps, a nested ladder of one to three
+    coarse factors on it, and a snapshot policy, for every diffusion kind.
+    An optional cubic drift makes explicit Euler unstable on a mesh whose
+    delta cubic x^2 exceeds about 2; its stiffness, that product on the
+    finest mesh at x the initial spread, spans the ladder, so that some
+    ladders blow up on coarse meshes alone and some on the finest too."""
+    length = draw(st.integers(1, 3))
+    steps = draw(st.integers(8, 64).filter(lambda n: nested_ladders(n, range(length, length + 1))))
+    mesh = UniformMesh(draw(st.floats(0.25, 4.0)), steps)
+    spread = draw(st.sampled_from([0.25, 1.0, 4.0]))
+    stiffness = draw(st.sampled_from([0.0, 0.5, 2.0, 8.0, 32.0]))
+    kind = draw(st.sampled_from(["constant", "measure", "state-measure"]))
+    model = noisy_model(kind, draw(st.integers(1, 2)), spread, stiffness / (mesh.delta * spread**2))
+    first = draw(st.integers(0, 5))
+    config = SimulationConfig(
+        model, draw(st.floats(0.05 if kind == "constant" else 0.5, 0.95)), mesh,
+        draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1)),
+        replications=range(first, first + draw(st.integers(1, 3))),
+    )
+    ladder = draw(st.sampled_from(nested_ladders(steps, range(length, length + 1))))
+    return config, ladder, draw(st.sampled_from(SNAPSHOT_POLICIES))
+
+
+def _ladder_outcome(ladder, config, factors, policy):
+    """Each mesh's record as bytes, or the blow-up's fields."""
+    try:
+        records = ladder(config, factors, snapshots=policy)
+    except NumericalBlowup as blowup:
+        return blowup.mesh_steps, blowup.step, blowup.replication, blowup.particle
+    return {factor: (record.mesh, record.snapshot_indices, [s.tobytes() for s in record.snapshots])
+            for factor, record in records.items()}
+
+
+@given(case=nested_ladder_runs())
+def test_one_pass_over_a_nested_ladder_is_the_per_mesh_oracle(case):
+    assert _ladder_outcome(run_coupled_meshes, *case) == _ladder_outcome(per_mesh_ladder, *case)

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 import mvfbm.fbm
+import mvfbm.simulator
 from mvfbm.fbm import UniformMesh
 from mvfbm.model import (
     ConstantDiffusion,
-    MeasureDiffusion,
     ModelSpec,
-    StateMeasureDiffusion,
     preset_mean_deviation,
     preset_mean_reverting,
 )
@@ -32,8 +31,8 @@ from mvfbm.simulator import (
 )
 from mvfbm.streams import StreamArray, StreamKey
 from mvfbm.study import fit_loglog_slope
-from oracles import (mean_reverting_limit_variance, per_mesh_ladder, reverting_drift, unstable_cubic,
-                     w2_to_gaussian, zero_drift)
+from oracles import (mean_reverting_limit_variance, noisy_model, per_mesh_ladder, reverting_drift,
+                     unstable_cubic, w2_to_gaussian, zero_drift)
 
 
 def _null_model(dimension=1):
@@ -303,13 +302,13 @@ class TestCoupledMeshes:
 
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("kind", ["constant", "measure", "state-measure"])
-    @pytest.mark.parametrize("steps, factors", [(16, [2, 4, 8]), (12, [3, 4])],
-                             ids=["chain", "non-chain"])
+    @pytest.mark.parametrize("steps, factors", [(16, [2, 4, 8]), (24, [3, 6, 12])],
+                             ids=["chain", "chain-of-3"])
     def test_one_pass_matches_the_per_mesh_oracle(self, steps, factors, kind, dimension):
-        # a chain ladder steps a prefix of the meshes at each fine step; in {3, 4}
-        # the meshes of factor 3 and 4 step apart, and together at step 12.  On a
-        # horizon of 0.9, 3 times the fine delta is not the factor-3 mesh's delta
-        config = SimulationConfig(_noisy_model(kind, dimension), 0.7, UniformMesh(0.9, steps), 3,
+        # a nested ladder steps a prefix of the meshes at each fine step; random
+        # ladders are compared in test_oracle_properties.py.  On a horizon of 0.9,
+        # 3 times the fine delta of 24 steps is not the factor-3 mesh's delta
+        config = SimulationConfig(noisy_model(kind, dimension), 0.7, UniformMesh(0.9, steps), 3,
                                   17, replications=range(2, 5))
         for policy in ("terminal", "thin", "full"):
             records = run_coupled_meshes(config, factors, snapshots=policy)
@@ -321,6 +320,17 @@ class TestCoupledMeshes:
                 assert len(record.snapshots) == len(record.snapshot_indices)
                 for got, want in zip(record.snapshots, expected[factor].snapshots):
                     assert got.tobytes() == want.tobytes(), (policy, factor)
+
+    @pytest.mark.parametrize("factors", [[3, 4], [2, 3], [4, 6]])
+    def test_non_nested_ladder_rejected_before_any_draw(self, monkeypatch, factors):
+        # in {3, 4} the meshes of factor 3 and 4 would step apart: at no fine step
+        # would the meshes that step be a prefix of the stack
+        for name in ("_initial_states", "_drivers"):
+            monkeypatch.setattr(mvfbm.simulator, name, _must_not_draw)
+        config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 12), 2, 0)
+        ladder = re.escape(str([1, *factors]))
+        with pytest.raises(ValueError, match=f"coarsening factors {ladder} are not nested"):
+            run_coupled_meshes(config, factors)
 
     def test_only_a_coarse_mesh_blows_up(self):
         # explicit Euler for x' = -x^3 is stable while delta x^2 < 2: with x0 in [6, 7.5)
@@ -400,19 +410,8 @@ class TestDriverStreams:
                 SimulationConfig(*args, reps)
 
 
-def _noisy_model(kind, dimension):
-    """A mean-reverting model of the given diffusion kind and dimension,
-    started from a Gaussian cloud so that its noise enters at once."""
-    eye = np.eye(dimension)
-    diffusion = {
-        "constant": ConstantDiffusion(np.array([[1.0, 0.3], [-0.2, 0.7]])[:dimension, :dimension]),
-        "measure": MeasureDiffusion(lambda mu: eye + 0.5 * mu.mean()[..., None]),
-        "state-measure": StateMeasureDiffusion(
-            lambda states, mu: eye + 0.5 * (states - mu.mean())[..., None]),
-    }[kind]
-    return ModelSpec(name=f"{kind}-{dimension}d", dimension=dimension, drift=reverting_drift,
-                     diffusion=diffusion,
-                     initial=lambda rng, count: 0.5 * rng.standard_normal((count, dimension)))
+def _must_not_draw(*args, **kwargs):
+    raise AssertionError("a rejected ladder drew its initial states or drivers")
 
 
 def _cubic_decay_model(initial):

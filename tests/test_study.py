@@ -45,6 +45,10 @@ BAD_HURST_IDS = ["zero-hurst", "unit-hurst", "large-hurst", "nan-hurst"]
 # more replications than a stream row's uint32 index addresses
 TOO_MANY_REPLICATIONS = (dict(replications=2**32 + 1),
                          r"indices in \[0, 2\^32\), got range\(0, 4294967297\)")
+# steps of 0.3 and 0.2 on a reference of 0.1 (factors 3 and 2): the factor-2 mesh
+# would step where the factor-3 mesh does not, so the ladder is not nested
+NON_NESTED = (dict(deltas=(0.3, 0.2), reference_delta=0.1, horizon=0.6),
+              "delta 0.2 does not divide delta 0.3: each delta must divide the next coarser one")
 
 
 class TestSlopeFit:
@@ -178,9 +182,11 @@ class TestStrongErrorStudy:
          (dict(deltas=(2.0**-3, REFERENCE)), "reference delta"),
          (dict(workers=0), "at least 1 worker, got 0"), (dict(workers=-1), "at least 1 worker, got -1"),
          (dict(particles=0), "at least 1 particle, got 0"),
-         (dict(particles=-3), "at least 1 particle, got -3"), *BAD_HURSTS, TOO_MANY_REPLICATIONS],
+         (dict(particles=-3), "at least 1 particle, got -3"), *BAD_HURSTS, TOO_MANY_REPLICATIONS,
+         NON_NESTED],
         ids=["one-delta", "one-distinct-delta", "reference-delta", "no-workers", "negative-workers",
-             "no-particles", "negative-particles", *BAD_HURST_IDS, "too-many-replications"],
+             "no-particles", "negative-particles", *BAD_HURST_IDS, "too-many-replications",
+             "non-nested"],
     )
     def test_unfittable_ladder_rejected_before_any_run(self, monkeypatch, arguments, match):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
@@ -395,9 +401,10 @@ class TestMomentBoundCheck:
          (dict(deltas=(math.nan, 0.5)), r"positive and finite, got \[nan, 0.5\], reference nan"),
          (dict(deltas=(0.5, math.inf)), r"positive and finite, got \[0.5, inf\], reference 0.5"),
          (dict(horizon=math.inf), r"positive and finite, got .*, horizon inf$"),
-         (dict(horizon=math.nan), r"positive and finite, got .*, horizon nan$"), *BAD_HURSTS],
+         (dict(horizon=math.nan), r"positive and finite, got .*, horizon nan$"), *BAD_HURSTS,
+         (dict(deltas=(0.3, 0.2, 0.1), horizon=0.6), NON_NESTED[1])],
         ids=["one-delta", "one-distinct-delta", "no-deltas", "zero-delta", "nan-delta",
-             "infinite-delta", "infinite-horizon", "nan-horizon", *BAD_HURST_IDS],
+             "infinite-delta", "infinite-horizon", "nan-horizon", *BAD_HURST_IDS, "non-nested"],
     )
     def test_ratioless_ladder_rejected_before_any_run(self, monkeypatch, arguments, match):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
