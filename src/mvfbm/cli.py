@@ -224,7 +224,10 @@ class RunConfig:
         "uses its usable cores", valid=_AT_LEAST_1,
     )
     outdir: str = _option("runs", str, "output directory root (default runs/)")
-    label: str = _option("", str, "run directory name (default <command>-<timestamp>)")
+    label: str = _option(
+        "", str, "run directory name under outdir (default <command>-<timestamp>)",
+        valid=(lambda s: s not in (".", "..") and Path(s).name == s, "must name one directory"),
+    )
     emit_plot: bool = _option(False, _boolean, "write plot.svg")
     profile: str = _option("desk", str, "parameter profile (default desk)", tuple(_PROFILE_SETTINGS))
 

@@ -9,6 +9,8 @@ coupling bound, labeled as such.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 __all__ = [
@@ -80,6 +82,24 @@ def _theta(order: float) -> float:
     return theta
 
 
+def _power_mean(gaps: np.ndarray, theta: float) -> float:
+    """(mean of gaps^theta)^(1/theta), the cost of a coupling with these gaps.
+
+    Where the plain mean is not a normal finite float, gaps^theta having
+    overflowed or underflowed, the gaps are first scaled by the largest one,
+    so the value stays finite and never falls as theta grows.  A non-finite
+    gap gives a non-finite value.
+    """
+    with np.errstate(over="ignore"):
+        mean = np.mean(gaps**theta)
+    if sys.float_info.min <= mean < np.inf:
+        return float(mean ** (1.0 / theta))
+    top = np.max(gaps)
+    if not 0.0 < top < np.inf:  # every gap zero, or one not finite
+        return float(top)
+    return float(top * np.mean((gaps / top) ** theta) ** (1.0 / theta))
+
+
 def coupled_upper_bound(
     mu: EmpiricalMeasure, nu: EmpiricalMeasure, order: float = 2.0
 ) -> float:
@@ -91,7 +111,7 @@ def coupled_upper_bound(
     _check_aligned(mu, nu)
     theta = _theta(order)
     gaps = np.linalg.norm(mu.atoms - nu.atoms, axis=1)
-    return float(np.mean(gaps**theta) ** (1.0 / theta))
+    return _power_mean(gaps, theta)
 
 
 def wasserstein_1d_exact(
@@ -110,5 +130,5 @@ def wasserstein_1d_exact(
     theta = _theta(order)
     a = np.sort(mu.atoms[:, 0], kind="stable")
     b = np.sort(nu.atoms[:, 0], kind="stable")
-    return float(np.mean(np.abs(a - b) ** theta) ** (1.0 / theta))
+    return _power_mean(np.abs(a - b), theta)
 

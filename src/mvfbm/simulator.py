@@ -86,31 +86,37 @@ class NumericalBlowup(RuntimeError):
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Positions of R independent ensembles of N particles at one mesh node.
+    """The rows ``em_step`` advances: R independent ensembles of N particles.
 
     ``states`` is (R*N, d), replication-major: rows r*N .. r*N + N - 1 hold
-    replication r.
+    replication r.  The class is ``em_step``'s argument alone, the one the
+    benchmark's tracer (``bench/layertrace.py``) reads ``.states`` from.
     """
 
     states: np.ndarray  # (R*N, d)
     replications: int = 1
 
-    def blocks(self) -> np.ndarray:
-        """The states as an (R, N, d) view."""
-        return self.states.reshape(self.replications, -1, self.states.shape[1])
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """One batch of replications of the particle system on one mesh.
+
+    ``seed`` is the batch's stream root: an integer seed becomes
+    ``StreamKey(seed)`` here, so a seed that is not a nonnegative integer
+    raises ``ValueError`` before any draw.
+    """
+
     model: ModelSpec
     hurst: float
     mesh: UniformMesh
     particles: int
-    seed: "int | StreamKey"
+    seed: StreamKey
     # Replication indices of the batch: replication m is rooted at child(m) of the seed.
     replications: range = range(1)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, StreamKey):
+            object.__setattr__(self, "seed", StreamKey(self.seed))
         if self.particles < 1:
             raise ValueError(f"particle count must be >= 1, got {self.particles}")
         reps = self.replications
@@ -121,11 +127,6 @@ class SimulationConfig:
                              f"got {reps!r}")
         object.__setattr__(self, "hurst", check_hurst(self.hurst))
         validate(self.model, self.hurst)
-
-    def roots(self) -> list[StreamKey]:
-        """The stream root of each replication in the batch."""
-        root = StreamKey.coerce(self.seed)
-        return [root.child(m) for m in self.replications]
 
 
 @dataclass
@@ -145,8 +146,8 @@ class TrajectoryRecord:
 
 
 def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: "float | np.ndarray",
-            increments: np.ndarray) -> ParticleEnsemble:
-    """Advance every particle of every replication one step against the frozen measures.
+            increments: np.ndarray) -> np.ndarray:
+    """The rows of ``ensemble`` advanced one step against the frozen measures.
 
     Row i of ``increments`` is the driver increment of the particle in row i
     of ``ensemble.states``, and ``delta`` is the step of every row, or an
@@ -157,21 +158,20 @@ def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: "float | np.nda
     The coefficients see the (R, N, d) view and the
     batch of R measures.  sigma broadcasts against (R, N, d, d), so every
     diffusion kind goes through one noise product, computed per particle:
-    each replication gets the bits it would get alone.  A non-finite result
-    is returned as it is; the run loop checks finiteness and names the
-    blow-up.
+    each replication gets the bits it would get alone.  The result is a new
+    (R*N, d) array, non-finite rows included: the run loop writes it into
+    its stacked states, checks finiteness and names the blow-up.
     """
     states = ensemble.states
     if increments.shape != states.shape:
         raise ValueError(f"increment shape {increments.shape} != state shape {states.shape}")
-    blocks = ensemble.blocks()
+    blocks = states.reshape(ensemble.replications, -1, states.shape[1])
     mu = EmpiricalMeasure(blocks)
     with np.errstate(over="ignore", invalid="ignore"):  # the run loop reports a blow-up
         drift = np.asarray(model.drift(blocks, mu), dtype=float).reshape(states.shape)
         sigma = model.diffusion.evaluate(blocks, mu)
         noise = np.einsum("...ij,...j->...i", sigma, increments.reshape(blocks.shape))
-        new_states = states + delta * drift + noise.reshape(states.shape)
-    return ParticleEnsemble(new_states, ensemble.replications)
+        return states + delta * drift + noise.reshape(states.shape)
 
 
 def _snapshot_plan(steps: int, policy: str) -> set[int]:
@@ -198,7 +198,7 @@ def _noise_streams(config: SimulationConfig) -> StreamArray:
     index[..., 0] = np.asarray(config.replications)[:, None]
     index[..., 1] = _NS_NOISE
     index[..., 2] = np.arange(particles)
-    return StreamArray(StreamKey.coerce(config.seed), index.reshape(reps * particles, 3))
+    return StreamArray(config.seed, index.reshape(reps * particles, 3))
 
 
 def _drivers(config: SimulationConfig) -> np.ndarray:
@@ -212,10 +212,12 @@ def _drivers(config: SimulationConfig) -> np.ndarray:
 
 
 def _initial_states(config: SimulationConfig) -> np.ndarray:
-    """Initial ensembles of the batch stacked replication-major, (R*N, d)."""
+    """Initial ensembles of the batch stacked replication-major, (R*N, d):
+    replication m draws from child(m, 0) of the seed."""
     return np.concatenate([
-        config.model.initial_states(config.particles, root.child(_NS_INITIAL).generator())
-        for root in config.roots()
+        config.model.initial_states(config.particles,
+                                    config.seed.child(m, _NS_INITIAL).generator())
+        for m in config.replications
     ])
 
 
@@ -275,11 +277,11 @@ def run_coupled_meshes(
         stepping = sum(k % f == 0 for f in ladder[:live])  # the first slots: the ladder is nested
         span = slice(0, stepping * width)
         # bench/layertrace.py patches this module-level call and reads .states from its first argument
-        ensemble = em_step(ParticleEnsemble(states[span], stepping * len(config.replications)),
-                           config.model, deltas[span], increments[span])
-        states[span] = ensemble.states
-        if not np.isfinite(ensemble.states).all():
-            bad = int(np.argwhere(~np.isfinite(ensemble.states))[0, 0])
+        stepped_rows = em_step(ParticleEnsemble(states[span], stepping * len(config.replications)),
+                               config.model, deltas[span], increments[span])
+        states[span] = stepped_rows
+        if not np.isfinite(stepped_rows).all():
+            bad = int(np.argwhere(~np.isfinite(stepped_rows))[0, 0])
             slot, offset = divmod(bad, width)
             replication, particle = divmod(offset, config.particles)
             blowup = NumericalBlowup(k // ladder[slot], particle, config.model.name,

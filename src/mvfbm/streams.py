@@ -20,6 +20,7 @@ values are stable within one build.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,32 +34,37 @@ class StreamKey:
     """Address of an independent random stream.
 
     ``seed`` is the experiment master seed; ``path`` is the index tuple
-    identifying the consumer (replication, particle, dimension, ...).
+    identifying the consumer (replication, particle, dimension, ...).  A key
+    normalizes both with ``operator.index``, so it holds Python integers of
+    any size, numpy integers included, and rejects anything but a
+    nonnegative integer with ``ValueError``: a fractional seed or index is
+    rejected, not truncated.
     """
 
     seed: int
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        try:
+            seed, path = operator.index(self.seed), tuple(map(operator.index, self.path))
+        except TypeError:
+            raise ValueError(f"stream seed and indices must be integers, got seed {self.seed!r} "
+                             f"and indices {self.path!r}") from None
         # SeedSequence takes no negative entropy, and _entropy's words of one never end
-        if self.seed < 0:
-            raise ValueError(f"stream seed must be nonnegative, got {self.seed}")
-        if any(i < 0 for i in self.path):
-            raise ValueError(f"stream indices must be nonnegative, got {self.path}")
+        if seed < 0:
+            raise ValueError(f"stream seed must be nonnegative, got {seed}")
+        if any(i < 0 for i in path):
+            raise ValueError(f"stream indices must be nonnegative, got {path}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "path", path)
 
     def child(self, *indices: int) -> "StreamKey":
         """Derive a sub-stream by appending indices to the address."""
-        return StreamKey(self.seed, self.path + tuple(int(i) for i in indices))
+        return StreamKey(self.seed, self.path + indices)
 
     def generator(self) -> np.random.Generator:
         """Instantiate the generator at this address (fresh state every call)."""
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.path))
-
-    @classmethod
-    def coerce(cls, seed: "int | StreamKey") -> "StreamKey":
-        if isinstance(seed, StreamKey):
-            return seed
-        return cls(int(seed))
 
 
 @dataclass(frozen=True, eq=False)

@@ -210,22 +210,24 @@ def strong_error_study(
         raise StudyArgumentError(f"delta {reference_delta} is the reference delta: its error is 0")
     if len(factors) < 2:
         raise StudyArgumentError(f"a slope needs at least two distinct deltas, got {deltas}")
-    root = StreamKey.coerce(seed)
+    root = _argument(StreamKey, seed)
     config = SimulationConfig(model, _argument(check_hurst, hurst), fine_mesh, particles, root)
     batches = _batches(config, replications, workers)
+    terminals = _run_batches(batches, [1, *factors], workers)
     # per factor, per replication in order: the sum over particles of squared terminal gaps
     sums: list[list[float]] = [[] for _ in factors]
-    for reference, *coarse in _run_batches(batches, [1, *factors], workers):
-        for per_rep, terminal in zip(sums, coarse):
-            gaps = np.linalg.norm(terminal - reference, axis=1)
-            per_rep.extend(float(g @ g) for g in gaps.reshape(-1, particles))
-    total = particles * replications
-    rms = [math.sqrt(sum(per_rep) / total) for per_rep in sums]
-    points = tuple(zip(deltas, rms))
-    exact = all(e <= EXACT_SCHEME_ATOL for e in rms)
     slope = stderr = None
-    if not exact:
-        slope, stderr = fit_loglog_slope(points)
+    with np.errstate(over="ignore", invalid="ignore"):  # the report rejects an error that overflowed
+        for reference, *coarse in terminals:
+            for per_rep, terminal in zip(sums, coarse):
+                gaps = np.linalg.norm(terminal - reference, axis=1)
+                per_rep.extend(float(g @ g) for g in gaps.reshape(-1, particles))
+        total = particles * replications
+        rms = [math.sqrt(sum(per_rep) / total) for per_rep in sums]
+        points = tuple(zip(deltas, rms))
+        exact = all(e <= EXACT_SCHEME_ATOL for e in rms)
+        if not exact:
+            slope, stderr = fit_loglog_slope(points)
     return ConvergenceReport(
         model=model.name,
         hurst=config.hurst,
@@ -274,7 +276,7 @@ def chaos_study(
         raise StudyArgumentError(f"transport order theta must be finite and >= 2, got {theta}")
     if workers < 1:
         raise StudyArgumentError(f"need at least 1 worker, got {workers}")
-    root = StreamKey.coerce(seed)
+    root = _argument(StreamKey, seed)
     reference_count = 4 * max(counts)
     template = SimulationConfig(model, _argument(check_hurst, hurst), mesh, reference_count,
                                 root.child(0))
@@ -289,22 +291,24 @@ def chaos_study(
                               replications, workers)
     ]
     reference = run(template, snapshots="terminal").terminal
+    terminals = _run_batches(batches, [1], workers)
     distances: dict[int, list[float]] = {count: [] for count in counts}
-    for batch, (terminal,) in zip(batches, _run_batches(batches, [1], workers)):
-        a, count = counts.index(batch.particles), batch.particles
-        blocks = terminal.reshape(len(batch.replications), count, -1)
-        for rep, states in zip(batch.replications, blocks):
-            pick = root.child(2, a, rep).generator().choice(
-                reference_count, size=count, replace=False
-            )
-            distances[count].append(
-                distance(EmpiricalMeasure(states), EmpiricalMeasure(reference[pick]), theta)
-            )
     points = []
-    for count, values in distances.items():
-        block = np.array(values)
-        stderr = float(block.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
-        points.append((count, float(block.mean()), stderr))
+    with np.errstate(over="ignore", invalid="ignore"):  # the report rejects a distance that overflowed
+        for batch, (terminal,) in zip(batches, terminals):
+            a, count = counts.index(batch.particles), batch.particles
+            blocks = terminal.reshape(len(batch.replications), count, -1)
+            for rep, states in zip(batch.replications, blocks):
+                pick = root.child(2, a, rep).generator().choice(
+                    reference_count, size=count, replace=False
+                )
+                distances[count].append(
+                    distance(EmpiricalMeasure(states), EmpiricalMeasure(reference[pick]), theta)
+                )
+        for count, values in distances.items():
+            block = np.array(values)
+            stderr = float(block.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
+            points.append((count, float(block.mean()), stderr))
     non_increasing = all(
         nxt_mean <= mean + math.hypot(se, nxt_se) + _TREND_ATOL
         for (_, mean, se), (_, nxt_mean, nxt_se) in zip(points, points[1:])
@@ -346,7 +350,7 @@ def moment_bound_check(
     ladder, fine_mesh, factors = _ladder(deltas, min(deltas, default=horizon), horizon)
     if len(factors) < 2:
         raise StudyArgumentError(f"a refinement ratio needs at least two distinct deltas, got {ladder}")
-    root = StreamKey.coerce(seed)
+    root = _argument(StreamKey, seed)
     config = SimulationConfig(model, _argument(check_hurst, hurst), fine_mesh, particles, root)
     records = run_coupled_meshes(config, factors, snapshots="thin")
     points = []
@@ -396,7 +400,7 @@ def covariance_check(
     if paths < 1:
         raise StudyArgumentError(f"need at least 1 path, got {paths}")
     mesh = _argument(UniformMesh, horizon, steps)
-    root = StreamKey.coerce(seed)
+    root = _argument(StreamKey, seed)
     gamma = increment_covariance_matrix(hurst, mesh)[0].copy()
     # |gamma(k)| <= gamma(0), so every standard error lies between
     # sqrt(gamma(0)^2 / paths) and sqrt(2 gamma(0)^2 / paths)

@@ -171,17 +171,18 @@ def per_mesh_ladder(config, factors, snapshots: str = "terminal") -> dict:
     for factor in sorted(set(factors) | {1}):
         mesh = config.mesh.coarsen(factor)
         keep = _snapshot_plan(mesh.steps, snapshots)
-        ensemble = ParticleEnsemble(initial, len(config.replications))
+        states = initial
         kept = [initial.copy()] if 0 in keep else []
         for k, increments in enumerate(block_sums(fine, factor), start=1):
-            ensemble = em_step(ensemble, config.model, mesh.delta, increments)
-            if not np.isfinite(ensemble.states).all():
-                bad = int(np.argwhere(~np.isfinite(ensemble.states))[0, 0])
+            states = em_step(ParticleEnsemble(states, len(config.replications)), config.model,
+                             mesh.delta, increments)
+            if not np.isfinite(states).all():
+                bad = int(np.argwhere(~np.isfinite(states))[0, 0])
                 slot, particle = divmod(bad, config.particles)
                 raise NumericalBlowup(k, particle, config.model.name,
                                       config.replications[slot], mesh.steps)
             if k in keep:
-                kept.append(ensemble.states)
+                kept.append(states)
         records[factor] = TrajectoryRecord(mesh, sorted(keep), kept)
     return records
 

@@ -92,6 +92,10 @@ class TestParseConfig:
             (["--seed", "-1"], "seed"),
             (["--deltas", ","], r"deltas: ',' \(empty list\)"),
             (["--paths", "0"], "paths"),
+            # a label names one directory under --outdir, never a parent or the outdir itself
+            (["--label", ".."], "label"),
+            (["--label", "."], "label"),
+            (["--label", "nested/run"], "label"),
         ],
     )
     def test_validation_names_field(self, flags, key):
@@ -291,6 +295,13 @@ class TestMainExitCodes:
                     "--deltas", "2e-10,4e-10"], 2),
             # factors 3, 2 and 1: the factor-2 mesh would step where the factor-3 mesh does not
             (None, ["--command", "moments", "--horizon", "0.6", "--deltas", "0.3,0.2,0.1"], 2),
+            # finite terminal states whose gaps overflow in the study's reduction
+            (None, ["--command", "convergence", "--model", "mean-deviation", "--initial-spread", "0.5",
+                    "--horizon", "300", "--reference-delta", "0.25", "--deltas", "1,0.5",
+                    "--particles", "4", "--replications", "2"], 1),
+            (None, ["--command", "chaos", "--model", "mean-deviation", "--initial-spread", "0.5",
+                    "--horizon", "300", "--steps", "1200", "--particle-counts", "2,4",
+                    "--replications", "2"], 1),
         ],
         ids=[
             "unknown-model-in-file", "fixture-model-in-file", "sampler-key-in-file", "delta-off-reference-mesh",
@@ -307,6 +318,7 @@ class TestMainExitCodes:
             "no-memory-fbm-check", "no-memory-moments", "no-memory-chaos",
             "oversize-convergence", "oversize-fbm-check", "oversize-simulate", "oversize-chaos",
             "oversize-horizon-convergence", "overflowing-steps-convergence", "non-nested-moments",
+            "gap-overflow-convergence", "gap-overflow-chaos",
         ],
     )
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys, config_text, flags, expected_code):

@@ -134,7 +134,7 @@ def test_state_measure_reduces_to_measure_only():
                     ModelSpec(kind, d, zero_drift, diffusion, 0.0),
                     0.1,
                     increments,
-                ).states.tobytes()
+                ).tobytes()
                 for kind, diffusion in kinds.items()
             }
             assert len(set(stepped.values())) == 1, (d, replications)

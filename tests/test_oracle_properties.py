@@ -1,6 +1,6 @@
 """Property tests against direct oracles: the covariance audit, the Toeplitz
-covariance, the shared barycenter and the one-pass run of a nested mesh
-ladder must give the oracle's bits exactly.  The audit is checked on
+covariance, the shared barycenter, the transport distances and the one-pass
+run of a nested mesh ladder must give the oracle's bits exactly.  The audit is checked on
 samples of the circulant sampler and of the dense Cholesky reference
 sampler; the ladder against its meshes run one after the other.
 
@@ -23,7 +23,7 @@ from mvfbm.fbm import (
     _fgn_autocovariance,
     increment_covariance_matrix,
 )
-from mvfbm.measure import EmpiricalMeasure
+from mvfbm.measure import EmpiricalMeasure, coupled_upper_bound, wasserstein_1d_exact
 from mvfbm.simulator import SNAPSHOT_POLICIES, NumericalBlowup, SimulationConfig, run_coupled_meshes
 from mvfbm.study import covariance_check
 from oracles import (covariance_zscores, empirical_covariance, increment_ensemble, nested_ladders,
@@ -100,6 +100,26 @@ def test_barycenter_is_ndarray_mean_computed_once(batch, atoms, dimension, seed)
     assert mean.shape == shape[:-2] + (1, dimension)
     assert mu.mean() is mean
     assert not mean.flags.writeable
+
+
+THETAS = (2.0, 8.0, 64.0, 400.0, 1e300)
+
+
+@given(inner=st.lists(st.floats(1e-3, 1e3), max_size=38))
+def test_distances_stay_finite_and_grow_with_theta(inner):
+    # gaps from 1e-3 to 1e3, both ends present: gaps^theta underflows and overflows at
+    # theta = 400, and W_theta grows by far more than rounding between consecutive orders
+    gaps = np.sort(np.array([1e-3, *inner, 1e3]))
+    mu, origin = EmpiricalMeasure(gaps[:, None]), EmpiricalMeasure(np.zeros((len(gaps), 1)))
+    for distance in (wasserstein_1d_exact, coupled_upper_bound):
+        values = [distance(mu, origin, theta) for theta in THETAS]
+        assert all(0.0 < value < np.inf for value in values)
+        assert values == sorted(values)
+        for theta, value in zip(THETAS, values):
+            with np.errstate(over="ignore"):
+                mean = np.mean(gaps**theta)
+            if np.finfo(float).tiny <= mean < np.inf:  # the plain formula is representable
+                assert value == float(mean ** (1.0 / theta))
 
 
 @st.composite

@@ -59,12 +59,12 @@ class TestEmStep:
     def test_identity_when_coefficients_vanish(self):
         states = np.array([[1.0], [-2.0], [0.5]])
         out = em_step(ParticleEnsemble(states), _null_model(), 0.25, np.ones((3, 1)))
-        assert np.array_equal(out.states, states)
+        assert np.array_equal(out, states)
 
     def test_pure_noise_step(self):
         model = preset_mean_reverting(xi=1.0, rate=0.0)
         out = em_step(ParticleEnsemble(np.array([[2.0]])), model, 0.5, np.array([[0.3]]))
-        assert out.states[0, 0] == pytest.approx(2.3)
+        assert out[0, 0] == pytest.approx(2.3)
 
     def test_hand_computed_interacting_step(self):
         # states {0, 2}, delta 0.5, increments {0.1, -0.1}: mean 1,
@@ -76,7 +76,7 @@ class TestEmStep:
             0.5,
             np.array([[0.1], [-0.1]]),
         )
-        assert np.allclose(out.states, [[-0.6], [3.4]], atol=1e-15)
+        assert np.allclose(out, [[-0.6], [3.4]], atol=1e-15)
 
     def test_measure_frozen_before_update(self):
         # synchronous update: both particles must see the pre-step mean
@@ -103,15 +103,15 @@ class TestEmStep:
         states = rng.normal(size=(16, 1))
         increments = rng.normal(size=(16, 1))
         perm = rng.permutation(16)
-        direct = em_step(ParticleEnsemble(states), model, 0.1, increments).states
-        permuted = em_step(ParticleEnsemble(states[perm]), model, 0.1, increments[perm]).states
+        direct = em_step(ParticleEnsemble(states), model, 0.1, increments)
+        permuted = em_step(ParticleEnsemble(states[perm]), model, 0.1, increments[perm])
         assert np.allclose(permuted, direct[perm], rtol=1e-12, atol=1e-14)
 
     def test_non_finite_result_returned_not_raised(self):
         # finiteness is the run loop's check, not the step's
         states = np.array([[1.0], [1e308]])
         out = em_step(ParticleEnsemble(states), _overflowing_model(), 1.0, np.zeros((2, 1)))
-        assert np.isfinite(out.states[0, 0]) and not np.isfinite(out.states[1, 0])
+        assert np.isfinite(out[0, 0]) and not np.isfinite(out[1, 0])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -393,12 +393,20 @@ class TestDriverStreams:
         assert streams.index.tolist() == [[m, 1, i] for m in (5, 6) for i in range(3)]
 
     def test_a_batch_builds_no_key_per_path(self, monkeypatch):
-        config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 8), 50, 7, range(3))
         built = []
         check = StreamKey.__post_init__
         monkeypatch.setattr(StreamKey, "__post_init__", lambda key: built.append(key) or check(key))
+        # the config turns its seed into the root key; the drivers build none
+        config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 8), 50, 7, range(3))
         _drivers(config)
         assert [(key.seed, key.path) for key in built] == [(7, ())]  # the root alone
+
+    def test_seed_becomes_its_key(self):
+        args = preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 2
+        assert SimulationConfig(*args, np.int64(7)).seed == StreamKey(7)
+        for seed, match in ((-1, "must be nonnegative, got -1"), (1.9, "must be integers, got seed 1.9")):
+            with pytest.raises(ValueError, match=match):
+                SimulationConfig(*args, seed)
 
     def test_replications_past_uint32_rejected(self):
         # a replication index is one uint32 word of its driver streams' rows

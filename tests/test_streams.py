@@ -43,9 +43,28 @@ def test_negative_seed_rejected():
     # SeedSequence takes no negative entropy; the hash's word loop never ended on one
     for seed in (-1, -2**40):
         with pytest.raises(ValueError, match=f"stream seed must be nonnegative, got {seed}"):
-            StreamKey.coerce(seed)
+            StreamKey(seed)
     with pytest.raises(ValueError, match=r"stream indices must be nonnegative, got \(3, -1\)"):
         StreamKey(0, (3, -1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: StreamKey(1.9), lambda: StreamKey(1.5), lambda: StreamKey(np.float64(3.0)),
+    lambda: StreamKey("7"), lambda: StreamKey(0).child(1.5), lambda: StreamKey(0, (2, 0.5)),
+], ids=["seed-1.9", "seed-1.5", "numpy-float-seed", "text-seed", "fractional-child", "fractional-path"])
+def test_non_integer_seed_or_index_rejected(make):
+    # a fractional seed or index is rejected, not truncated
+    with pytest.raises(ValueError, match="stream seed and indices must be integers"):
+        make()
+
+
+def test_integers_of_any_kind_address_the_same_stream():
+    key = StreamKey(np.uint64(2**64 - 1), (np.int32(3),)).child(np.uint32(5), True)
+    assert key == StreamKey(2**64 - 1, (3, 5, 1))
+    assert type(key.seed) is int and all(type(i) is int for i in key.path)
+    assert key.generator().standard_normal(8).tobytes() == numpy_draws(2**64 - 1, (3, 5, 1)).tobytes()
+    large = StreamKey(2**130 + 7).child(np.int64(4))
+    assert large.generator().standard_normal(8).tobytes() == numpy_draws(2**130 + 7, (4,)).tobytes()
 
 
 INDEX_ARRAYS = {

@@ -334,6 +334,15 @@ class TestChaosStudy:
         with pytest.raises(StudyArgumentError, match=match):
             chaos_study(preset_mean_reverting(), **call)
 
+    def test_distances_grow_with_theta(self):
+        # gaps^theta underflows at theta = 400: the distances must stay positive and ordered
+        model = preset_mean_deviation(initial_spread=0.05)
+        reports = [chaos_study(model, 0.7, UniformMesh(0.1, 8), [4, 8], 3, theta, 2024)
+                   for theta in (2.0, 100.0, 400.0)]
+        for points in zip(*(report.points for report in reports)):
+            distances = [distance for _, distance, _ in points]
+            assert 0.0 < distances[0] <= distances[1] <= distances[2]
+
     def test_deterministic_and_worker_independent(self):
         kwargs = dict(
             particle_counts=[8, 16],
@@ -481,6 +490,22 @@ def test_numpy_hurst_is_written_as_a_float(study_call):
     # under numpy 2 the repr of np.float64(0.3), which a CSV value is written with,
     # is "np.float64(0.3)": the study must hand its report a plain float
     assert "# hurst=0.3\n" in study_call(np.float64(0.3)).to_csv()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5], ids=["negative-seed", "fractional-seed"])
+@pytest.mark.parametrize("study_call", [
+    lambda seed: strong_error_study(preset_mean_reverting(), 0.7, 4, 2, DELTAS[:2], REFERENCE, seed),
+    lambda seed: chaos_study(preset_mean_reverting(), 0.7, UniformMesh(1.0, 8), [2, 4], 2, 2.0, seed),
+    lambda seed: moment_bound_check(preset_mean_reverting(), 0.7, DELTAS[:2], 4, 2.0, seed),
+    lambda seed: covariance_check(0.7, steps=4, paths=8, seed=seed),
+], ids=["convergence", "chaos", "moments", "fbm-check"])
+def test_bad_seed_is_a_study_argument_error(monkeypatch, study_call, seed):
+    # a seed becomes its stream key where the study takes it: 1.5 is not run as seed 1
+    monkeypatch.setattr(mvfbm.study, "run", _must_not_run)
+    monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
+    monkeypatch.setattr(CirculantSampler, "sample_ensemble", _must_not_run)
+    with pytest.raises(StudyArgumentError, match=rf"stream seed .*got .*{re.escape(str(seed))}"):
+        study_call(seed)
 
 
 # --------------------------------------------------------------------------
