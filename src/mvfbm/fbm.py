@@ -19,7 +19,8 @@ compare the circulant sampler against, and no run uses it.
 The Hurst index H is a plain float: :func:`check_hurst` converts it and
 rejects it outside (0, 1) where every covariance starts, in
 ``_fgn_autocovariance``, and where it enters a simulation config, a model
-check or a covariance audit.
+check or a covariance audit.  A count, such as a mesh's steps, is a plain
+int the same way: :func:`check_count` takes it by ``operator.index``.
 
 Both draw from :class:`~mvfbm.streams.StreamKey` addresses, one independent
 stream per path component, and are deterministic given (H, mesh, d, stream).
@@ -43,6 +44,7 @@ adds up as it passes them, so no coarse driver array is built.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 import threading
@@ -53,6 +55,7 @@ import numpy as np
 from .streams import StreamArray, child_seed_words, seeded_generator
 
 __all__ = [
+    "check_count",
     "check_hurst",
     "UniformMesh",
     "increment_covariance_matrix",
@@ -92,6 +95,15 @@ def check_hurst(hurst: float) -> float:
     return h
 
 
+def check_count(value: int, name: str) -> int:
+    """``value`` as a Python int, by ``operator.index``, as a stream key takes
+    its seed: a float or a string count raises ValueError, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class UniformMesh:
     """Uniform time mesh 0 = t_0 < t_1 < ... < t_n = T with t_k = k * delta."""
@@ -100,6 +112,7 @@ class UniformMesh:
     steps: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "steps", check_count(self.steps, "mesh steps"))
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"mesh horizon must be positive and finite, got {self.horizon}")
         if self.steps < 1:
@@ -115,6 +128,7 @@ class UniformMesh:
         return k * self.delta
 
     def coarsen(self, factor: int) -> "UniformMesh":
+        factor = check_count(factor, "coarsening factor")
         if factor < 1 or self.steps % factor != 0:
             raise ValueError(
                 f"coarsening factor {factor} does not divide {self.steps} mesh steps"

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fbm import CirculantSampler, UniformMesh, check_hurst
+from .fbm import CirculantSampler, UniformMesh, check_count, check_hurst
 from .measure import EmpiricalMeasure
 from .model import ModelSpec, validate
 from .streams import StreamArray, StreamKey
@@ -103,7 +103,8 @@ class SimulationConfig:
 
     ``seed`` is the batch's stream root: an integer seed becomes
     ``StreamKey(seed)`` here, so a seed that is not a nonnegative integer
-    raises ``ValueError`` before any draw.
+    raises ``ValueError`` before any draw, as a particle count that is not
+    an integer does.
     """
 
     model: ModelSpec
@@ -117,6 +118,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.seed, StreamKey):
             object.__setattr__(self, "seed", StreamKey(self.seed))
+        object.__setattr__(self, "particles", check_count(self.particles, "particle count"))
         if self.particles < 1:
             raise ValueError(f"particle count must be >= 1, got {self.particles}")
         reps = self.replications
@@ -250,7 +252,7 @@ def run_coupled_meshes(
     meshes blow up, the smallest factor's blow-up is raised, with its first
     non-finite step and row; the finer meshes step on to find it.
     """
-    ladder = sorted(set(int(f) for f in factors) | {1})
+    ladder = sorted({check_count(f, "coarsening factor") for f in factors} | {1})
     if any(coarse % fine for fine, coarse in zip(ladder, ladder[1:])):
         raise ValueError(f"coarsening factors {ladder} are not nested: each must divide the next")
     meshes = [config.mesh.coarsen(f) for f in ladder]

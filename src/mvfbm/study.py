@@ -28,7 +28,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .fbm import CirculantSampler, UniformMesh, check_hurst, increment_covariance_matrix
+from .fbm import CirculantSampler, UniformMesh, _fgn_autocovariance, check_count, check_hurst
+from .fbm import increment_covariance_matrix  # unused here: bench/layertrace.py patches this name
 from .measure import EmpiricalMeasure, coupled_upper_bound, wasserstein_1d_exact
 from .model import ModelSpec
 from .reports import ChaosReport, ConvergenceReport, CovarianceCheckReport, MomentReport, NonFiniteError
@@ -57,6 +58,11 @@ _TREND_ATOL = 1e-12
 # 10 replications of 200 particles x 1024 steps; paper-fig1: 1).  Sets speed
 # and memory only: reports do not depend on it.
 _BATCH_BYTES = 16 * 2**20
+
+# Bytes of empirical second moments that one band of covariance_check's rows
+# may hold: 128 rows at n = 1024, so no n x n array is built.  Sets speed and
+# memory; each band is one BLAS product, whose bits the report carries.
+_MOMENT_BAND_BYTES = 2**20
 
 
 class StudyArgumentError(ValueError):
@@ -96,8 +102,11 @@ def _ladder(deltas: Sequence[float], fine_delta: float,
     if not all(0.0 < float(value) < math.inf for value in (horizon, fine_delta, *deltas)):  # NaN fails too
         raise StudyArgumentError(f"horizon and deltas must be positive and finite, got {list(deltas)}, "
                                  f"reference {fine_delta}, horizon {horizon}")
-    ratio = horizon / fine_delta  # a step count past the float range is past every mesh size
-    fine_mesh = _argument(UniformMesh, horizon, max(1, round(ratio)) if ratio < math.inf else ratio)
+    ratio = horizon / fine_delta
+    if ratio == math.inf:  # a step count past the float range is past every mesh size
+        raise StudyArgumentError(f"horizon {horizon} over reference delta {fine_delta} is too many "
+                                 f"steps for numpy's arrays")
+    fine_mesh = _argument(UniformMesh, horizon, max(1, round(ratio)))
     steps = fine_mesh.steps
     if not math.isclose(steps * fine_delta, horizon, rel_tol=1e-12):
         raise StudyArgumentError(f"delta {fine_delta} does not divide the horizon {horizon}")
@@ -199,6 +208,9 @@ def strong_error_study(
     fitted log-log slope.  A scheme that reproduces the reference
     exactly at every delta is flagged instead of fitted.
     """
+    particles = _argument(check_count, particles, "particle count")
+    replications = _argument(check_count, replications, "replication count")
+    workers = _argument(check_count, workers, "worker count")
     if replications < 2:
         raise StudyArgumentError(f"need at least 2 replications, got {replications}")
     if particles < 1:
@@ -263,7 +275,9 @@ def chaos_study(
     distances are non-increasing within one combined standard error at each
     consecutive pair.
     """
-    counts = [int(n) for n in particle_counts]
+    counts = [_argument(check_count, n, "particle count") for n in particle_counts]
+    replications = _argument(check_count, replications, "replication count")
+    workers = _argument(check_count, workers, "worker count")
     if len(counts) < 2:
         raise StudyArgumentError(f"a trend needs at least two particle counts, got {counts}")
     if replications < 1:
@@ -345,6 +359,7 @@ def moment_bound_check(
     """
     if not 2.0 <= order < math.inf:
         raise StudyArgumentError(f"moment order must be finite and >= 2, got {order}")
+    particles = _argument(check_count, particles, "particle count")
     if particles < 1:
         raise StudyArgumentError(f"need at least 1 particle, got {particles}")
     ladder, fine_mesh, factors = _ladder(deltas, min(deltas, default=horizon), horizon)
@@ -392,16 +407,21 @@ def covariance_check(
     The standard error of each raw second-moment entry follows from the
     Gaussian product-moment identity Var(xy) = C_xx * C_yy + C_xy^2; on the
     Toeplitz covariance it depends on the lag only.  Besides the sample,
-    the check holds one n x n matrix, the empirical second moments, and
-    reads one diagonal of it per lag: the matrix is exactly symmetric, so
-    lag -k repeats lag k.
+    the check holds one band of rows of the empirical second moments at a
+    time, on and right of the diagonal: row i holds lags 0 .. n-1-i, and
+    three length-n accumulators fold it in, the largest and
+    the smallest entry and the sum in row order of each lag.  Lag k's
+    largest |z| is max(high - gamma, gamma - low) / se: rounding is
+    monotone, so it is the largest entrywise |d - gamma| / se bit for bit.
     """
     hurst = _argument(check_hurst, hurst)
+    paths = _argument(check_count, paths, "path count")
     if paths < 1:
         raise StudyArgumentError(f"need at least 1 path, got {paths}")
     mesh = _argument(UniformMesh, horizon, steps)
+    steps = mesh.steps
     root = _argument(StreamKey, seed)
-    gamma = increment_covariance_matrix(hurst, mesh)[0].copy()
+    gamma = _fgn_autocovariance(hurst, mesh.delta, np.arange(steps))
     # |gamma(k)| <= gamma(0), so every standard error lies between
     # sqrt(gamma(0)^2 / paths) and sqrt(2 gamma(0)^2 / paths)
     variance = float(gamma[0])
@@ -414,19 +434,27 @@ def covariance_check(
     stderr = np.sqrt((gamma[0] * gamma[0] + gamma**2) / paths)
     streams = StreamArray(root, np.arange(paths)[:, None])  # path p is child(p)
     x = CirculantSampler(hurst, mesh).sample_ensemble(1, streams)[:, :, 0]  # (steps, paths)
-    empirical = x @ x.T
-    del x
-    empirical /= paths
-    points = []
-    for lag in range(steps):
-        diagonal = np.diagonal(empirical, lag)
-        z = np.abs(diagonal - gamma[lag]) / stderr[lag]
-        points.append((lag, float(gamma[lag]), float(diagonal.mean()), float(z.max())))
+    high = np.full(steps, -math.inf)
+    low = np.full(steps, math.inf)
+    total = np.full(steps, -0.0)  # -0.0 + d is d bit for bit, a -0.0 entry included
+    rows = max(1, _MOMENT_BAND_BYTES // (8 * steps))
+    for top in range(0, steps, rows):
+        band = x[top : top + rows] @ x[top:].T  # rows top.. of x x^T, from column top on
+        band /= paths
+        for r, row in enumerate(band):
+            lags = row[r:]  # row top + r: lags 0 .. n-1-top-r
+            m = len(lags)
+            np.maximum(high[:m], lags, out=high[:m])
+            np.minimum(low[:m], lags, out=low[:m])
+            total[:m] += lags
+    z = np.maximum(high - gamma, gamma - low) / stderr
+    mean = total / (steps - np.arange(steps))
+    points = tuple(zip(range(steps), gamma.tolist(), mean.tolist(), z.tolist()))
     return CovarianceCheckReport(
         hurst=hurst,
         steps=steps,
         paths=paths,
         seed=root.seed,
-        points=tuple(points),
-        max_abs_z=float(np.max([point[3] for point in points])),
+        points=points,
+        max_abs_z=float(z.max()),
     )

@@ -57,6 +57,16 @@ class TestUniformMesh:
         with pytest.raises(ValueError):
             UniformMesh(1.0, 8).coarsen(3)
 
+    def test_counts_are_integers(self):
+        # a float step count or factor is rejected, not truncated; a numpy integer becomes an int
+        for steps in (8.0, 8.5, "8"):
+            with pytest.raises(ValueError, match=f"mesh steps must be an integer, got {steps!r}"):
+                UniformMesh(1.0, steps)
+        with pytest.raises(ValueError, match="coarsening factor must be an integer, got 2.0"):
+            UniformMesh(1.0, 8).coarsen(2.0)
+        mesh = UniformMesh(1.0, np.int64(8))
+        assert type(mesh.steps) is int and mesh == UniformMesh(1.0, 8)
+
 
 def fbm_covariance(hurst: float, t: float, s: float) -> float:
     """Covariance R_H(t, s) of fBm values at times t, s >= 0: the oracle of

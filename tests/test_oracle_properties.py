@@ -26,7 +26,7 @@ from mvfbm.fbm import (
 from mvfbm.measure import EmpiricalMeasure, coupled_upper_bound, wasserstein_1d_exact
 from mvfbm.simulator import SNAPSHOT_POLICIES, NumericalBlowup, SimulationConfig, run_coupled_meshes
 from mvfbm.study import covariance_check
-from oracles import (covariance_zscores, empirical_covariance, increment_ensemble, nested_ladders,
+from oracles import (covariance_stderr, empirical_covariance, increment_ensemble, nested_ladders,
                      noisy_model, per_mesh_ladder)
 
 hursts = st.floats(0.05, 0.95)
@@ -39,20 +39,29 @@ def _toeplitz_gather(hurst: float, mesh: UniformMesh) -> np.ndarray:
     return gamma[np.abs(index[:, None] - index[None, :])]
 
 
-def _covariance_check_oracle(hurst, steps, paths, seed, sampler_cls):
+def _covariance_check_oracle(hurst, steps, paths, seed, sampler_cls, band_rows=None):
     """The audit on full n x n arrays: per-lag mean and max |z|, and the overall max |z|.
 
     Holds the expected covariance, the standard errors and the z-scores
-    entrywise, checks that the empirical matrix is exactly symmetric, and
-    groups the flat entries on and above the diagonal by lag j - i with a
-    stable argsort, so each lag's entries are summed in row-major order.
+    entrywise, and groups the flat entries on and above the diagonal by lag
+    j - i with a stable argsort, so each lag's entries are summed left to
+    right in row order.  The empirical matrix is x x^T / paths, x the
+    (steps, paths) sample, checked to be exactly symmetric; with
+    ``band_rows``, its entries on and above the diagonal are the audit's
+    products of ``band_rows`` rows of x with the rows from the band's top on.
     """
     mesh = UniformMesh(1.0, steps)
     expected = _toeplitz_gather(hurst, mesh)
     increments = increment_ensemble(sampler_cls(hurst, mesh), paths, seed)
-    empirical = empirical_covariance(increments)
-    assert np.array_equal(empirical, empirical.T)  # so lag -k repeats lag k
-    z = covariance_zscores(increments, expected)
+    if band_rows is None:
+        empirical = empirical_covariance(increments)
+        assert np.array_equal(empirical, empirical.T)  # so lag -k repeats lag k
+    else:
+        x = increments.T
+        empirical = np.full((steps, steps), np.nan)
+        for top in range(0, steps, band_rows):
+            empirical[top : top + band_rows, top:] = x[top : top + band_rows] @ x[top:].T / paths
+    z = np.abs(empirical - expected) / covariance_stderr(expected, paths)
     index = np.arange(steps)
     lags = index[None, :] - index[:, None]
     upper = lags >= 0
@@ -61,11 +70,11 @@ def _covariance_check_oracle(hurst, steps, paths, seed, sampler_cls):
     counts = steps - index  # n - k entries at lag k
     ends = np.cumsum(counts)
     points = tuple(
-        (lag, float(expected[0, lag]), float(empirical_by_lag[start:end].mean()),
+        (lag, float(expected[0, lag]), float(np.cumsum(empirical_by_lag[start:end])[-1] / (end - start)),
          float(z_by_lag[start:end].max()))
         for lag, (start, end) in enumerate(zip(ends - counts, ends))
     )
-    return points, float(z.max())
+    return points, float(z[upper].max())
 
 
 @given(hurst=hursts, steps=st.integers(1, 200), paths=st.integers(1, 60),
@@ -75,6 +84,18 @@ def test_covariance_check_matches_the_full_matrix_oracle(hurst, steps, paths, sa
     with mock.patch("mvfbm.study.CirculantSampler", sampler_cls):  # the audit of this sampler's draws
         report = covariance_check(hurst, steps, paths, seed)
     points, max_abs_z = _covariance_check_oracle(hurst, steps, paths, seed, sampler_cls)
+    assert repr(report.points) == repr(points)
+    assert repr(report.max_abs_z) == repr(max_abs_z)
+
+
+@given(hurst=hursts, steps=st.integers(3, 200), paths=st.integers(1, 60), bands=st.integers(3, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_covariance_check_in_row_bands_matches_the_oracle(hurst, steps, paths, bands, seed):
+    rows = max(1, steps // bands)
+    assert -(-steps // rows) >= 3  # bands of moments
+    with mock.patch("mvfbm.study._MOMENT_BAND_BYTES", 8 * steps * rows):
+        report = covariance_check(hurst, steps, paths, seed)
+    points, max_abs_z = _covariance_check_oracle(hurst, steps, paths, seed, CirculantSampler, rows)
     assert repr(report.points) == repr(points)
     assert repr(report.max_abs_z) == repr(max_abs_z)
 

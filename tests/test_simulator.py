@@ -196,6 +196,13 @@ class TestRun:
         with pytest.raises(ValueError, match="particle count must be >= 1, got 0"):
             SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 0, 0)
 
+    def test_particle_count_must_be_an_integer(self):
+        # 4.5 particles are rejected, not run as 4; a numpy integer becomes a Python int
+        with pytest.raises(ValueError, match="particle count must be an integer, got 4.5"):
+            SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 4.5, 0)
+        config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), np.int64(4), 0)
+        assert type(config.particles) is int and config.particles == 4
+
     def test_unknown_snapshot_policy_rejected(self):
         config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 2, 0)
         with pytest.raises(ValueError, match="unknown snapshot policy 'bogus'"):
@@ -331,6 +338,14 @@ class TestCoupledMeshes:
         ladder = re.escape(str([1, *factors]))
         with pytest.raises(ValueError, match=f"coarsening factors {ladder} are not nested"):
             run_coupled_meshes(config, factors)
+
+    def test_fractional_factor_rejected_before_any_draw(self, monkeypatch):
+        # factor 2.5 is rejected, not run as factor 2
+        for name in ("_initial_states", "_drivers"):
+            monkeypatch.setattr(mvfbm.simulator, name, _must_not_draw)
+        config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 8), 2, 0)
+        with pytest.raises(ValueError, match="coarsening factor must be an integer, got 2.5"):
+            run_coupled_meshes(config, (2.5,))
 
     def test_only_a_coarse_mesh_blows_up(self):
         # explicit Euler for x' = -x^3 is stable while delta x^2 < 2: with x0 in [6, 7.5)

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,11 @@ TOO_MANY_REPLICATIONS = (dict(replications=2**32 + 1),
 # would step where the factor-3 mesh does not, so the ladder is not nested
 NON_NESTED = (dict(deltas=(0.3, 0.2), reference_delta=0.1, horizon=0.6),
               "delta 0.2 does not divide delta 0.3: each delta must divide the next coarser one")
+# counts that are not integers are rejected, not truncated: rows and their ids
+FRACTIONAL_COUNTS = [(dict(particles=2.5), "particle count must be an integer, got 2.5"),
+                     (dict(replications=2.5), "replication count must be an integer, got 2.5"),
+                     (dict(workers=1.5), "worker count must be an integer, got 1.5")]
+FRACTIONAL_COUNT_IDS = ["fractional-particles", "fractional-replications", "fractional-workers"]
 
 
 class TestSlopeFit:
@@ -183,10 +189,10 @@ class TestStrongErrorStudy:
          (dict(workers=0), "at least 1 worker, got 0"), (dict(workers=-1), "at least 1 worker, got -1"),
          (dict(particles=0), "at least 1 particle, got 0"),
          (dict(particles=-3), "at least 1 particle, got -3"), *BAD_HURSTS, TOO_MANY_REPLICATIONS,
-         NON_NESTED],
+         NON_NESTED, *FRACTIONAL_COUNTS],
         ids=["one-delta", "one-distinct-delta", "reference-delta", "no-workers", "negative-workers",
              "no-particles", "negative-particles", *BAD_HURST_IDS, "too-many-replications",
-             "non-nested"],
+             "non-nested", *FRACTIONAL_COUNT_IDS],
     )
     def test_unfittable_ladder_rejected_before_any_run(self, monkeypatch, arguments, match):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
@@ -322,9 +328,11 @@ class TestChaosStudy:
          (dict(workers=0), "at least 1 worker, got 0"), (dict(workers=-1), "at least 1 worker, got -1"),
          (dict(particle_counts=[0, 4]), r"particle counts must be >= 1, got \[0, 4\]"),
          (dict(particle_counts=[-2, 4]), r"particle counts must be >= 1, got \[-2, 4\]"),
-         *BAD_HURSTS, TOO_MANY_REPLICATIONS],
+         *BAD_HURSTS, TOO_MANY_REPLICATIONS, *FRACTIONAL_COUNTS[1:],
+         (dict(particle_counts=[2.5, 4]), "particle count must be an integer, got 2.5")],
         ids=["one-count", "no-replications", "no-workers", "negative-workers", "zero-count",
-             "negative-count", *BAD_HURST_IDS, "too-many-replications"],
+             "negative-count", *BAD_HURST_IDS, "too-many-replications", *FRACTIONAL_COUNT_IDS[1:],
+             "fractional-count"],
     )
     def test_untrendable_arguments_rejected_before_any_run(self, monkeypatch, arguments, match):
         monkeypatch.setattr(mvfbm.study, "run", _must_not_run)
@@ -411,9 +419,10 @@ class TestMomentBoundCheck:
          (dict(deltas=(0.5, math.inf)), r"positive and finite, got \[0.5, inf\], reference 0.5"),
          (dict(horizon=math.inf), r"positive and finite, got .*, horizon inf$"),
          (dict(horizon=math.nan), r"positive and finite, got .*, horizon nan$"), *BAD_HURSTS,
-         (dict(deltas=(0.3, 0.2, 0.1), horizon=0.6), NON_NESTED[1])],
+         (dict(deltas=(0.3, 0.2, 0.1), horizon=0.6), NON_NESTED[1]), FRACTIONAL_COUNTS[0]],
         ids=["one-delta", "one-distinct-delta", "no-deltas", "zero-delta", "nan-delta",
-             "infinite-delta", "infinite-horizon", "nan-horizon", *BAD_HURST_IDS, "non-nested"],
+             "infinite-delta", "infinite-horizon", "nan-horizon", *BAD_HURST_IDS, "non-nested",
+             FRACTIONAL_COUNT_IDS[0]],
     )
     def test_ratioless_ladder_rejected_before_any_run(self, monkeypatch, arguments, match):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
@@ -456,9 +465,11 @@ class TestCovarianceCheck:
         [(dict(steps=0), "at least one step, got 0"), (dict(steps=-3), "at least one step, got -3"),
          (dict(horizon=0.0), "positive and finite, got 0.0"),
          (dict(horizon=math.nan), "positive and finite, got nan"),
-         (dict(horizon=math.inf), "positive and finite, got inf"), *BAD_HURSTS],
+         (dict(horizon=math.inf), "positive and finite, got inf"), *BAD_HURSTS,
+         (dict(steps=8.0), "mesh steps must be an integer, got 8.0"),
+         (dict(paths=2.5), "path count must be an integer, got 2.5")],
         ids=["no-steps", "negative-steps", "zero-horizon", "nan-horizon", "infinite-horizon",
-             *BAD_HURST_IDS],
+             *BAD_HURST_IDS, "fractional-steps", "fractional-paths"],
     )
     def test_bad_mesh_rejected_before_any_draw(self, monkeypatch, arguments, match):
         monkeypatch.setattr(CirculantSampler, "sample_ensemble", _must_not_run)
@@ -478,6 +489,17 @@ class TestCovarianceCheck:
         monkeypatch.setattr(StreamKey, "__post_init__", lambda key: built.append(key) or check(key))
         covariance_check(0.5, steps=8, paths=50, seed=5)
         assert [(key.seed, key.path) for key in built] == [(5, ())]  # the root alone
+
+    def test_no_n_by_n_array_is_held(self):
+        # at n = 1024 one n x n array of moments is 8 MiB, and the sample of 64 paths 0.5 MiB
+        covariance_check(0.3, 4, 2, 2024)  # what the first call imports is not the audit's
+        tracemalloc.start()
+        try:
+            covariance_check(0.3, 1024, 64, 2024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("study_call", [
