@@ -20,7 +20,8 @@ The Hurst index H is a plain float: :func:`check_hurst` converts it and
 rejects it outside (0, 1) where every covariance starts, in
 ``_fgn_autocovariance``, and where it enters a simulation config, a model
 check or a covariance audit.  A count, such as a mesh's steps, is a plain
-int the same way: :func:`check_count` takes it by ``operator.index``.
+int the same way: :func:`check_count` takes it by ``operator.index`` and
+rejects it below its minimum.
 
 Both draw from :class:`~mvfbm.streams.StreamKey` addresses, one independent
 stream per path component, and are deterministic given (H, mesh, d, stream).
@@ -95,13 +96,16 @@ def check_hurst(hurst: float) -> float:
     return h
 
 
-def check_count(value: int, name: str) -> int:
-    """``value`` as a Python int, by ``operator.index``, as a stream key takes
-    its seed: a float or a string count raises ValueError, never truncated."""
+def check_count(value: int, name: str, least: int = 1) -> int:
+    """``value`` as a Python int >= ``least``, by ``operator.index`` as a stream key
+    takes its seed: a float or a string count raises ValueError, never truncated."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -115,8 +119,6 @@ class UniformMesh:
         object.__setattr__(self, "steps", check_count(self.steps, "mesh steps"))
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"mesh horizon must be positive and finite, got {self.horizon}")
-        if self.steps < 1:
-            raise ValueError(f"mesh must have at least one step, got {self.steps}")
         if 16 * (self.steps + 1) > sys.maxsize:  # numpy cannot size the sampler's 2n + 2 modes
             raise ValueError(f"a mesh of {self.steps} steps is too large for numpy's arrays")
 
@@ -129,10 +131,8 @@ class UniformMesh:
 
     def coarsen(self, factor: int) -> "UniformMesh":
         factor = check_count(factor, "coarsening factor")
-        if factor < 1 or self.steps % factor != 0:
-            raise ValueError(
-                f"coarsening factor {factor} does not divide {self.steps} mesh steps"
-            )
+        if self.steps % factor != 0:
+            raise ValueError(f"coarsening factor {factor} does not divide {self.steps} mesh steps")
         return UniformMesh(self.horizon, self.steps // factor)
 
 

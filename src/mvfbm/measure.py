@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "EmpiricalMeasure",
+    "check_order",
     "coupled_upper_bound",
     "wasserstein_1d_exact",
 ]
@@ -74,12 +75,16 @@ def _check_aligned(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
         raise ValueError(f"dimensions differ: {mu.dimension} vs {nu.dimension}")
 
 
-def _theta(order: float) -> float:
-    """The transport cost exponent theta, which must be finite and >= 2."""
-    theta = float(order)
-    if not 2.0 <= theta < np.inf:
-        raise ValueError(f"Wasserstein order must be finite and >= 2, got {theta}")
-    return theta
+def check_order(value: float, name: str) -> float:
+    """An order theta, of a Wasserstein distance or a moment, as a plain float that
+    is finite and >= 2; any other value raises a ValueError naming ``name``."""
+    try:
+        order = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be finite and >= 2, got {value!r}") from None
+    if not 2.0 <= order < np.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and >= 2, got {order}")
+    return order
 
 
 def _power_mean(gaps: np.ndarray, theta: float) -> float:
@@ -109,7 +114,7 @@ def coupled_upper_bound(
     whenever the identity pairing happens to be optimal.
     """
     _check_aligned(mu, nu)
-    theta = _theta(order)
+    theta = check_order(order, "Wasserstein order")
     gaps = np.linalg.norm(mu.atoms - nu.atoms, axis=1)
     return _power_mean(gaps, theta)
 
@@ -127,7 +132,7 @@ def wasserstein_1d_exact(
             "exact computation requires d = 1; use coupled_upper_bound in higher dimension"
         )
     _check_aligned(mu, nu)
-    theta = _theta(order)
+    theta = check_order(order, "Wasserstein order")
     a = np.sort(mu.atoms[:, 0], kind="stable")
     b = np.sort(nu.atoms[:, 0], kind="stable")
     return _power_mean(np.abs(a - b), theta)

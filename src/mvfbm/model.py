@@ -37,7 +37,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .fbm import check_hurst
+from .fbm import check_count, check_hurst
 from .measure import EmpiricalMeasure
 
 __all__ = [
@@ -108,8 +108,7 @@ class ModelSpec:
     initial: "float | np.ndarray | Callable[[np.random.Generator, int], np.ndarray]"
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        object.__setattr__(self, "dimension", check_count(self.dimension, "dimension"))
 
     def initial_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Materialize the initial ensemble as an (count, d) array."""

@@ -119,8 +119,6 @@ class SimulationConfig:
         if not isinstance(self.seed, StreamKey):
             object.__setattr__(self, "seed", StreamKey(self.seed))
         object.__setattr__(self, "particles", check_count(self.particles, "particle count"))
-        if self.particles < 1:
-            raise ValueError(f"particle count must be >= 1, got {self.particles}")
         reps = self.replications
         # each index is one uint32 word of a driver stream's row; min() would walk the range
         if not (isinstance(reps, range) and reps

@@ -30,7 +30,7 @@ import numpy as np
 
 from .fbm import CirculantSampler, UniformMesh, _fgn_autocovariance, check_count, check_hurst
 from .fbm import increment_covariance_matrix  # unused here: bench/layertrace.py patches this name
-from .measure import EmpiricalMeasure, coupled_upper_bound, wasserstein_1d_exact
+from .measure import EmpiricalMeasure, check_order, coupled_upper_bound, wasserstein_1d_exact
 from .model import ModelSpec
 from .reports import ChaosReport, ConvergenceReport, CovarianceCheckReport, MomentReport, NonFiniteError
 from .simulator import NumericalBlowup, SimulationConfig, run, run_coupled_meshes
@@ -111,7 +111,7 @@ def _ladder(deltas: Sequence[float], fine_delta: float,
     if not math.isclose(steps * fine_delta, horizon, rel_tol=1e-12):
         raise StudyArgumentError(f"delta {fine_delta} does not divide the horizon {horizon}")
     deltas = sorted((float(d) for d in deltas), reverse=True)
-    factors = [int(round(d / fine_delta)) for d in deltas]
+    factors = [round(min(d / fine_delta, steps + 1)) for d in deltas]  # clamped, as inf cannot round
     for i, (delta, factor) in enumerate(zip(deltas, factors)):
         if (factor < 1 or steps % factor
                 or not math.isclose(factor * fine_delta, delta, rel_tol=1e-12)):
@@ -209,14 +209,8 @@ def strong_error_study(
     exactly at every delta is flagged instead of fitted.
     """
     particles = _argument(check_count, particles, "particle count")
-    replications = _argument(check_count, replications, "replication count")
+    replications = _argument(check_count, replications, "replication count", least=2)
     workers = _argument(check_count, workers, "worker count")
-    if replications < 2:
-        raise StudyArgumentError(f"need at least 2 replications, got {replications}")
-    if particles < 1:
-        raise StudyArgumentError(f"need at least 1 particle, got {particles}")
-    if workers < 1:
-        raise StudyArgumentError(f"need at least 1 worker, got {workers}")
     deltas, fine_mesh, factors = _ladder(deltas, reference_delta, horizon)
     if 1 in factors:
         raise StudyArgumentError(f"delta {reference_delta} is the reference delta: its error is 0")
@@ -278,18 +272,11 @@ def chaos_study(
     counts = [_argument(check_count, n, "particle count") for n in particle_counts]
     replications = _argument(check_count, replications, "replication count")
     workers = _argument(check_count, workers, "worker count")
+    theta = _argument(check_order, theta, "transport order theta")
     if len(counts) < 2:
         raise StudyArgumentError(f"a trend needs at least two particle counts, got {counts}")
-    if replications < 1:
-        raise StudyArgumentError(f"need at least 1 replication, got {replications}")
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise StudyArgumentError(f"particle counts must be strictly increasing, got {counts}")
-    if counts[0] < 1:
-        raise StudyArgumentError(f"particle counts must be >= 1, got {counts}")
-    if not 2.0 <= theta < math.inf:
-        raise StudyArgumentError(f"transport order theta must be finite and >= 2, got {theta}")
-    if workers < 1:
-        raise StudyArgumentError(f"need at least 1 worker, got {workers}")
     root = _argument(StreamKey, seed)
     reference_count = 4 * max(counts)
     template = SimulationConfig(model, _argument(check_hurst, hurst), mesh, reference_count,
@@ -333,7 +320,7 @@ def chaos_study(
         horizon=mesh.horizon,
         steps=mesh.steps,
         replications=replications,
-        theta=float(theta),
+        theta=theta,
         estimator=estimator,
         reference_particles=reference_count,
         seed=root.seed,
@@ -357,11 +344,8 @@ def moment_bound_check(
     restricted to each mesh), records the max-over-snapshots moment per mesh, and
     passes when each successive refinement ratio stays within [0.8, 1.25].
     """
-    if not 2.0 <= order < math.inf:
-        raise StudyArgumentError(f"moment order must be finite and >= 2, got {order}")
+    order = _argument(check_order, order, "moment order")
     particles = _argument(check_count, particles, "particle count")
-    if particles < 1:
-        raise StudyArgumentError(f"need at least 1 particle, got {particles}")
     ladder, fine_mesh, factors = _ladder(deltas, min(deltas, default=horizon), horizon)
     if len(factors) < 2:
         raise StudyArgumentError(f"a refinement ratio needs at least two distinct deltas, got {ladder}")
@@ -387,7 +371,7 @@ def moment_bound_check(
         hurst=config.hurst,
         horizon=horizon,
         particles=particles,
-        order=float(order),
+        order=order,
         seed=root.seed,
         points=tuple(points),
         ratios=ratios,
@@ -416,8 +400,6 @@ def covariance_check(
     """
     hurst = _argument(check_hurst, hurst)
     paths = _argument(check_count, paths, "path count")
-    if paths < 1:
-        raise StudyArgumentError(f"need at least 1 path, got {paths}")
     mesh = _argument(UniformMesh, horizon, steps)
     steps = mesh.steps
     root = _argument(StreamKey, seed)

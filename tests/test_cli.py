@@ -302,6 +302,8 @@ class TestMainExitCodes:
             (None, ["--command", "chaos", "--model", "mean-deviation", "--initial-spread", "0.5",
                     "--horizon", "300", "--steps", "1200", "--particle-counts", "2,4",
                     "--replications", "2"], 1),
+            # each delta over the reference delta leaves the float range
+            (None, ["--command", "convergence", "--deltas", "1e300,2e300", "--reference-delta", "1e-10"], 2),
         ],
         ids=[
             "unknown-model-in-file", "fixture-model-in-file", "sampler-key-in-file", "delta-off-reference-mesh",
@@ -318,7 +320,7 @@ class TestMainExitCodes:
             "no-memory-fbm-check", "no-memory-moments", "no-memory-chaos",
             "oversize-convergence", "oversize-fbm-check", "oversize-simulate", "oversize-chaos",
             "oversize-horizon-convergence", "overflowing-steps-convergence", "non-nested-moments",
-            "gap-overflow-convergence", "gap-overflow-chaos",
+            "gap-overflow-convergence", "gap-overflow-chaos", "overflowing-delta-convergence",
         ],
     )
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys, config_text, flags, expected_code):

@@ -169,9 +169,12 @@ def test_preset_by_name_unknown():
             preset_by_name(name)
 
 
-def test_dimension_must_be_positive():
-    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
-        ModelSpec("empty", 0, zero_drift, ConstantDiffusion(np.eye(1)), 0.0)
+@pytest.mark.parametrize("dimension, match", [(0, "must be >= 1, got 0"),
+                                              (1.5, "must be an integer, got 1.5")],
+                         ids=["zero", "fractional"])
+def test_dimension_must_be_positive(dimension, match):
+    with pytest.raises(ValueError, match=f"dimension {match}"):
+        ModelSpec("empty", dimension, zero_drift, ConstantDiffusion(np.eye(1)), 0.0)
 
 
 def test_constant_diffusion_must_be_square():

@@ -339,13 +339,18 @@ class TestCoupledMeshes:
         with pytest.raises(ValueError, match=f"coarsening factors {ladder} are not nested"):
             run_coupled_meshes(config, factors)
 
-    def test_fractional_factor_rejected_before_any_draw(self, monkeypatch):
-        # factor 2.5 is rejected, not run as factor 2
+    @pytest.mark.parametrize(
+        "factor, match",
+        [(2.5, "must be an integer, got 2.5"), (0, "must be >= 1, got 0"), (-2, "must be >= 1, got -2")],
+        ids=["fractional", "zero", "negative"],
+    )
+    def test_fractional_factor_rejected_before_any_draw(self, monkeypatch, factor, match):
+        # factor 2.5 is rejected, not run as factor 2, and factors 0 and -2 before any modulo
         for name in ("_initial_states", "_drivers"):
             monkeypatch.setattr(mvfbm.simulator, name, _must_not_draw)
         config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 8), 2, 0)
-        with pytest.raises(ValueError, match="coarsening factor must be an integer, got 2.5"):
-            run_coupled_meshes(config, (2.5,))
+        with pytest.raises(ValueError, match=f"coarsening factor {match}"):
+            run_coupled_meshes(config, (factor,))
 
     def test_only_a_coarse_mesh_blows_up(self):
         # explicit Euler for x' = -x^3 is stable while delta x^2 < 2: with x0 in [6, 7.5)

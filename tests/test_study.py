@@ -186,9 +186,10 @@ class TestStrongErrorStudy:
         [(dict(deltas=(2.0**-3,)), "two distinct"),
          (dict(deltas=(2.0**-3, 2.0**-3)), "delta 0.125 is repeated"),
          (dict(deltas=(2.0**-3, REFERENCE)), "reference delta"),
-         (dict(workers=0), "at least 1 worker, got 0"), (dict(workers=-1), "at least 1 worker, got -1"),
-         (dict(particles=0), "at least 1 particle, got 0"),
-         (dict(particles=-3), "at least 1 particle, got -3"), *BAD_HURSTS, TOO_MANY_REPLICATIONS,
+         (dict(workers=0), "worker count must be >= 1, got 0"),
+         (dict(workers=-1), "worker count must be >= 1, got -1"),
+         (dict(particles=0), "particle count must be >= 1, got 0"),
+         (dict(particles=-3), "particle count must be >= 1, got -3"), *BAD_HURSTS, TOO_MANY_REPLICATIONS,
          NON_NESTED, *FRACTIONAL_COUNTS],
         ids=["one-delta", "one-distinct-delta", "reference-delta", "no-workers", "negative-workers",
              "no-particles", "negative-particles", *BAD_HURST_IDS, "too-many-replications",
@@ -324,10 +325,11 @@ class TestChaosStudy:
     @pytest.mark.parametrize(
         "arguments, match",
         [(dict(particle_counts=[8]), "two particle counts"),
-         (dict(replications=0), "at least 1 replication"),
-         (dict(workers=0), "at least 1 worker, got 0"), (dict(workers=-1), "at least 1 worker, got -1"),
-         (dict(particle_counts=[0, 4]), r"particle counts must be >= 1, got \[0, 4\]"),
-         (dict(particle_counts=[-2, 4]), r"particle counts must be >= 1, got \[-2, 4\]"),
+         (dict(replications=0), "replication count must be >= 1, got 0"),
+         (dict(workers=0), "worker count must be >= 1, got 0"),
+         (dict(workers=-1), "worker count must be >= 1, got -1"),
+         (dict(particle_counts=[0, 4]), "particle count must be >= 1, got 0"),
+         (dict(particle_counts=[-2, 4]), "particle count must be >= 1, got -2"),
          *BAD_HURSTS, TOO_MANY_REPLICATIONS, *FRACTIONAL_COUNTS[1:],
          (dict(particle_counts=[2.5, 4]), "particle count must be an integer, got 2.5")],
         ids=["one-count", "no-replications", "no-workers", "negative-workers", "zero-count",
@@ -419,10 +421,11 @@ class TestMomentBoundCheck:
          (dict(deltas=(0.5, math.inf)), r"positive and finite, got \[0.5, inf\], reference 0.5"),
          (dict(horizon=math.inf), r"positive and finite, got .*, horizon inf$"),
          (dict(horizon=math.nan), r"positive and finite, got .*, horizon nan$"), *BAD_HURSTS,
-         (dict(deltas=(0.3, 0.2, 0.1), horizon=0.6), NON_NESTED[1]), FRACTIONAL_COUNTS[0]],
+         (dict(deltas=(0.3, 0.2, 0.1), horizon=0.6), NON_NESTED[1]), FRACTIONAL_COUNTS[0],
+         (dict(order="four"), "moment order must be finite and >= 2, got 'four'")],
         ids=["one-delta", "one-distinct-delta", "no-deltas", "zero-delta", "nan-delta",
              "infinite-delta", "infinite-horizon", "nan-horizon", *BAD_HURST_IDS, "non-nested",
-             FRACTIONAL_COUNT_IDS[0]],
+             FRACTIONAL_COUNT_IDS[0], "string-order"],
     )
     def test_ratioless_ladder_rejected_before_any_run(self, monkeypatch, arguments, match):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
@@ -439,7 +442,7 @@ class TestMomentBoundCheck:
 
     def test_no_particles_rejected_before_any_run(self, monkeypatch):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
-        with pytest.raises(StudyArgumentError, match="at least 1 particle, got 0"):
+        with pytest.raises(StudyArgumentError, match="particle count must be >= 1, got 0"):
             moment_bound_check(preset_mean_reverting(), 0.5, DELTAS, 0, order=2.0, seed=0)
 
 
@@ -457,12 +460,13 @@ class TestCovarianceCheck:
 
     def test_no_paths_rejected_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(CirculantSampler, "sample_ensemble", _must_not_run)
-        with pytest.raises(StudyArgumentError, match="at least 1 path, got 0"):
+        with pytest.raises(StudyArgumentError, match="path count must be >= 1, got 0"):
             covariance_check(0.7, steps=8, paths=0, seed=5)
 
     @pytest.mark.parametrize(
         "arguments, match",
-        [(dict(steps=0), "at least one step, got 0"), (dict(steps=-3), "at least one step, got -3"),
+        [(dict(steps=0), "mesh steps must be >= 1, got 0"),
+         (dict(steps=-3), "mesh steps must be >= 1, got -3"),
          (dict(horizon=0.0), "positive and finite, got 0.0"),
          (dict(horizon=math.nan), "positive and finite, got nan"),
          (dict(horizon=math.inf), "positive and finite, got inf"), *BAD_HURSTS,
