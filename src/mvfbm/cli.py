@@ -9,11 +9,13 @@ One executable, five commands selected with ``--command``:
 * ``fbm-check``   -- empirical covariance audit of the Davies-Harte drivers
 
 Every option is one ``RunConfig`` field, set by a flag or by a line of a
-flat ``key = value`` config file (``--config``); both are parsed and
-checked alike, explicit flags override file values and unknown keys are
-rejected.  A run that succeeds writes ``report.csv``, ``report.json``,
-``config.echo`` and optionally ``plot.svg`` into its own directory under
-``--outdir``; a run that fails creates no directory.
+flat ``key = value`` config file (``--config``); both are parsed alike,
+explicit flags override file values and unknown keys are rejected.  The
+library checks each range, before any draw, in the call that reads the
+value, so an option the command does not read is not range-checked.  A
+run that succeeds writes ``report.csv``, ``report.json``, ``config.echo``
+and optionally ``plot.svg`` into its own directory under ``--outdir``; a
+run that fails creates no directory.
 
 Exit codes: 0 success, 1 numerical failure (``NumericalBlowup``,
 ``CirculantEmbeddingError`` or ``NonFiniteError``), 2 configuration failure
@@ -50,7 +52,7 @@ __all__ = ["main", "parse_config", "dispatch", "ConfigError", "RunConfig"]
 
 
 class ConfigError(ValueError):
-    """Invalid or inconsistent run configuration; names the offending key."""
+    """Option text that does not parse, with its key named, or a value the library rejects."""
 
 
 # --------------------------------------------------------------------------
@@ -59,8 +61,8 @@ class ConfigError(ValueError):
 
 
 def _simulate(config: RunConfig) -> tuple[Report, str | None]:
-    model, mesh = _model_for(config), _mesh(config)
-    sim = SimulationConfig(model, config.hurst, mesh, config.particles, config.seed)
+    sim = _checked(SimulationConfig, _model_for(config), config.hurst, _mesh(config),
+                   config.particles, config.seed)
     record = run(sim, snapshots=config.snapshots)
     with np.errstate(over="ignore"):  # the report rejects a statistic that overflowed
         mean, std = float(record.terminal.mean()), float(record.terminal.std())
@@ -166,14 +168,24 @@ def _boolean(text: str) -> bool:
     return lowered in ("true", "1", "yes")
 
 
-# Range checks: (predicate on the parsed value, what it requires).
-_POSITIVE = (lambda x: x > 0, "must be positive")
-_AT_LEAST_1 = (lambda x: x >= 1, "must be >= 1")
-_AT_LEAST_2 = (lambda x: x >= 2, "must be >= 2")
+def _one_of(choices: tuple[str, ...]):
+    """The parser of an option whose value is one of ``choices``."""
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"choose from {', '.join(choices)}")
+        return text
+    return parse
 
 
-def _option(default, parse, help: str, choices=None, valid=None):
-    return field(default=default, metadata=dict(parse=parse, help=help, choices=choices, valid=valid))
+def _label(text: str) -> str:
+    """One directory directly under the outdir: never a parent or the outdir itself."""
+    if text in (".", "..") or Path(text).name != text:
+        raise ValueError("must name one directory")
+    return text
+
+
+def _option(default, parse, help: str):
+    return field(default=default, metadata=dict(parse=parse, help=help))
 
 
 @dataclass
@@ -181,55 +193,42 @@ class RunConfig:
     """One run's resolved options.
 
     Each field is one option: its flag and config-file key are the field
-    name with dashes, and its metadata holds the value parser, the help
-    text, the allowed choices and the range check.
+    name with dashes, and its metadata holds the value parser, which checks
+    form and choices, and the help text.  The library checks ranges.
     """
 
-    command: str = _option(MISSING, str, "what to run", COMMANDS)
-    model: str = _option("mean-deviation", str, "model preset (default mean-deviation)", PRESET_NAMES)
+    command: str = _option(MISSING, _one_of(COMMANDS), f"what to run: {', '.join(COMMANDS)}")
+    model: str = _option("mean-deviation", _one_of(PRESET_NAMES),
+                         f"model preset: {', '.join(PRESET_NAMES)} (default mean-deviation)")
     xi: float = _option(1.0, _number, "constant diffusion scale (mean-reverting preset)")
     rate: float = _option(1.0, _number, "mean-reversion rate (mean-reverting preset)")
     initial: float = _option(1.0, _number, "initial state value (default 1)")
-    initial_spread: float = _option(
-        0.0, _number, "stddev of Gaussian initial data (default 0)",
-        valid=(lambda s: s >= 0, "must be >= 0"),
-    )
-    hurst: float = _option(
-        0.7, _number, "Hurst index in (0, 1)",
-        valid=(lambda h: 0.0 < h < 1.0, "must be in the open interval (0, 1)"),
-    )
-    horizon: float = _option(1.0, _number, "time horizon T (default 1)", valid=_POSITIVE)
-    steps: int = _option(128, int, "mesh steps for simulate/chaos/fbm-check", valid=_AT_LEAST_1)
+    initial_spread: float = _option(0.0, _number, "stddev of Gaussian initial data (default 0)")
+    hurst: float = _option(0.7, _number, "Hurst index in (0, 1)")
+    horizon: float = _option(1.0, _number, "time horizon T (default 1)")
+    steps: int = _option(128, int, "mesh steps for simulate/chaos/fbm-check")
     deltas: tuple[float, ...] = _option(
         (2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8), _numbers,
         "comma list of step sizes, e.g. 2^-5,2^-6 (convergence/moments)",
-        valid=(lambda ds: all(d > 0 for d in ds), "must be positive"),
     )
-    reference_delta: float = _option(
-        2.0**-10, _number, "reference step size, e.g. 2^-10 (convergence)", valid=_POSITIVE
-    )
-    particles: int = _option(200, int, "particles per ensemble", valid=_AT_LEAST_1)
-    replications: int = _option(50, int, "Monte Carlo replications", valid=_AT_LEAST_1)
-    particle_counts: tuple[int, ...] = _option(
-        (50, 100, 200, 400), _integers, "comma list of ensemble sizes (chaos)",
-        valid=(lambda ns: len(ns) >= 1 and all(n >= 1 for n in ns), "must be >= 1 each"),
-    )
-    theta: float = _option(2.0, _number, "transport cost exponent >= 2 (chaos)", valid=_AT_LEAST_2)
-    order: float = _option(4.0, _number, "moment order q >= 2 (moments)", valid=_AT_LEAST_2)
-    paths: int = _option(10_000, int, "sample paths (fbm-check)", valid=_AT_LEAST_1)
-    seed: int = _option(2024, int, "master seed", valid=(lambda s: s >= 0, "must be >= 0"))
-    snapshots: str = _option("terminal", str, "trajectory retention (simulate)", SNAPSHOT_POLICIES)
-    workers: int = _option(
-        1, int, "parallel worker processes for replications; each process's driver sampler "
-        "uses its usable cores", valid=_AT_LEAST_1,
-    )
+    reference_delta: float = _option(2.0**-10, _number, "reference step size, e.g. 2^-10 (convergence)")
+    particles: int = _option(200, int, "particles per ensemble")
+    replications: int = _option(50, int, "Monte Carlo replications")
+    particle_counts: tuple[int, ...] = _option((50, 100, 200, 400), _integers,
+                                               "comma list of ensemble sizes (chaos)")
+    theta: float = _option(2.0, _number, "transport cost exponent >= 2 (chaos)")
+    order: float = _option(4.0, _number, "moment order q >= 2 (moments)")
+    paths: int = _option(10_000, int, "sample paths (fbm-check)")
+    seed: int = _option(2024, int, "master seed")
+    snapshots: str = _option("terminal", _one_of(SNAPSHOT_POLICIES),
+                             f"trajectory retention (simulate): {', '.join(SNAPSHOT_POLICIES)}")
+    workers: int = _option(1, int, "parallel worker processes for replications; each process's "
+                           "driver sampler uses its usable cores")
     outdir: str = _option("runs", str, "output directory root (default runs/)")
-    label: str = _option(
-        "", str, "run directory name under outdir (default <command>-<timestamp>)",
-        valid=(lambda s: s not in (".", "..") and Path(s).name == s, "must name one directory"),
-    )
+    label: str = _option("", _label, "run directory name under outdir (default <command>-<timestamp>)")
     emit_plot: bool = _option(False, _boolean, "write plot.svg")
-    profile: str = _option("desk", str, "parameter profile (default desk)", tuple(_PROFILE_SETTINGS))
+    profile: str = _option("desk", _one_of(tuple(_PROFILE_SETTINGS)),
+                           f"parameter profile: {', '.join(_PROFILE_SETTINGS)} (default desk)")
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
@@ -238,21 +237,11 @@ _FIELD_FOR_KEY = {name.replace("_", "-"): name for name in _FIELDS}
 
 
 def _convert(name: str, text: str) -> object:
-    """A flag or file value, parsed by its field's parser."""
+    """A flag or file value, parsed by its field's parser: the one check of a value at parse time."""
     try:
         return _FIELDS[name].metadata["parse"](text)
     except ValueError as exc:
         raise ConfigError(f"invalid value for {name.replace('_', '-')}: {text!r} ({exc})") from None
-
-
-def _check(name: str, value: object) -> None:
-    """Reject a value outside its field's choices or range."""
-    key, meta = name.replace("_", "-"), _FIELDS[name].metadata
-    if meta["choices"] is not None and value not in meta["choices"]:
-        choices = ", ".join(meta["choices"])
-        raise ConfigError(f"invalid value for {key}: {value!r} (choose from {choices})")
-    if meta["valid"] is not None and not meta["valid"][0](value):
-        raise ConfigError(f"invalid value for {key}: {value} ({meta['valid'][1]})")
 
 
 def _read_config_file(path: str) -> dict[str, object]:
@@ -288,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if meta["parse"] is _boolean:  # a bare switch
             parser.add_argument(f"--{key}", action="store_const", const="true", help=meta["help"])
         else:
-            parser.add_argument(f"--{key}", choices=meta["choices"], help=meta["help"])
+            parser.add_argument(f"--{key}", help=meta["help"])
     return parser
 
 
@@ -300,8 +289,6 @@ def parse_config(argv: list[str]) -> RunConfig:
         for name, text in vars(namespace).items()
         if name != "config" and text is not None
     )
-    for name, value in merged.items():
-        _check(name, value)
     for name, value in _PROFILE_SETTINGS[merged.get("profile", _FIELDS["profile"].default)].items():
         merged.setdefault(name, value)
     if "command" not in merged:
@@ -336,21 +323,23 @@ def _run_directory(config: RunConfig) -> Path:
             directory = Path(config.outdir) / f"{stamp}-{n}"
 
 
-def _mesh(config: RunConfig) -> UniformMesh:
-    try:  # a mesh too large to draw is rejected where it is made
-        return UniformMesh(config.horizon, config.steps)
+def _checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError but a RegimeViolation becomes a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except RegimeViolation:
+        raise
     except ValueError as exc:
-        raise ConfigError(f"invalid value for steps: {exc}") from None
+        raise ConfigError(str(exc)) from None
+
+
+def _mesh(config: RunConfig) -> UniformMesh:
+    return _checked(UniformMesh, config.horizon, config.steps)
 
 
 def _model_for(config: RunConfig):
-    return preset_by_name(
-        config.model,
-        xi=config.xi,
-        rate=config.rate,
-        initial=config.initial,
-        initial_spread=config.initial_spread,
-    )
+    return _checked(preset_by_name, config.model, xi=config.xi, rate=config.rate,
+                    initial=config.initial, initial_spread=config.initial_spread)
 
 
 # Every file a run may write into its directory.

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import mvfbm.cli
-from mvfbm.cli import ConfigError, main, parse_config
-from mvfbm.simulator import _snapshot_plan
+from mvfbm.cli import COMMANDS, ConfigError, main, parse_config
+from mvfbm.model import PRESET_NAMES
+from mvfbm.simulator import SNAPSHOT_POLICIES, _snapshot_plan
 
 DESK_DELTAS = (2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8)
 
@@ -77,26 +78,21 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "flags,key",
         [
-            (["--hurst", "1.5"], "hurst"),
-            (["--hurst", "0"], "hurst"),
-            (["--particles", "0"], "particles"),
-            (["--theta", "1.0"], "theta"),
-            (["--workers", "0"], "workers"),
             # numbers that are not finite reals
             (["--horizon", "0^-1"], "horizon"),
             (["--horizon", "10^400"], "horizon"),
             (["--horizon", "inf"], "horizon"),
             (["--hurst=-2^0.5"], "hurst"),
             (["--xi=-4^0.5"], "xi"),
-            (["--initial-spread=-0.5"], "initial-spread"),
-            (["--seed", "-1"], "seed"),
             (["--deltas", ","], r"deltas: ',' \(empty list\)"),
-            (["--paths", "0"], "paths"),
             # a label names one directory under --outdir, never a parent or the outdir itself
             (["--label", ".."], "label"),
             (["--label", "."], "label"),
             (["--label", "nested/run"], "label"),
         ],
+        # fixed ids: a row keeps its name when rows before it are removed
+        ids=["flags5-horizon", "flags6-horizon", "flags7-horizon", "flags8-hurst", "flags9-xi",
+             r"flags12-deltas: ',' \(empty list\)", "flags14-label", "flags15-label", "flags16-label"],
     )
     def test_validation_names_field(self, flags, key):
         with pytest.raises(ConfigError, match=key):
@@ -118,6 +114,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(["--config", str(cfg)])
 
+    def test_help_lists_every_choice(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # unwrapped: no choice is broken at a hyphen
+        text = mvfbm.cli._build_parser().format_help()
+        for flag, choices in [("--command", COMMANDS), ("--model", PRESET_NAMES),
+                              ("--snapshots", SNAPSHOT_POLICIES), ("--profile", mvfbm.cli._PROFILE_SETTINGS)]:
+            option_help = text.split(f"\n  {flag} ", 1)[1].split("\n  --", 1)[0]
+            assert all(choice in option_help for choice in choices), option_help
+
 
 class TestMainExitCodes:
     def test_empty_args_usage(self, capsys):
@@ -128,7 +132,20 @@ class TestMainExitCodes:
     def test_config_failure(self, capsys):
         code, _, err = run_cli(["--command", "convergence", "--hurst", "1.5"], capsys)
         assert code == 2
-        assert "hurst" in err
+        assert "Hurst parameter" in err
+
+    @pytest.mark.parametrize("key,value", [("model", "bogus"), ("snapshots", "all"), ("profile", "huge"),
+                                           ("hurst", "1.5"), ("particles", "0")])
+    def test_flag_and_file_fail_alike(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"command = simulate\n{key} = {value}\n")
+        outdir = str(tmp_path / "runs")
+        from_file = run_cli(["--config", str(cfg), "--outdir", outdir], capsys)
+        from_flag = run_cli(["--command", "simulate", f"--{key}", value, "--outdir", outdir], capsys)
+        assert from_flag == from_file
+        code, _, err = from_flag
+        assert code == 2 and err.count("\n") == 1 and err.startswith("error: "), err
+        assert not (tmp_path / "runs").exists()
 
     def test_numerical_failure(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -304,6 +321,19 @@ class TestMainExitCodes:
                     "--replications", "2"], 1),
             # each delta over the reference delta leaves the float range
             (None, ["--command", "convergence", "--deltas", "1e300,2e300", "--reference-delta", "1e-10"], 2),
+            # each range is checked by the library call of the command that reads the value
+            (None, ["--command", "simulate", "--hurst", "1.5"], 2),
+            (None, ["--command", "simulate", "--hurst", "0"], 2),
+            (None, ["--command", "simulate", "--particles", "0"], 2),
+            (None, ["--command", "chaos", "--theta", "1.0"], 2),
+            (None, ["--command", "convergence", "--workers", "0"], 2),
+            (None, ["--command", "simulate", "--initial-spread=-0.5"], 2),
+            (None, ["--command", "simulate", "--seed", "-1"], 2),
+            (None, ["--command", "fbm-check", "--paths", "0"], 2),
+            (None, ["--command", "convergence", "--replications", "1"], 2),
+            (None, ["--command", "simulate", "--horizon=-1"], 2),
+            # a choice from a flag is parsed as from a file: one error line, no usage dump
+            (None, ["--command", "simulate", "--model", "bogus"], 2),
         ],
         ids=[
             "unknown-model-in-file", "fixture-model-in-file", "sampler-key-in-file", "delta-off-reference-mesh",
@@ -321,6 +351,10 @@ class TestMainExitCodes:
             "oversize-convergence", "oversize-fbm-check", "oversize-simulate", "oversize-chaos",
             "oversize-horizon-convergence", "overflowing-steps-convergence", "non-nested-moments",
             "gap-overflow-convergence", "gap-overflow-chaos", "overflowing-delta-convergence",
+            "hurst-above-one-simulate", "hurst-zero-simulate", "no-particles-simulate", "low-theta-chaos",
+            "no-workers-convergence", "negative-spread-simulate", "negative-seed-simulate",
+            "no-paths-fbm-check", "one-replication-convergence", "negative-horizon-simulate",
+            "unknown-model-flag",
         ],
     )
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys, config_text, flags, expected_code):
