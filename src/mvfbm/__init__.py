@@ -6,6 +6,7 @@ measure distances, and a reproducible experiment harness for strong-error,
 chaos-trend, and moment studies.
 """
 
+from .errors import ArgumentError
 from .fbm import (
     CirculantEmbeddingError,
     CirculantSampler,
@@ -45,7 +46,6 @@ from .simulator import (
 )
 from .streams import StreamKey
 from .study import (
-    StudyArgumentError,
     chaos_study,
     covariance_check,
     fit_loglog_slope,

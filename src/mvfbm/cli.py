@@ -19,10 +19,12 @@ run that fails creates no directory.
 
 Exit codes: 0 success, 1 numerical failure (``NumericalBlowup``,
 ``CirculantEmbeddingError`` or ``NonFiniteError``), 2 configuration failure
-(``ConfigError``, ``RegimeViolation`` or ``StudyArgumentError``; a run
-whose arrays cannot be allocated, ``MemoryError``; and a run directory
-that cannot be written).  Any other exception is a defect and propagates
-as itself.
+(an ``ArgumentError``, raised by the check that rejects the argument: a
+library range check, ``ConfigError`` for option text, a config file or a
+run directory, ``RegimeViolation`` for a model outside its regime; or a
+run whose arrays cannot be allocated, ``MemoryError``).  Any other
+exception, a bare ``ValueError`` included, is a defect and propagates as
+itself.
 """
 
 from __future__ import annotations
@@ -36,23 +38,19 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ArgumentError
 from .fbm import CirculantEmbeddingError, UniformMesh
-from .model import PRESET_NAMES, RegimeViolation, preset_by_name
+from .model import PRESET_NAMES, preset_by_name
 from .reports import NonFiniteError, Report, SimulateReport, render_loglog_svg
 from .simulator import SNAPSHOT_POLICIES, NumericalBlowup, SimulationConfig, run
-from .study import (
-    StudyArgumentError,
-    chaos_study,
-    covariance_check,
-    moment_bound_check,
-    strong_error_study,
-)
+from .study import chaos_study, covariance_check, moment_bound_check, strong_error_study
 
 __all__ = ["main", "parse_config", "dispatch", "ConfigError", "RunConfig"]
 
 
-class ConfigError(ValueError):
-    """Option text that does not parse, with its key named, or a value the library rejects."""
+class ConfigError(ArgumentError):
+    """Option text that does not parse, with its key named, a config file that cannot be
+    read, or a run directory that cannot be written."""
 
 
 # --------------------------------------------------------------------------
@@ -61,8 +59,8 @@ class ConfigError(ValueError):
 
 
 def _simulate(config: RunConfig) -> tuple[Report, str | None]:
-    sim = _checked(SimulationConfig, _model_for(config), config.hurst, _mesh(config),
-                   config.particles, config.seed)
+    sim = SimulationConfig(_model_for(config), config.hurst, _mesh(config), config.particles,
+                           config.seed)
     record = run(sim, snapshots=config.snapshots)
     with np.errstate(over="ignore"):  # the report rejects a statistic that overflowed
         mean, std = float(record.terminal.mean()), float(record.terminal.std())
@@ -150,15 +148,14 @@ def _number(text: str) -> float:
     return value
 
 
-def _numbers(text: str) -> tuple[float, ...]:
-    values = tuple(_number(t) for t in text.split(",") if t.strip())
-    if not values:
-        raise ValueError("empty list")
-    return values
-
-
-def _integers(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t.strip())
+def _list(item):
+    """The parser of a nonempty comma list of ``item`` values."""
+    def parse(text: str) -> tuple:
+        values = tuple(item(t) for t in text.split(",") if t.strip())
+        if not values:
+            raise ValueError("empty list")
+        return values
+    return parse
 
 
 def _boolean(text: str) -> bool:
@@ -208,13 +205,13 @@ class RunConfig:
     horizon: float = _option(1.0, _number, "time horizon T (default 1)")
     steps: int = _option(128, int, "mesh steps for simulate/chaos/fbm-check")
     deltas: tuple[float, ...] = _option(
-        (2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8), _numbers,
+        (2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8), _list(_number),
         "comma list of step sizes, e.g. 2^-5,2^-6 (convergence/moments)",
     )
     reference_delta: float = _option(2.0**-10, _number, "reference step size, e.g. 2^-10 (convergence)")
     particles: int = _option(200, int, "particles per ensemble")
     replications: int = _option(50, int, "Monte Carlo replications")
-    particle_counts: tuple[int, ...] = _option((50, 100, 200, 400), _integers,
+    particle_counts: tuple[int, ...] = _option((50, 100, 200, 400), _list(int),
                                                "comma list of ensemble sizes (chaos)")
     theta: float = _option(2.0, _number, "transport cost exponent >= 2 (chaos)")
     order: float = _option(4.0, _number, "moment order q >= 2 (moments)")
@@ -323,23 +320,13 @@ def _run_directory(config: RunConfig) -> Path:
             directory = Path(config.outdir) / f"{stamp}-{n}"
 
 
-def _checked(make, *args, **kwargs):
-    """``make(*args, **kwargs)``; a ValueError but a RegimeViolation becomes a ConfigError."""
-    try:
-        return make(*args, **kwargs)
-    except RegimeViolation:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _mesh(config: RunConfig) -> UniformMesh:
-    return _checked(UniformMesh, config.horizon, config.steps)
+    return UniformMesh(config.horizon, config.steps)
 
 
 def _model_for(config: RunConfig):
-    return _checked(preset_by_name, config.model, xi=config.xi, rate=config.rate,
-                    initial=config.initial, initial_spread=config.initial_spread)
+    return preset_by_name(config.model, xi=config.xi, rate=config.rate,
+                          initial=config.initial, initial_spread=config.initial_spread)
 
 
 # Every file a run may write into its directory.
@@ -382,7 +369,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
     try:
         return dispatch(parse_config(argv))
-    except (ConfigError, RegimeViolation, StudyArgumentError) as exc:
+    except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy names the allocation that this host cannot hold

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ArgumentError
 from .streams import StreamArray, child_seed_words, seeded_generator
 
 __all__ = [
@@ -90,21 +91,24 @@ def usable_cores() -> int:
 def check_hurst(hurst: float) -> float:
     """H as a plain float, strictly inside (0, 1).  The conversion keeps a
     numpy scalar from reaching a report, whose CSV would write its repr."""
-    h = float(hurst)
+    try:
+        h = float(hurst)
+    except (TypeError, ValueError):
+        raise ArgumentError(f"Hurst parameter must lie in (0, 1), got {hurst!r}") from None
     if not 0.0 < h < 1.0:
-        raise ValueError(f"Hurst parameter must lie in (0, 1), got {h}")
+        raise ArgumentError(f"Hurst parameter must lie in (0, 1), got {h}")
     return h
 
 
 def check_count(value: int, name: str, least: int = 1) -> int:
     """``value`` as a Python int >= ``least``, by ``operator.index`` as a stream key
-    takes its seed: a float or a string count raises ValueError, never truncated."""
+    takes its seed: a float or a string count raises ArgumentError, never truncated."""
     try:
         count = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ArgumentError(f"{name} must be an integer, got {value!r}") from None
     if count < least:
-        raise ValueError(f"{name} must be >= {least}, got {count}")
+        raise ArgumentError(f"{name} must be >= {least}, got {count}")
     return count
 
 
@@ -118,9 +122,9 @@ class UniformMesh:
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", check_count(self.steps, "mesh steps"))
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"mesh horizon must be positive and finite, got {self.horizon}")
+            raise ArgumentError(f"mesh horizon must be positive and finite, got {self.horizon}")
         if 16 * (self.steps + 1) > sys.maxsize:  # numpy cannot size the sampler's 2n + 2 modes
-            raise ValueError(f"a mesh of {self.steps} steps is too large for numpy's arrays")
+            raise ArgumentError(f"a mesh of {self.steps} steps is too large for numpy's arrays")
 
     @property
     def delta(self) -> float:
@@ -132,7 +136,7 @@ class UniformMesh:
     def coarsen(self, factor: int) -> "UniformMesh":
         factor = check_count(factor, "coarsening factor")
         if self.steps % factor != 0:
-            raise ValueError(f"coarsening factor {factor} does not divide {self.steps} mesh steps")
+            raise ArgumentError(f"coarsening factor {factor} does not divide {self.steps} mesh steps")
         return UniformMesh(self.horizon, self.steps // factor)
 
 

@@ -13,6 +13,8 @@ import sys
 
 import numpy as np
 
+from .errors import ArgumentError
+
 __all__ = [
     "EmpiricalMeasure",
     "check_order",
@@ -36,7 +38,7 @@ class EmpiricalMeasure:
         if atoms.ndim == 1:
             atoms = atoms[:, None]
         if atoms.ndim not in (2, 3) or atoms.shape[-2] < 1:
-            raise ValueError("atoms must be a nonempty (N, d) or (R, N, d) array")
+            raise ArgumentError("atoms must be a nonempty (N, d) or (R, N, d) array")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_mean", None)
 
@@ -68,22 +70,22 @@ class EmpiricalMeasure:
 
 def _check_aligned(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
     if mu.atoms.ndim != 2 or nu.atoms.ndim != 2:
-        raise ValueError("distances take one (N, d) measure, not a batch")
+        raise ArgumentError("distances take one (N, d) measure, not a batch")
     if mu.size != nu.size:
-        raise ValueError(f"atom counts differ: {mu.size} vs {nu.size}")
+        raise ArgumentError(f"atom counts differ: {mu.size} vs {nu.size}")
     if mu.dimension != nu.dimension:
-        raise ValueError(f"dimensions differ: {mu.dimension} vs {nu.dimension}")
+        raise ArgumentError(f"dimensions differ: {mu.dimension} vs {nu.dimension}")
 
 
 def check_order(value: float, name: str) -> float:
     """An order theta, of a Wasserstein distance or a moment, as a plain float that
-    is finite and >= 2; any other value raises a ValueError naming ``name``."""
+    is finite and >= 2; any other value raises an ArgumentError naming ``name``."""
     try:
         order = float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must be finite and >= 2, got {value!r}") from None
+        raise ArgumentError(f"{name} must be finite and >= 2, got {value!r}") from None
     if not 2.0 <= order < np.inf:  # NaN fails too
-        raise ValueError(f"{name} must be finite and >= 2, got {order}")
+        raise ArgumentError(f"{name} must be finite and >= 2, got {order}")
     return order
 
 
@@ -128,7 +130,7 @@ def wasserstein_1d_exact(
     costs; ties are broken by stable sort, which cannot change the cost.
     """
     if mu.dimension != 1 or nu.dimension != 1:
-        raise ValueError(
+        raise ArgumentError(
             "exact computation requires d = 1; use coupled_upper_bound in higher dimension"
         )
     _check_aligned(mu, nu)

@@ -37,6 +37,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .errors import ArgumentError
 from .fbm import check_count, check_hurst
 from .measure import EmpiricalMeasure
 
@@ -64,7 +65,7 @@ class ConstantDiffusion:
     def __post_init__(self) -> None:
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         if m.shape[0] != m.shape[1]:
-            raise ValueError(f"constant diffusion must be square, got shape {m.shape}")
+            raise ArgumentError(f"constant diffusion must be square, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
 
     def evaluate(self, states: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
@@ -115,7 +116,7 @@ class ModelSpec:
         if callable(self.initial):
             states = np.asarray(self.initial(rng, count), dtype=float)
             if states.shape != (count, self.dimension):
-                raise ValueError(
+                raise ArgumentError(
                     f"initial sampler returned shape {states.shape}, expected {(count, self.dimension)}"
                 )
             return states
@@ -123,7 +124,7 @@ class ModelSpec:
         return np.tile(value, (count, 1))
 
 
-class RegimeViolation(ValueError):
+class RegimeViolation(ArgumentError):
     """Model/Hurst combination outside the known well-posedness regimes."""
 
 
@@ -166,8 +167,8 @@ def _gaussian_initial(rng: np.random.Generator, count: int, mean: float, spread:
 def _start(initial: float, spread: float) -> "float | Callable[[np.random.Generator, int], np.ndarray]":
     """The point mass at ``initial``, or N(initial, spread^2) when spread > 0."""
     if not (math.isfinite(initial) and math.isfinite(spread) and spread >= 0.0):
-        raise ValueError(f"initial law needs a finite value and a finite spread >= 0, "
-                         f"got initial={initial}, spread={spread}")
+        raise ArgumentError(f"initial law needs a finite value and a finite spread >= 0, "
+                            f"got initial={initial}, spread={spread}")
     return partial(_gaussian_initial, mean=initial, spread=spread) if spread > 0.0 else initial
 
 
@@ -230,4 +231,4 @@ def preset_by_name(
         return preset_mean_deviation(initial, initial_spread)
     if name == "mean-reverting":
         return preset_mean_reverting(xi, rate, initial, initial_spread)
-    raise ValueError(f"unknown model preset {name!r}; choose from {PRESET_NAMES}")
+    raise ArgumentError(f"unknown model preset {name!r}; choose from {PRESET_NAMES}")

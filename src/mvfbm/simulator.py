@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ArgumentError
 from .fbm import CirculantSampler, UniformMesh, check_count, check_hurst
 from .measure import EmpiricalMeasure
 from .model import ModelSpec, validate
@@ -49,8 +50,15 @@ __all__ = [
 _NS_INITIAL = 0
 _NS_NOISE = 1
 
-# Which ensemble snapshots a run keeps; see _snapshot_plan.
-SNAPSHOT_POLICIES = ("terminal", "thin", "full")
+# The step indices of an n-step mesh whose ensemble snapshots each policy
+# keeps: the terminal one alone, every ceil(n / 64)-th plus the terminal
+# one, or all of them.
+_SNAPSHOT_PLANS = {
+    "terminal": lambda steps: {steps},
+    "thin": lambda steps: set(range(0, steps + 1, max(1, -(-steps // 64)))) | {steps},
+    "full": lambda steps: set(range(steps + 1)),
+}
+SNAPSHOT_POLICIES = tuple(_SNAPSHOT_PLANS)
 
 
 class NumericalBlowup(RuntimeError):
@@ -103,7 +111,7 @@ class SimulationConfig:
 
     ``seed`` is the batch's stream root: an integer seed becomes
     ``StreamKey(seed)`` here, so a seed that is not a nonnegative integer
-    raises ``ValueError`` before any draw, as a particle count that is not
+    raises ``ArgumentError`` before any draw, as a particle count that is not
     an integer does.
     """
 
@@ -123,8 +131,8 @@ class SimulationConfig:
         # each index is one uint32 word of a driver stream's row; min() would walk the range
         if not (isinstance(reps, range) and reps
                 and 0 <= reps[0] < 2**32 and 0 <= reps[-1] < 2**32):
-            raise ValueError(f"replications must be a nonempty range of indices in [0, 2^32), "
-                             f"got {reps!r}")
+            raise ArgumentError(f"replications must be a nonempty range of indices in [0, 2^32), "
+                                f"got {reps!r}")
         object.__setattr__(self, "hurst", check_hurst(self.hurst))
         validate(self.model, self.hurst)
 
@@ -164,7 +172,7 @@ def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: "float | np.nda
     """
     states = ensemble.states
     if increments.shape != states.shape:
-        raise ValueError(f"increment shape {increments.shape} != state shape {states.shape}")
+        raise ArgumentError(f"increment shape {increments.shape} != state shape {states.shape}")
     blocks = states.reshape(ensemble.replications, -1, states.shape[1])
     mu = EmpiricalMeasure(blocks)
     with np.errstate(over="ignore", invalid="ignore"):  # the run loop reports a blow-up
@@ -175,18 +183,10 @@ def em_step(ensemble: ParticleEnsemble, model: ModelSpec, delta: "float | np.nda
 
 
 def _snapshot_plan(steps: int, policy: str) -> set[int]:
-    """Step indices a run keeps: all of them, the terminal one alone, or
-    every ceil(n / 64)-th plus the terminal one."""
-    if policy == "full":
-        return set(range(steps + 1))
-    if policy == "terminal":
-        return {steps}
-    if policy == "thin":
-        stride = max(1, -(-steps // 64))  # ceil(n / 64)
-        kept = set(range(0, steps + 1, stride))
-        kept.add(steps)
-        return kept
-    raise ValueError(f"unknown snapshot policy {policy!r}; choose from {SNAPSHOT_POLICIES}")
+    """Step indices a run keeps under ``policy``, the one place a policy is checked."""
+    if policy not in _SNAPSHOT_PLANS:
+        raise ArgumentError(f"unknown snapshot policy {policy!r}; choose from {SNAPSHOT_POLICIES}")
+    return _SNAPSHOT_PLANS[policy](steps)
 
 
 def _noise_streams(config: SimulationConfig) -> StreamArray:
@@ -238,7 +238,7 @@ def run_coupled_meshes(
 
     ``config.mesh`` is the finest mesh; factor 1 (the reference run) is
     always included, each factor must divide the next larger one and the
-    step count, and any other ladder raises ``ValueError`` before any draw.
+    step count, and any other ladder raises ``ArgumentError`` before any draw.
     All meshes share the initial ensemble and the same continuous drivers,
     so terminal differences measure pure discretization error.  They
     advance together in one pass over the fine steps: the states of every
@@ -252,7 +252,7 @@ def run_coupled_meshes(
     """
     ladder = sorted({check_count(f, "coarsening factor") for f in factors} | {1})
     if any(coarse % fine for fine, coarse in zip(ladder, ladder[1:])):
-        raise ValueError(f"coarsening factors {ladder} are not nested: each must divide the next")
+        raise ArgumentError(f"coarsening factors {ladder} are not nested: each must divide the next")
     meshes = [config.mesh.coarsen(f) for f in ladder]
     width = config.particles * len(config.replications)
     rows = [slice(slot * width, (slot + 1) * width) for slot in range(len(ladder))]

@@ -26,6 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ArgumentError
+
 __all__ = ["StreamKey", "StreamArray", "child_seed_words", "seeded_generator"]
 
 
@@ -37,7 +39,7 @@ class StreamKey:
     identifying the consumer (replication, particle, dimension, ...).  A key
     normalizes both with ``operator.index``, so it holds Python integers of
     any size, numpy integers included, and rejects anything but a
-    nonnegative integer with ``ValueError``: a fractional seed or index is
+    nonnegative integer with ``ArgumentError``: a fractional seed or index is
     rejected, not truncated.
     """
 
@@ -48,13 +50,13 @@ class StreamKey:
         try:
             seed, path = operator.index(self.seed), tuple(map(operator.index, self.path))
         except TypeError:
-            raise ValueError(f"stream seed and indices must be integers, got seed {self.seed!r} "
-                             f"and indices {self.path!r}") from None
+            raise ArgumentError(f"stream seed and indices must be integers, got seed {self.seed!r} "
+                                f"and indices {self.path!r}") from None
         # SeedSequence takes no negative entropy, and _entropy's words of one never end
         if seed < 0:
-            raise ValueError(f"stream seed must be nonnegative, got {seed}")
+            raise ArgumentError(f"stream seed must be nonnegative, got {seed}")
         if any(i < 0 for i in path):
-            raise ValueError(f"stream indices must be nonnegative, got {path}")
+            raise ArgumentError(f"stream indices must be nonnegative, got {path}")
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "path", path)
 
@@ -83,11 +85,11 @@ class StreamArray:
     def __post_init__(self) -> None:
         index = np.asarray(self.index)
         if index.ndim != 2 or not np.issubdtype(index.dtype, np.integer):
-            raise ValueError(f"stream indices must be a 2-D integer array, got {index.dtype} "
-                             f"of shape {index.shape}")
+            raise ArgumentError(f"stream indices must be a 2-D integer array, got {index.dtype} "
+                                f"of shape {index.shape}")
         if index.size and (index.min() < 0 or index.max() >= 2**32):  # the cast would wrap
-            raise ValueError(f"stream indices must lie in [0, 2^32), got {index.min()} "
-                             f"to {index.max()}")
+            raise ArgumentError(f"stream indices must lie in [0, 2^32), got {index.min()} "
+                                f"to {index.max()}")
         object.__setattr__(self, "index", index.astype(np.uint32))
 
     def __len__(self) -> int:

@@ -24,10 +24,11 @@ import math
 import sys
 from dataclasses import replace
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .errors import ArgumentError
 from .fbm import CirculantSampler, UniformMesh, _fgn_autocovariance, check_count, check_hurst
 from .fbm import increment_covariance_matrix  # unused here: bench/layertrace.py patches this name
 from .measure import EmpiricalMeasure, check_order, coupled_upper_bound, wasserstein_1d_exact
@@ -37,7 +38,6 @@ from .simulator import NumericalBlowup, SimulationConfig, run, run_coupled_meshe
 from .streams import StreamArray, StreamKey
 
 __all__ = [
-    "StudyArgumentError",
     "fit_loglog_slope",
     "strong_error_study",
     "chaos_study",
@@ -65,10 +65,6 @@ _BATCH_BYTES = 16 * 2**20
 _MOMENT_BAND_BYTES = 2**20
 
 
-class StudyArgumentError(ValueError):
-    """A study argument, or the mesh ladder it asks for, is rejected before any run."""
-
-
 def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares slope of log2(error) against log2(delta).
 
@@ -76,17 +72,17 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
     is zero for an exact two-point or collinear fit.
     """
     if len(points) < 2:
-        raise StudyArgumentError(f"slope fit needs at least 2 points, got {len(points)}")
+        raise ArgumentError(f"slope fit needs at least 2 points, got {len(points)}")
     deltas = np.array([p[0] for p in points], dtype=float)
     errors = np.array([p[1] for p in points], dtype=float)
     if np.any(deltas <= 0.0) or np.any(errors <= 0.0):
-        raise StudyArgumentError("slope fit requires strictly positive deltas and errors")
+        raise ArgumentError("slope fit requires strictly positive deltas and errors")
     x = np.log2(deltas)
     y = np.log2(errors)
     x_center = x - x.mean()
     sxx = float(x_center @ x_center)
     if sxx == 0.0:
-        raise StudyArgumentError("slope fit requires at least two distinct deltas")
+        raise ArgumentError("slope fit requires at least two distinct deltas")
     slope = float(x_center @ (y - y.mean())) / sxx
     intercept = float(y.mean()) - slope * float(x.mean())
     residuals = y - (intercept + slope * x)
@@ -100,46 +96,38 @@ def _ladder(deltas: Sequence[float], fine_delta: float,
     """The deltas coarse to fine, each dividing the next coarser one, the fine
     mesh, and each delta's factor on it."""
     if not all(0.0 < float(value) < math.inf for value in (horizon, fine_delta, *deltas)):  # NaN fails too
-        raise StudyArgumentError(f"horizon and deltas must be positive and finite, got {list(deltas)}, "
-                                 f"reference {fine_delta}, horizon {horizon}")
+        raise ArgumentError(f"horizon and deltas must be positive and finite, got {list(deltas)}, "
+                            f"reference {fine_delta}, horizon {horizon}")
     ratio = horizon / fine_delta
     if ratio == math.inf:  # a step count past the float range is past every mesh size
-        raise StudyArgumentError(f"horizon {horizon} over reference delta {fine_delta} is too many "
-                                 f"steps for numpy's arrays")
-    fine_mesh = _argument(UniformMesh, horizon, max(1, round(ratio)))
+        raise ArgumentError(f"horizon {horizon} over reference delta {fine_delta} is too many "
+                            f"steps for numpy's arrays")
+    fine_mesh = UniformMesh(horizon, max(1, round(ratio)))
     steps = fine_mesh.steps
     if not math.isclose(steps * fine_delta, horizon, rel_tol=1e-12):
-        raise StudyArgumentError(f"delta {fine_delta} does not divide the horizon {horizon}")
+        raise ArgumentError(f"delta {fine_delta} does not divide the horizon {horizon}")
     deltas = sorted((float(d) for d in deltas), reverse=True)
     factors = [round(min(d / fine_delta, steps + 1)) for d in deltas]  # clamped, as inf cannot round
     for i, (delta, factor) in enumerate(zip(deltas, factors)):
         if (factor < 1 or steps % factor
                 or not math.isclose(factor * fine_delta, delta, rel_tol=1e-12)):
-            raise StudyArgumentError(
+            raise ArgumentError(
                 f"delta {delta} is not an integer multiple of reference delta {fine_delta} "
                 f"that divides the horizon {horizon}"
             )
         if factor in factors[:i]:
-            raise StudyArgumentError(f"delta {delta} is repeated: give each delta once")
+            raise ArgumentError(f"delta {delta} is repeated: give each delta once")
         if i and factors[i - 1] % factor:
-            raise StudyArgumentError(f"delta {delta} does not divide delta {deltas[i - 1]}: "
-                                     f"each delta must divide the next coarser one")
+            raise ArgumentError(f"delta {delta} does not divide delta {deltas[i - 1]}: "
+                                f"each delta must divide the next coarser one")
     return deltas, fine_mesh, factors
-
-
-def _argument(check: Callable[..., Any], *args, **kwargs) -> Any:
-    """``check(*args, **kwargs)``, whose ValueError is raised as a StudyArgumentError."""
-    try:
-        return check(*args, **kwargs)
-    except ValueError as exc:
-        raise StudyArgumentError(str(exc)) from None
 
 
 def _batches(config: SimulationConfig, replications: int, workers: int) -> list[SimulationConfig]:
     """The config once per batch of consecutive replications: each batch's
     drivers fit the byte budget, and there is at least one batch per worker.
     More replications than a config takes are rejected before any is built."""
-    _argument(replace, config, replications=range(replications))
+    replace(config, replications=range(replications))
     fit = _BATCH_BYTES // (config.particles * config.mesh.steps * config.model.dimension * 8)
     size = max(1, min(fit, -(-replications // workers)))
     return [
@@ -208,16 +196,16 @@ def strong_error_study(
     fitted log-log slope.  A scheme that reproduces the reference
     exactly at every delta is flagged instead of fitted.
     """
-    particles = _argument(check_count, particles, "particle count")
-    replications = _argument(check_count, replications, "replication count", least=2)
-    workers = _argument(check_count, workers, "worker count")
+    particles = check_count(particles, "particle count")
+    replications = check_count(replications, "replication count", least=2)
+    workers = check_count(workers, "worker count")
     deltas, fine_mesh, factors = _ladder(deltas, reference_delta, horizon)
     if 1 in factors:
-        raise StudyArgumentError(f"delta {reference_delta} is the reference delta: its error is 0")
+        raise ArgumentError(f"delta {reference_delta} is the reference delta: its error is 0")
     if len(factors) < 2:
-        raise StudyArgumentError(f"a slope needs at least two distinct deltas, got {deltas}")
-    root = _argument(StreamKey, seed)
-    config = SimulationConfig(model, _argument(check_hurst, hurst), fine_mesh, particles, root)
+        raise ArgumentError(f"a slope needs at least two distinct deltas, got {deltas}")
+    root = StreamKey(seed)
+    config = SimulationConfig(model, hurst, fine_mesh, particles, root)
     batches = _batches(config, replications, workers)
     terminals = _run_batches(batches, [1, *factors], workers)
     # per factor, per replication in order: the sum over particles of squared terminal gaps
@@ -269,18 +257,17 @@ def chaos_study(
     distances are non-increasing within one combined standard error at each
     consecutive pair.
     """
-    counts = [_argument(check_count, n, "particle count") for n in particle_counts]
-    replications = _argument(check_count, replications, "replication count")
-    workers = _argument(check_count, workers, "worker count")
-    theta = _argument(check_order, theta, "transport order theta")
+    counts = [check_count(n, "particle count") for n in particle_counts]
+    replications = check_count(replications, "replication count")
+    workers = check_count(workers, "worker count")
+    theta = check_order(theta, "transport order theta")
     if len(counts) < 2:
-        raise StudyArgumentError(f"a trend needs at least two particle counts, got {counts}")
+        raise ArgumentError(f"a trend needs at least two particle counts, got {counts}")
     if any(b <= a for a, b in zip(counts, counts[1:])):
-        raise StudyArgumentError(f"particle counts must be strictly increasing, got {counts}")
-    root = _argument(StreamKey, seed)
+        raise ArgumentError(f"particle counts must be strictly increasing, got {counts}")
+    root = StreamKey(seed)
     reference_count = 4 * max(counts)
-    template = SimulationConfig(model, _argument(check_hurst, hurst), mesh, reference_count,
-                                root.child(0))
+    template = SimulationConfig(model, hurst, mesh, reference_count, root.child(0))
     if model.dimension == 1:
         estimator, distance = "1d-exact", wasserstein_1d_exact
     else:
@@ -344,13 +331,13 @@ def moment_bound_check(
     restricted to each mesh), records the max-over-snapshots moment per mesh, and
     passes when each successive refinement ratio stays within [0.8, 1.25].
     """
-    order = _argument(check_order, order, "moment order")
-    particles = _argument(check_count, particles, "particle count")
+    order = check_order(order, "moment order")
+    particles = check_count(particles, "particle count")
     ladder, fine_mesh, factors = _ladder(deltas, min(deltas, default=horizon), horizon)
     if len(factors) < 2:
-        raise StudyArgumentError(f"a refinement ratio needs at least two distinct deltas, got {ladder}")
-    root = _argument(StreamKey, seed)
-    config = SimulationConfig(model, _argument(check_hurst, hurst), fine_mesh, particles, root)
+        raise ArgumentError(f"a refinement ratio needs at least two distinct deltas, got {ladder}")
+    root = StreamKey(seed)
+    config = SimulationConfig(model, hurst, fine_mesh, particles, root)
     records = run_coupled_meshes(config, factors, snapshots="thin")
     points = []
     for delta, factor in zip(ladder, factors):
@@ -398,11 +385,11 @@ def covariance_check(
     largest |z| is max(high - gamma, gamma - low) / se: rounding is
     monotone, so it is the largest entrywise |d - gamma| / se bit for bit.
     """
-    hurst = _argument(check_hurst, hurst)
-    paths = _argument(check_count, paths, "path count")
-    mesh = _argument(UniformMesh, horizon, steps)
+    hurst = check_hurst(hurst)
+    paths = check_count(paths, "path count")
+    mesh = UniformMesh(horizon, steps)
     steps = mesh.steps
-    root = _argument(StreamKey, seed)
+    root = StreamKey(seed)
     gamma = _fgn_autocovariance(hurst, mesh.delta, np.arange(steps))
     # |gamma(k)| <= gamma(0), so every standard error lies between
     # sqrt(gamma(0)^2 / paths) and sqrt(2 gamma(0)^2 / paths)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import mvfbm.cli
+import mvfbm.study
 from mvfbm.cli import COMMANDS, ConfigError, main, parse_config
 from mvfbm.model import PRESET_NAMES
 from mvfbm.simulator import SNAPSHOT_POLICIES, _snapshot_plan
@@ -85,6 +86,7 @@ class TestParseConfig:
             (["--hurst=-2^0.5"], "hurst"),
             (["--xi=-4^0.5"], "xi"),
             (["--deltas", ","], r"deltas: ',' \(empty list\)"),
+            (["--particle-counts", ","], r"particle-counts: ',' \(empty list\)"),
             # a label names one directory under --outdir, never a parent or the outdir itself
             (["--label", ".."], "label"),
             (["--label", "."], "label"),
@@ -92,7 +94,8 @@ class TestParseConfig:
         ],
         # fixed ids: a row keeps its name when rows before it are removed
         ids=["flags5-horizon", "flags6-horizon", "flags7-horizon", "flags8-hurst", "flags9-xi",
-             r"flags12-deltas: ',' \(empty list\)", "flags14-label", "flags15-label", "flags16-label"],
+             r"flags12-deltas: ',' \(empty list\)", "empty-count-list", "flags14-label", "flags15-label",
+             "flags16-label"],
     )
     def test_validation_names_field(self, flags, key):
         with pytest.raises(ConfigError, match=key):
@@ -170,14 +173,28 @@ class TestMainExitCodes:
         assert code == 2
         assert "constant diffusion" in err
 
-    def test_unexpected_value_error_is_not_a_config_failure(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "module,name,command",
+        [
+            (mvfbm.cli, "strong_error_study", "convergence"),
+            (mvfbm.cli, "preset_by_name", "simulate"),
+            (mvfbm.cli, "UniformMesh", "simulate"),
+            (mvfbm.study, "UniformMesh", "fbm-check"),
+            (mvfbm.study, "check_count", "convergence"),
+        ],
+        ids=["study-convergence", "preset-simulate", "mesh-simulate", "mesh-fbm-check",
+             "count-convergence"],
+    )
+    def test_unexpected_value_error_is_not_a_config_failure(self, monkeypatch, tmp_path, module, name,
+                                                            command):
         def broken(*args, **kwargs):
-            raise ValueError("a defect inside the study")
+            raise ValueError(f"a defect inside {name}")
 
-        monkeypatch.setattr(mvfbm.cli, "strong_error_study", broken)
+        monkeypatch.setattr(module, name, broken)
         # only typed rejections exit 2; a bare ValueError surfaces as itself
-        with pytest.raises(ValueError, match="a defect inside the study"):
-            main(["--command", "convergence", "--outdir", str(tmp_path)])
+        with pytest.raises(ValueError, match=f"a defect inside {name}") as caught:
+            main(["--command", command, "--outdir", str(tmp_path)])
+        assert type(caught.value) is ValueError
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -334,6 +351,8 @@ class TestMainExitCodes:
             (None, ["--command", "simulate", "--horizon=-1"], 2),
             # a choice from a flag is parsed as from a file: one error line, no usage dump
             (None, ["--command", "simulate", "--model", "bogus"], 2),
+            # every list option is parsed by one rule: an empty list is rejected at parse time
+            (None, ["--command", "simulate", "--particle-counts", ","], 2),
         ],
         ids=[
             "unknown-model-in-file", "fixture-model-in-file", "sampler-key-in-file", "delta-off-reference-mesh",
@@ -354,7 +373,7 @@ class TestMainExitCodes:
             "hurst-above-one-simulate", "hurst-zero-simulate", "no-particles-simulate", "low-theta-chaos",
             "no-workers-convergence", "negative-spread-simulate", "negative-seed-simulate",
             "no-paths-fbm-check", "one-replication-convergence", "negative-horizon-simulate",
-            "unknown-model-flag",
+            "unknown-model-flag", "empty-count-list-simulate",
         ],
     )
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys, config_text, flags, expected_code):

@@ -88,3 +88,21 @@ def test_numpy_is_the_only_runtime_dependency():
     assert imported  # the scan found the modules' imports
     assert sorted((name, module) for name, module in imported
                   if module.partition(".")[0] not in allowed) == []
+
+
+def test_a_rejected_argument_is_an_argument_error():
+    # a check raises mvfbm.errors.ArgumentError, which the CLI exits 2 on, so that a bare
+    # ValueError from anywhere else stays a defect; only the CLI's text parsers raise one,
+    # and _convert types it as a ConfigError that names the option
+    parsers = {"_number", "_list", "_boolean", "_one_of", "_label"}
+    bare, parsed = [], []
+    for source in Path(mvfbm.__file__).parent.glob("*.py"):
+        for top in ast.parse(source.read_text(), str(source)).body:
+            exempt = source.name == "cli.py" and getattr(top, "name", None) in parsers
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                        (parsed if exempt else bare).append(f"{source.name}:{node.lineno}")
+    assert len(parsed) == len(parsers)  # the scan sees each parser's rejection
+    assert bare == []

@@ -10,6 +10,7 @@ import pytest
 
 import mvfbm.fbm
 import mvfbm.simulator
+from mvfbm.errors import ArgumentError
 from mvfbm.fbm import UniformMesh
 from mvfbm.model import (
     ConstantDiffusion,
@@ -203,9 +204,12 @@ class TestRun:
         config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), np.int64(4), 0)
         assert type(config.particles) is int and config.particles == 4
 
-    def test_unknown_snapshot_policy_rejected(self):
+    def test_unknown_snapshot_policy_rejected(self, monkeypatch):
+        for name in ("_initial_states", "_drivers"):  # rejected before any draw
+            monkeypatch.setattr(mvfbm.simulator, name, _must_not_draw)
         config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 4), 2, 0)
-        with pytest.raises(ValueError, match="unknown snapshot policy 'bogus'"):
+        message = "unknown snapshot policy 'bogus'; choose from ('terminal', 'thin', 'full')"
+        with pytest.raises(ArgumentError, match=re.escape(message)):
             run(config, snapshots="bogus")
 
     def test_exchangeability(self):
@@ -336,7 +340,7 @@ class TestCoupledMeshes:
             monkeypatch.setattr(mvfbm.simulator, name, _must_not_draw)
         config = SimulationConfig(preset_mean_reverting(), 0.5, UniformMesh(1.0, 12), 2, 0)
         ladder = re.escape(str([1, *factors]))
-        with pytest.raises(ValueError, match=f"coarsening factors {ladder} are not nested"):
+        with pytest.raises(ArgumentError, match=f"coarsening factors {ladder} are not nested"):
             run_coupled_meshes(config, factors)
 
     @pytest.mark.parametrize(
@@ -439,7 +443,7 @@ class TestDriverStreams:
 
 
 def _must_not_draw(*args, **kwargs):
-    raise AssertionError("a rejected ladder drew its initial states or drivers")
+    raise AssertionError("a rejected run drew its initial states or drivers")
 
 
 def _cubic_decay_model(initial):

@@ -11,6 +11,7 @@ import pytest
 import mvfbm.fbm
 import mvfbm.simulator
 import mvfbm.study
+from mvfbm.errors import ArgumentError
 from mvfbm.fbm import CirculantSampler, UniformMesh
 from mvfbm.model import (
     MeasureDiffusion,
@@ -21,7 +22,6 @@ from mvfbm.model import (
 from mvfbm.simulator import NumericalBlowup, SimulationConfig, run
 from mvfbm.study import (
     EXACT_SCHEME_ATOL,
-    StudyArgumentError,
     chaos_study,
     covariance_check,
     fit_loglog_slope,
@@ -71,17 +71,17 @@ class TestSlopeFit:
         assert stderr == pytest.approx(0.0, abs=1e-10)
 
     def test_single_point_rejected(self):
-        with pytest.raises(StudyArgumentError):
+        with pytest.raises(ArgumentError):
             fit_loglog_slope([(0.5, 0.1)])
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(StudyArgumentError):
+        with pytest.raises(ArgumentError):
             fit_loglog_slope([(0.5, 0.0), (0.25, 0.1)])
-        with pytest.raises(StudyArgumentError):
+        with pytest.raises(ArgumentError):
             fit_loglog_slope([(-0.5, 0.2), (0.25, 0.1)])
 
     def test_duplicate_deltas_rejected(self):
-        with pytest.raises(StudyArgumentError):
+        with pytest.raises(ArgumentError):
             fit_loglog_slope([(0.5, 0.1), (0.5, 0.2)])
 
     def test_noisy_fit_stderr_positive(self):
@@ -163,7 +163,7 @@ class TestStrongErrorStudy:
         assert all(size <= 2 for size in seen)
 
     def test_bad_delta_rejected(self):
-        with pytest.raises(StudyArgumentError, match="integer multiple"):
+        with pytest.raises(ArgumentError, match="integer multiple"):
             strong_error_study(
                 preset_mean_reverting(),
                 0.5,
@@ -175,7 +175,7 @@ class TestStrongErrorStudy:
             )
 
     def test_reference_delta_must_divide_the_horizon(self):
-        with pytest.raises(StudyArgumentError, match="delta 0.3 does not divide the horizon 1.0"):
+        with pytest.raises(ArgumentError, match="delta 0.3 does not divide the horizon 1.0"):
             strong_error_study(
                 preset_mean_reverting(), 0.5, particles=4, replications=2,
                 deltas=[0.6, 0.9], reference_delta=0.3, seed=0,
@@ -199,7 +199,7 @@ class TestStrongErrorStudy:
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
         call = dict(hurst=0.5, particles=4, replications=2, deltas=DELTAS,
                     reference_delta=REFERENCE, seed=0, workers=1) | arguments
-        with pytest.raises(StudyArgumentError, match=match):
+        with pytest.raises(ArgumentError, match=match):
             strong_error_study(preset_mean_reverting(xi=1.0, rate=0.0), **call)
 
     @pytest.mark.parametrize(
@@ -215,14 +215,14 @@ class TestStrongErrorStudy:
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
         message = (f"horizon and deltas must be positive and finite, got {list(deltas)}, "
                    f"reference {reference}, horizon {horizon}")
-        with pytest.raises(StudyArgumentError, match=re.escape(message)):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
             strong_error_study(
                 preset_mean_reverting(), 0.5, particles=4, replications=2,
                 deltas=deltas, reference_delta=reference, seed=0, horizon=horizon,
             )
 
     def test_minimum_replications(self):
-        with pytest.raises(StudyArgumentError):
+        with pytest.raises(ArgumentError):
             strong_error_study(
                 preset_mean_reverting(),
                 0.5,
@@ -283,7 +283,7 @@ class TestChaosStudy:
         assert abs(mean_a - mean_b) < 5 * math.hypot(se_a, se_b)
 
     def test_counts_must_increase(self):
-        with pytest.raises(StudyArgumentError, match="strictly increasing"):
+        with pytest.raises(ArgumentError, match="strictly increasing"):
             chaos_study(
                 preset_mean_reverting(),
                 0.5,
@@ -312,14 +312,14 @@ class TestChaosStudy:
     def test_order_rejected_before_any_run(self, monkeypatch):
         monkeypatch.setattr(mvfbm.study, "run", _must_not_run)
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
-        with pytest.raises(StudyArgumentError, match="theta"):
+        with pytest.raises(ArgumentError, match="theta"):
             chaos_study(preset_mean_reverting(), 0.5, self.MESH, [4, 8], 2, 1.5, 0)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf])
     def test_unbounded_order_rejected_before_any_run(self, monkeypatch, theta):
         monkeypatch.setattr(mvfbm.study, "run", _must_not_run)
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
-        with pytest.raises(StudyArgumentError, match=f"theta must be finite and >= 2, got {theta}"):
+        with pytest.raises(ArgumentError, match=f"theta must be finite and >= 2, got {theta}"):
             chaos_study(preset_mean_reverting(), 0.5, self.MESH, [4, 8], 2, theta, 0)
 
     @pytest.mark.parametrize(
@@ -341,7 +341,7 @@ class TestChaosStudy:
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
         call = dict(hurst=0.5, mesh=self.MESH, particle_counts=[4, 8], replications=2, theta=2.0,
                     seed=0, workers=1) | arguments
-        with pytest.raises(StudyArgumentError, match=match):
+        with pytest.raises(ArgumentError, match=match):
             chaos_study(preset_mean_reverting(), **call)
 
     def test_distances_grow_with_theta(self):
@@ -408,7 +408,7 @@ class TestMomentBoundCheck:
         assert abs(terminal - expected) < 5 * stderr
 
     def test_order_validated(self):
-        with pytest.raises(StudyArgumentError):
+        with pytest.raises(ArgumentError):
             moment_bound_check(preset_mean_reverting(), 0.5, DELTAS, 4, order=1.0, seed=0)
 
     @pytest.mark.parametrize(
@@ -430,19 +430,19 @@ class TestMomentBoundCheck:
     def test_ratioless_ladder_rejected_before_any_run(self, monkeypatch, arguments, match):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
         call = dict(hurst=0.5, deltas=DELTAS, particles=4, order=2.0, seed=0, horizon=1.0) | arguments
-        with pytest.raises(StudyArgumentError, match=match):
+        with pytest.raises(ArgumentError, match=match):
             moment_bound_check(preset_mean_reverting(), **call)
 
     @pytest.mark.parametrize("order", [math.nan, math.inf])
     def test_unbounded_order_rejected_before_any_run(self, monkeypatch, order):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
         message = f"moment order must be finite and >= 2, got {order}"
-        with pytest.raises(StudyArgumentError, match=message):
+        with pytest.raises(ArgumentError, match=message):
             moment_bound_check(preset_mean_reverting(), 0.5, DELTAS, 4, order=order, seed=0)
 
     def test_no_particles_rejected_before_any_run(self, monkeypatch):
         monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
-        with pytest.raises(StudyArgumentError, match="particle count must be >= 1, got 0"):
+        with pytest.raises(ArgumentError, match="particle count must be >= 1, got 0"):
             moment_bound_check(preset_mean_reverting(), 0.5, DELTAS, 0, order=2.0, seed=0)
 
 
@@ -460,7 +460,7 @@ class TestCovarianceCheck:
 
     def test_no_paths_rejected_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(CirculantSampler, "sample_ensemble", _must_not_run)
-        with pytest.raises(StudyArgumentError, match="path count must be >= 1, got 0"):
+        with pytest.raises(ArgumentError, match="path count must be >= 1, got 0"):
             covariance_check(0.7, steps=8, paths=0, seed=5)
 
     @pytest.mark.parametrize(
@@ -478,7 +478,7 @@ class TestCovarianceCheck:
     def test_bad_mesh_rejected_before_any_draw(self, monkeypatch, arguments, match):
         monkeypatch.setattr(CirculantSampler, "sample_ensemble", _must_not_run)
         call = dict(hurst=0.7, steps=8, paths=8, seed=5, horizon=1.0) | arguments
-        with pytest.raises(StudyArgumentError, match=match):
+        with pytest.raises(ArgumentError, match=match):
             covariance_check(**call)
 
     def test_negative_seed_rejected_before_any_draw(self, monkeypatch):
@@ -530,7 +530,7 @@ def test_bad_seed_is_a_study_argument_error(monkeypatch, study_call, seed):
     monkeypatch.setattr(mvfbm.study, "run", _must_not_run)
     monkeypatch.setattr(mvfbm.study, "run_coupled_meshes", _must_not_run)
     monkeypatch.setattr(CirculantSampler, "sample_ensemble", _must_not_run)
-    with pytest.raises(StudyArgumentError, match=rf"stream seed .*got .*{re.escape(str(seed))}"):
+    with pytest.raises(ArgumentError, match=rf"stream seed .*got .*{re.escape(str(seed))}"):
         study_call(seed)
 
 
