@@ -278,8 +278,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags that take a value: every field's but a bare switch's, and --config.
+_VALUE_FLAGS = {"--config"} | {f"--{key}" for key, name in _FIELD_FOR_KEY.items()
+                               if _FIELDS[name].metadata["parse"] is not _boolean}
+
+
+def _negative_values_joined(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--key -value`` word pair written ``--key=-value``.
+
+    argparse takes only words such as ``-1`` and ``-0.5`` for negative
+    numbers, and any other word that starts with one dash, ``-1e3`` and
+    ``-2^3`` included, for an option; joined, the value parses as it does
+    in ``--key=-1e3`` or in a config file."""
+    joined: list[str] = []
+    for word in argv:
+        if joined and joined[-1] in _VALUE_FLAGS and word.startswith("-") and not word.startswith("--"):
+            joined[-1] += f"={word}"
+        else:
+            joined.append(word)
+    return joined
+
+
 def parse_config(argv: list[str]) -> RunConfig:
-    namespace = _build_parser().parse_args(argv)
+    namespace = _build_parser().parse_args(_negative_values_joined(argv))
     merged = _read_config_file(namespace.config) if namespace.config else {}
     merged.update(  # explicit flags win
         (name, _convert(name, text))

@@ -109,7 +109,18 @@ class ModelSpec:
     initial: "float | np.ndarray | Callable[[np.random.Generator, int], np.ndarray]"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dimension", check_count(self.dimension, "dimension"))
+        """Checks, before any draw, that a constant sigma and a point initial value fit d."""
+        d = check_count(self.dimension, "dimension")
+        object.__setattr__(self, "dimension", d)
+        if isinstance(self.diffusion, ConstantDiffusion) and self.diffusion.matrix.shape != (d, d):
+            raise ArgumentError(f"model {self.name!r} of dimension {d} needs a {d} x {d} constant "
+                                f"diffusion, got shape {self.diffusion.matrix.shape}")
+        if not callable(self.initial):
+            try:
+                np.broadcast_to(np.asarray(self.initial, dtype=float), (d,))
+            except (TypeError, ValueError):
+                raise ArgumentError(f"model {self.name!r} of dimension {d} needs an initial value "
+                                    f"that broadcasts to shape ({d},), got {self.initial!r}") from None
 
     def initial_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Materialize the initial ensemble as an (count, d) array."""

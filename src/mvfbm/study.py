@@ -69,7 +69,8 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
     """Least-squares slope of log2(error) against log2(delta).
 
     Returns (slope, stderr); the stderr comes from the residual variance and
-    is zero for an exact two-point or collinear fit.
+    is zero for an exact two-point or collinear fit.  Each sum of products is
+    one ``np.add.reduce`` in index order, never a BLAS dot, so no bit follows the cores.
     """
     if len(points) < 2:
         raise ArgumentError(f"slope fit needs at least 2 points, got {len(points)}")
@@ -80,14 +81,14 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
     x = np.log2(deltas)
     y = np.log2(errors)
     x_center = x - x.mean()
-    sxx = float(x_center @ x_center)
+    sxx = float(np.add.reduce(x_center * x_center))
     if sxx == 0.0:
         raise ArgumentError("slope fit requires at least two distinct deltas")
-    slope = float(x_center @ (y - y.mean())) / sxx
+    slope = float(np.add.reduce(x_center * (y - y.mean()))) / sxx
     intercept = float(y.mean()) - slope * float(x.mean())
     residuals = y - (intercept + slope * x)
     dof = len(points) - 2
-    stderr = math.sqrt(float(residuals @ residuals) / dof / sxx) if dof > 0 else 0.0
+    stderr = math.sqrt(float(np.add.reduce(residuals * residuals)) / dof / sxx) if dof > 0 else 0.0
     return slope, stderr
 
 
@@ -194,7 +195,10 @@ def strong_error_study(
     increments; the RMS over particles and replications of
     |Y^(delta)_T - Y^(ref)_T| is reported per delta together with the
     fitted log-log slope.  A scheme that reproduces the reference
-    exactly at every delta is flagged instead of fitted.
+    exactly at every delta is flagged instead of fitted.  One
+    ``np.add.reduce`` sums each replication's squared gaps over its particles
+    (numpy's pairwise order, never a BLAS dot), and ``sum`` adds those left to
+    right in replication order: no bit follows the batching or the cores.
     """
     particles = check_count(particles, "particle count")
     replications = check_count(replications, "replication count", least=2)
@@ -208,20 +212,15 @@ def strong_error_study(
     config = SimulationConfig(model, hurst, fine_mesh, particles, root)
     batches = _batches(config, replications, workers)
     terminals = _run_batches(batches, [1, *factors], workers)
-    # per factor, per replication in order: the sum over particles of squared terminal gaps
-    sums: list[list[float]] = [[] for _ in factors]
-    slope = stderr = None
     with np.errstate(over="ignore", invalid="ignore"):  # the report rejects an error that overflowed
-        for reference, *coarse in terminals:
-            for per_rep, terminal in zip(sums, coarse):
-                gaps = np.linalg.norm(terminal - reference, axis=1)
-                per_rep.extend(float(g @ g) for g in gaps.reshape(-1, particles))
-        total = particles * replications
-        rms = [math.sqrt(sum(per_rep) / total) for per_rep in sums]
+        gaps = np.concatenate([np.linalg.norm(np.stack(coarse) - reference, axis=-1)
+                               for reference, *coarse in terminals], axis=1)  # batch order
+        squares = (gaps * gaps).reshape(len(factors), replications, particles)
+        rms = [math.sqrt(sum(per_rep) / (particles * replications))
+               for per_rep in np.add.reduce(squares, axis=-1).tolist()]
         points = tuple(zip(deltas, rms))
         exact = all(e <= EXACT_SCHEME_ATOL for e in rms)
-        if not exact:
-            slope, stderr = fit_loglog_slope(points)
+        slope, stderr = (None, None) if exact else fit_loglog_slope(points)
     return ConvergenceReport(
         model=model.name,
         hurst=config.hurst,

@@ -59,6 +59,16 @@ class TestParseConfig:
         assert config.deltas == (0.0625, 0.03125)
         assert config.reference_delta == 2.0**-8
 
+    @pytest.mark.parametrize("value,expected", [("-1e3", -1000.0), ("-2^3", -8.0)])
+    def test_negative_value_as_its_own_word(self, tmp_path, value, expected):
+        # argparse alone reads a word such as -1e3 or -2^3 as an option, not as a value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"command = simulate\ninitial = {value}\n")
+        from_file = parse_config(["--config", str(cfg)])
+        assert from_file.initial == expected
+        for flags in (["--initial", value], [f"--initial={value}"]):
+            assert parse_config(["--command", "simulate", *flags]) == from_file
+
     def test_unknown_file_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("command = simulate\nwidget = 3\n")
@@ -138,7 +148,8 @@ class TestMainExitCodes:
         assert "Hurst parameter" in err
 
     @pytest.mark.parametrize("key,value", [("model", "bogus"), ("snapshots", "all"), ("profile", "huge"),
-                                           ("hurst", "1.5"), ("particles", "0")])
+                                           ("hurst", "1.5"), ("particles", "0"),
+                                           ("hurst", "-1e3"), ("hurst", "-2^3")])
     def test_flag_and_file_fail_alike(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"command = simulate\n{key} = {value}\n")

@@ -7,6 +7,7 @@ tightly.
 
 import math
 import os
+import re
 import threading
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 import mvfbm.fbm
 from mvfbm.cli import main
+from mvfbm.errors import ArgumentError
 from mvfbm.fbm import (
     CirculantEmbeddingError,
     CirculantSampler,
@@ -35,6 +37,12 @@ class TestCheckHurst:
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7, math.nan])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError, match=r"Hurst parameter must lie in \(0, 1\)"):
+            check_hurst(bad)
+
+    @pytest.mark.parametrize("bad", ["abc", None], ids=["text", "none"])
+    def test_not_a_number_rejected(self, bad):
+        # float() refuses it: typed as the out-of-range values are, with the value named
+        with pytest.raises(ArgumentError, match=re.escape(f"must lie in (0, 1), got {bad!r}")):
             check_hurst(bad)
 
 

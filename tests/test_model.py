@@ -8,6 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from mvfbm.errors import ArgumentError
 from mvfbm.measure import EmpiricalMeasure
 from mvfbm.model import (
     PRESET_NAMES,
@@ -180,6 +181,23 @@ def test_dimension_must_be_positive(dimension, match):
 def test_constant_diffusion_must_be_square():
     with pytest.raises(ValueError):
         ConstantDiffusion(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "dimension, diffusion, initial, match",
+    [
+        (2, ConstantDiffusion(np.eye(2)), [1.0, 2.0, 3.0],
+         r"needs an initial value that broadcasts to shape \(2,\), got \[1.0, 2.0, 3.0\]"),
+        (2, ConstantDiffusion(np.eye(2)), "origin",
+         r"needs an initial value that broadcasts to shape \(2,\), got 'origin'"),
+        (1, ConstantDiffusion(np.eye(2)), 0.0, r"needs a 1 x 1 constant diffusion, got shape \(2, 2\)"),
+    ],
+    ids=["initial-too-long", "initial-not-a-number", "diffusion-too-wide"],
+)
+def test_model_parts_must_fit_the_dimension(dimension, diffusion, initial, match):
+    # rejected when the model is built, before any draw, not inside numpy mid-run
+    with pytest.raises(ArgumentError, match=f"model 'misfit' of dimension {dimension} {match}"):
+        ModelSpec("misfit", dimension, zero_drift, diffusion, initial)
 
 
 def test_initial_sampler_shape_checked():

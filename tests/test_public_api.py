@@ -106,3 +106,15 @@ def test_a_rejected_argument_is_an_argument_error():
                         (parsed if exempt else bare).append(f"{source.name}:{node.lineno}")
     assert len(parsed) == len(parsers)  # the scan sees each parser's rejection
     assert bare == []
+
+
+def test_the_one_matrix_product_is_the_covariance_audit():
+    # a BLAS product splits its sums over threads, so its bits follow the cores; every other
+    # sum that reaches a report is a numpy reduction in index order
+    products = []
+    for source in Path(mvfbm.__file__).parent.glob("*.py"):
+        for top in ast.parse(source.read_text(), str(source)).body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                    products.append((source.name, getattr(top, "name", None)))
+    assert products == [("study.py", "covariance_check")]

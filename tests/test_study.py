@@ -139,6 +139,24 @@ class TestStrongErrorStudy:
         again = strong_error_study(model, 0.7, workers=1, **kwargs)
         assert serial.to_csv() == again.to_csv()
 
+    def test_gap_sums_are_numpy_reductions_in_replication_order(self, monkeypatch):
+        # the reference loop: per factor and replication one np.add.reduce over the particles,
+        # then Python's sum left to right over the replications of every batch in order
+        particles, sizes = 5001, (2, 1)
+        rng = np.random.default_rng(9)
+        terminals = [[rng.standard_normal((size * particles, 1)) for _ in range(1 + len(DELTAS))]
+                     for size in sizes]
+        monkeypatch.setattr(mvfbm.study, "_run_batches", lambda *args: terminals)
+        report = strong_error_study(preset_mean_reverting(), 0.7, particles, sum(sizes), DELTAS,
+                                    REFERENCE, seed=1)
+        expected = []
+        for f in range(len(DELTAS)):
+            per_rep = [float(np.add.reduce(g * g))
+                       for reference, *coarse in terminals
+                       for g in np.linalg.norm(coarse[f] - reference, axis=1).reshape(-1, particles)]
+            expected.append(math.sqrt(sum(per_rep) / (particles * sum(sizes))))
+        assert [error for _, error in report.points] == expected
+
     def test_pool_no_larger_than_its_batches(self, monkeypatch):
         seen = []
 
