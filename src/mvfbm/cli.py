@@ -9,11 +9,14 @@ One executable, five commands selected with ``--command``:
 * ``fbm-check``   -- empirical covariance audit of the Davies-Harte drivers
 
 Every option is one ``RunConfig`` field, set by a flag or by a line of a
-flat ``key = value`` config file (``--config``); both are parsed alike,
-explicit flags override file values and unknown keys are rejected.  The
-library checks each range, before any draw, in the call that reads the
-value, so an option the command does not read is not range-checked.  A
-run that succeeds writes ``report.csv``, ``report.json``, ``config.echo``
+flat ``key = value`` config file (``--config``), parsed alike.  A flag is
+``--key value`` or ``--key=value``, its value the next word unless that word
+starts with ``--``; a bare ``--emit-plot`` reads ``true`` and a repeated
+flag's last value wins.  Flags override file values; any other word, an
+abbreviated flag included, is rejected, and ``--help`` lists every flag.
+The library checks each range, before any draw, in the call that reads the
+value, so an option the command does not read is not range-checked.  A run
+that succeeds writes ``report.csv``, ``report.json``, ``config.echo``
 and optionally ``plot.svg`` into its own directory under ``--outdir``; a
 run that fails creates no directory.
 
@@ -29,7 +32,6 @@ itself.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 import time
@@ -219,8 +221,8 @@ class RunConfig:
     seed: int = _option(2024, int, "master seed")
     snapshots: str = _option("terminal", _one_of(SNAPSHOT_POLICIES),
                              f"trajectory retention (simulate): {', '.join(SNAPSHOT_POLICIES)}")
-    workers: int = _option(1, int, "parallel worker processes for replications; each process's "
-                           "driver sampler uses its usable cores")
+    workers: int = _option(1, int, "parallel worker processes for replications, at most the usable "
+                           "cores; each process's driver sampler uses its usable cores")
     outdir: str = _option("runs", str, "output directory root (default runs/)")
     label: str = _option("", _label, "run directory name under outdir (default <command>-<timestamp>)")
     emit_plot: bool = _option(False, _boolean, "write plot.svg")
@@ -263,50 +265,43 @@ def _read_config_file(path: str) -> dict[str, object]:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mvfbm",
-        description="Interacting-particle Euler simulation driven by fractional Brownian motion.",
-    )
-    parser.add_argument("--config", metavar="FILE", help="flat key = value config file; flags override it")
-    for key, name in _FIELD_FOR_KEY.items():
-        meta = _FIELDS[name].metadata
-        if meta["parse"] is _boolean:  # a bare switch
-            parser.add_argument(f"--{key}", action="store_const", const="true", help=meta["help"])
-        else:
-            parser.add_argument(f"--{key}", help=meta["help"])
-    return parser
+# Each field's key with two dashes, and --config.
+_FLAGS = {f"--{key}": name for key, name in _FIELD_FOR_KEY.items()} | {"--config": "config"}
 
 
-# The flags that take a value: every field's but a bare switch's, and --config.
-_VALUE_FLAGS = {"--config"} | {f"--{key}" for key, name in _FIELD_FOR_KEY.items()
-                               if _FIELDS[name].metadata["parse"] is not _boolean}
+def _flag_values(argv: list[str]):
+    """The ``(field, text)`` pair of each flag of ``argv``, in order; any
+    other word is rejected.  The grammar is in the module docstring."""
+    i = 0
+    while i < len(argv):
+        flag, equals, text = argv[i].partition("=")
+        if flag not in _FLAGS:
+            raise ConfigError(f"unknown option {argv[i]!r}")
+        name, i = _FLAGS[flag], i + 1
+        if not equals:
+            if i < len(argv) and not argv[i].startswith("--"):
+                text, i = argv[i], i + 1
+            elif name != "config" and _FIELDS[name].metadata["parse"] is _boolean:
+                text = "true"
+            else:
+                raise ConfigError(f"option {flag} needs a value")
+        yield name, text
 
 
-def _negative_values_joined(argv: list[str]) -> list[str]:
-    """``argv`` with each ``--key -value`` word pair written ``--key=-value``.
-
-    argparse takes only words such as ``-1`` and ``-0.5`` for negative
-    numbers, and any other word that starts with one dash, ``-1e3`` and
-    ``-2^3`` included, for an option; joined, the value parses as it does
-    in ``--key=-1e3`` or in a config file."""
-    joined: list[str] = []
-    for word in argv:
-        if joined and joined[-1] in _VALUE_FLAGS and word.startswith("-") and not word.startswith("--"):
-            joined[-1] += f"={word}"
-        else:
-            joined.append(word)
-    return joined
+def _help() -> str:
+    """The usage text: one line per flag, from the RunConfig table."""
+    helps = {"--config": "flat key = value config file; flags override it"}
+    helps |= {flag: _FIELDS[name].metadata["help"] for flag, name in _FLAGS.items() if name in _FIELDS}
+    width = max(map(len, helps))
+    return ("usage: mvfbm --command COMMAND [--key value | --key=value ...]\n"
+            "Interacting-particle Euler simulation driven by fractional Brownian motion.\n\n"
+            + "".join(f"  {flag:<{width}}  {text}\n" for flag, text in helps.items()))
 
 
 def parse_config(argv: list[str]) -> RunConfig:
-    namespace = _build_parser().parse_args(_negative_values_joined(argv))
-    merged = _read_config_file(namespace.config) if namespace.config else {}
-    merged.update(  # explicit flags win
-        (name, _convert(name, text))
-        for name, text in vars(namespace).items()
-        if name != "config" and text is not None
-    )
+    flags = dict(_flag_values(argv))  # a repeated flag's last value wins
+    merged = _read_config_file(flags.pop("config")) if "config" in flags else {}
+    merged.update((name, _convert(name, text)) for name, text in flags.items())  # explicit flags win
     for name, value in _PROFILE_SETTINGS[merged.get("profile", _FIELDS["profile"].default)].items():
         merged.setdefault(name, value)
     if "command" not in merged:
@@ -386,8 +381,11 @@ def dispatch(config: RunConfig) -> int:
 def main(argv: "list[str] | None" = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if not argv:
-        _build_parser().print_usage(sys.stderr)
+        sys.stderr.write(_help())
         return 2
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help())
+        return 0
     try:
         return dispatch(parse_config(argv))
     except ArgumentError as exc:

@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import fbm  # usable_cores is read through the module, where tests patch it
 from .errors import ArgumentError
 from .fbm import CirculantSampler, UniformMesh, _fgn_autocovariance, check_count, check_hurst
 from .fbm import increment_covariance_matrix  # unused here: bench/layertrace.py patches this name
@@ -156,8 +157,8 @@ def _run_batches(configs: Sequence[SimulationConfig], factors: Sequence[int],
     batched or spread over workers: the finest mesh first, then the smallest
     particle count, step and replication.
     """
-    # a forked pool starts all of its workers at once: start no more than there are batches
-    workers = min(workers, len(configs))
+    # a forked pool starts all of its workers at once: no more than batches or cores
+    workers = min(workers, len(configs), fbm.usable_cores())
     task = partial(_batch_terminals, tuple(factors))
     if workers <= 1:
         results = [task(config) for config in configs]

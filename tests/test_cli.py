@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 import time
 from pathlib import Path
 
@@ -69,6 +70,21 @@ class TestParseConfig:
         for flags in (["--initial", value], [f"--initial={value}"]):
             assert parse_config(["--command", "simulate", *flags]) == from_file
 
+    @pytest.mark.parametrize("value", ["true", "false", "yes"])
+    def test_boolean_flag_parses_as_the_file_line(self, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"command = simulate\nemit-plot = {value}\n")
+        from_file = parse_config(["--config", str(cfg)])
+        forms = [[f"--emit-plot={value}"], ["--emit-plot", value]]
+        if from_file.emit_plot:  # a bare switch, last or before another flag, reads true
+            forms += [["--emit-plot"], ["--emit-plot", "--seed", "2024"]]
+        for flags in forms:
+            assert parse_config(["--command", "simulate", *flags]) == from_file
+
+    def test_repeated_flag_last_value_wins(self):
+        config = parse_config(["--command", "convergence", "--workers", "1", "--workers=2"])
+        assert config.workers == 2
+
     def test_unknown_file_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("command = simulate\nwidget = 3\n")
@@ -127,9 +143,8 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(["--config", str(cfg)])
 
-    def test_help_lists_every_choice(self, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "1000")  # unwrapped: no choice is broken at a hyphen
-        text = mvfbm.cli._build_parser().format_help()
+    def test_help_lists_every_choice(self):
+        text = mvfbm.cli._help()
         for flag, choices in [("--command", COMMANDS), ("--model", PRESET_NAMES),
                               ("--snapshots", SNAPSHOT_POLICIES), ("--profile", mvfbm.cli._PROFILE_SETTINGS)]:
             option_help = text.split(f"\n  {flag} ", 1)[1].split("\n  --", 1)[0]
@@ -141,6 +156,11 @@ class TestMainExitCodes:
         code, _, err = run_cli([], capsys)
         assert code == 2
         assert "usage" in err
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_exits_zero(self, capsys, flag):
+        code, out, err = run_cli(["--command", "simulate", flag], capsys)
+        assert (code, out, err) == (0, mvfbm.cli._help(), "")
 
     def test_config_failure(self, capsys):
         code, _, err = run_cli(["--command", "convergence", "--hurst", "1.5"], capsys)
@@ -364,6 +384,13 @@ class TestMainExitCodes:
             (None, ["--command", "simulate", "--model", "bogus"], 2),
             # every list option is parsed by one rule: an empty list is rejected at parse time
             (None, ["--command", "simulate", "--particle-counts", ","], 2),
+            # every word of argv is a whole flag or its value: one error line, no usage dump
+            (None, ["--command", "simulate", "--hur", "-1e3"], 2),
+            (None, ["--command", "simulate", "--bogus", "1"], 2),
+            (None, ["--command", "simulate", "--hurst"], 2),
+            (None, ["--command", "simulate", "--hurst", "--seed", "1"], 2),
+            (None, ["--command", "simulate", "extra"], 2),
+            (None, ["--command", "simulate", "-x"], 2),
         ],
         ids=[
             "unknown-model-in-file", "fixture-model-in-file", "sampler-key-in-file", "delta-off-reference-mesh",
@@ -385,6 +412,8 @@ class TestMainExitCodes:
             "no-workers-convergence", "negative-spread-simulate", "negative-seed-simulate",
             "no-paths-fbm-check", "one-replication-convergence", "negative-horizon-simulate",
             "unknown-model-flag", "empty-count-list-simulate",
+            "abbreviated-flag", "unknown-flag", "trailing-flag", "flag-without-value", "stray-word",
+            "single-dash-word",
         ],
     )
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys, config_text, flags, expected_code):
@@ -392,7 +421,7 @@ class TestMainExitCodes:
         if config_text is not None:
             (tmp_path / "run.cfg").write_text(config_text)
             flags = ["--config", str(tmp_path / "run.cfg"), *flags]
-        code, _, err = run_cli([*flags, "--outdir", str(outdir), "--label", "failed"], capsys)
+        code, _, err = run_cli(["--outdir", str(outdir), "--label", "failed", *flags], capsys)
         assert code == expected_code, err
         assert err.count("\n") == 1 and err.startswith(("error: ", "numerical failure: "))
         assert list(outdir.glob("**/*")) == []
@@ -420,6 +449,94 @@ class TestMainExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == directories
         for seed, name in zip(("1", "2", "3"), directories):
             assert f"# seed={seed}\n" in (tmp_path / name / "report.csv").read_text()
+
+
+# The CLI contract as one property.  Every argv sets --command and each
+# field of CAPPED.  Each other field it sets draws its value from the words
+# of WORDS that its parser accepts, and one of them may take any word of
+# WORDS instead.  The fields of CAPPED draw from their own short lists, so
+# that no mesh has more than 2 / 2^-6 = 128 steps and no ensemble more than
+# 32 particles, and --workers starts at most two processes.  An argv may
+# also hold one word of JUNK.
+WORDS = (
+    "0", "1", "2", "3", "-1", "0.3", "0.7", "0.999999", "1e-9", "2^-3", "-1e3", "-2^3", "1e20",
+    "1e300", "inf", "0^-1", "18446744073709551616", "2^-3,2^-4", ",", "true", "no", "maybe",
+    "run", "..", "a/b", "bogus", *COMMANDS, *PRESET_NAMES, *SNAPSHOT_POLICIES,
+    *mvfbm.cli._PROFILE_SETTINGS,
+)
+CAPPED = {
+    "steps": ("8", "16", "1"),
+    "particles": ("2", "8", "1"),
+    "replications": ("2", "3"),
+    "paths": ("16", "1"),
+    "particle_counts": ("2,8", "1,2", "4,2"),
+    "horizon": ("1", "0.5", "2", "1e-300", "1e300"),
+    "deltas": ("2^-3,2^-4,2^-5", "2^-2,2^-3", "0.5,0.25", "0.3,0.2,0.1"),
+    "reference_delta": ("2^-6", "2^-4"),
+    "workers": ("1", "2"),
+}
+# Words that are no flag of their own: unknown, abbreviated, stray, or a flag
+# with no value when no value word follows it.
+JUNK = ("--bogus", "--hur", "--part", "extra", "-x", "--", "--hurst", "--seed", "--emit-plot")
+
+
+def _accepted(name):
+    """The words of WORDS that the field's parser accepts."""
+    accepted = []
+    for word in WORDS:
+        try:
+            mvfbm.cli._convert(name, word)
+        except ConfigError:
+            continue
+        accepted.append(word)
+    return tuple(accepted)
+
+
+def test_any_argv_exits_by_the_contract(tmp_path, monkeypatch, capsys):
+    """Exit 0, 1 or 2; a failure prints one line and leaves no run
+    directory; a success writes only artifact files."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    alphabets = {name: CAPPED.get(name) or _accepted(name) for name in mvfbm.cli._FIELDS}
+    # --outdir stays the default, runs/ under the working directory
+    optional = [name for name in alphabets if name not in CAPPED and name not in ("command", "outdir")]
+
+    @st.composite
+    def argvs(draw):
+        free = ["command", *draw(st.lists(st.sampled_from(optional), unique=True))]
+        texts = {name: draw(st.sampled_from(alphabets[name])) for name in [*free, *CAPPED]}
+        fault = draw(st.sampled_from([None, "value", "word"]))
+        if fault == "value":
+            texts[draw(st.sampled_from(free))] = draw(st.sampled_from(WORDS))
+        words = []
+        for name, text in texts.items():
+            flag = "--" + name.replace("_", "-")
+            words += draw(st.sampled_from([[flag, text], [f"{flag}={text}"]]))
+        if fault == "word":
+            at = draw(st.integers(0, len(words)))
+            words[at:at] = [draw(st.sampled_from(JUNK))]
+        return words
+
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)  # the default --outdir, runs/, is made here
+
+    @settings(max_examples=300)
+    @given(argvs())
+    def check(argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code:
+            assert err.count("\n") == 1 and err.startswith(("error: ", "numerical failure: ")), err
+            assert list(workdir.iterdir()) == []
+        else:
+            assert {p.name for p in workdir.rglob("*") if p.is_file()} <= set(mvfbm.cli._ARTIFACT_NAMES)
+        shutil.rmtree(workdir / "runs", ignore_errors=True)
+
+    check()
 
 
 def _small_convergence_args(outdir, label, extra=()):

@@ -157,10 +157,12 @@ class TestStrongErrorStudy:
             expected.append(math.sqrt(sum(per_rep) / (particles * sum(sizes))))
         assert [error for _, error in report.points] == expected
 
-    def test_pool_no_larger_than_its_batches(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The size of each pool a study asks for; the pool maps in this process."""
         seen = []
 
-        class SerialPool:  # records the pool size, maps in this process
+        class SerialPool:
             def __init__(self, max_workers):
                 seen.append(max_workers)
 
@@ -174,11 +176,24 @@ class TestStrongErrorStudy:
                 return map(task, args)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return seen
+
+    def test_pool_no_larger_than_its_batches(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(mvfbm.fbm, "usable_cores", lambda: 64)  # the batches, not the cores, bound it
         strong_error_study(
             preset_mean_deviation(initial_spread=0.5), 0.7, particles=4, replications=2,
             deltas=DELTAS, reference_delta=REFERENCE, seed=3, workers=64,
         )
-        assert all(size <= 2 for size in seen)
+        assert all(size <= 2 for size in pool_sizes)
+
+    def test_pool_no_larger_than_the_usable_cores(self, monkeypatch, pool_sizes):
+        # 64 one-particle batches: the batch count alone would size the pool at 64
+        monkeypatch.setattr(mvfbm.fbm, "usable_cores", lambda: 2)
+        strong_error_study(
+            preset_mean_deviation(initial_spread=0.5), 0.7, particles=1, replications=64,
+            deltas=DELTAS, reference_delta=REFERENCE, seed=3, workers=64,
+        )
+        assert pool_sizes == [2]
 
     def test_bad_delta_rejected(self):
         with pytest.raises(ArgumentError, match="integer multiple"):
